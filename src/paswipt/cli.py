@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from paswipt.config import Config, load_config
+from paswipt.config import Config, LinearHarvest, LogisticHarvest, load_config, model_tag
 from paswipt.distributions import SquaredDistanceDistribution, emit_cdf_table
 from paswipt.energy import (
     avg_energy_lm_closed,
     avg_energy_nlm_bound,
     avg_energy_quadrature,
 )
-from paswipt.config import LinearHarvest, LogisticHarvest
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
@@ -43,13 +42,16 @@ def _add_mc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1)
 
 
-def _build_config(args, model: str = "lm") -> Config:
+def _build_config(args, model: str | None = None) -> Config:
+    """The config from --config, or else from the flags.  A flag value is
+    passed to validate() unchanged, so a bad one fails instead of being
+    replaced by a default."""
     if args.config:
         return load_config(args.config)
     from paswipt.config import (
         ProtocolParams, RegionGeometry, SystemParams, dbm_to_watts, validate,
     )
-    if model == "lm":
+    if model in (None, "lm"):
         harvest = LinearHarvest(eta=1.0)
     else:
         harvest = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)
@@ -57,7 +59,8 @@ def _build_config(args, model: str = "lm") -> Config:
         system=SystemParams(
             carrier_frequency_hz=args.fc_ghz * 1e9,
             noise_power_w=dbm_to_watts(args.noise_dbm),
-            transmit_power_w=getattr(args, "pt_w", None) or 1.0,
+            # only `dist` may leave the power unset; the distance law ignores it
+            transmit_power_w=1.0 if args.pt_w is None else args.pt_w,
         ),
         protocol=ProtocolParams(alpha=args.alpha, beta=args.beta),
         geometry=RegionGeometry(d_x=args.dx, d_y=args.dy, height=args.height),
@@ -79,10 +82,13 @@ def _cmd_dist(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _build_config(args, model=args.model)
+    tag = model_tag(cfg.harvest)
+    if args.model is not None and args.model != tag:
+        raise ValueError(f"--model {args.model} contradicts harvest model {tag!r} in {args.config}")
     scheme = Scheme(args.scheme)
     s, p, g, m = cfg.system, cfg.protocol, cfg.geometry, cfg.harvest
     fields = ["scheme", "model", "pt_w"]
-    values: list[str] = [scheme.value, args.model, f"{s.transmit_power_w:.17g}"]
+    values: list[str] = [scheme.value, tag, f"{s.transmit_power_w:.17g}"]
     if isinstance(m, LinearHarvest):
         fields.append("closed_w")
         values.append(f"{avg_energy_lm_closed(scheme, s, p, g, m):.17g}")
@@ -151,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="average harvested energy, all methods")
     p.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
-    p.add_argument("--model", choices=["lm", "nlm"], default="lm")
+    p.add_argument("--model", choices=["lm", "nlm"],
+                   help="harvest model (default lm; with --config, the file's model)")
     p.add_argument("--mc", action="store_true", help="add a Monte-Carlo cross-check")
     _add_config_args(p, need_power=True)
     _add_mc_args(p)
@@ -176,8 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input: ConfigError is a ValueError
+        message = " ".join(str(exc).split())
+        parser.exit(2, f"paswipt {args.command}: error: {message}\n")
 
 
 if __name__ == "__main__":

@@ -43,11 +43,6 @@ class SystemParams:
         return SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * self.carrier_frequency_hz**2)
 
     @property
-    def wavenumber_per_m(self) -> float:
-        # Enters only a unit-modulus phase factor; kept for completeness.
-        return 2.0 * math.pi / self.wavelength_m
-
-    @property
     def transmit_snr(self) -> float:
         return self.transmit_power_w / self.noise_power_w
 
@@ -113,6 +108,11 @@ class LogisticHarvest:
 
 
 HarvestModel = Union[LinearHarvest, LogisticHarvest]
+
+
+def model_tag(model: HarvestModel) -> str:
+    """The short name of a harvest model, as in config files: lm or nlm."""
+    return "lm" if isinstance(model, LinearHarvest) else "nlm"
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,10 @@ def config_from_dict(raw: dict) -> Config:
 
 def load_config(path: str | Path) -> Config:
     with open(path) as f:
-        raw = yaml.safe_load(f)
+        try:
+            raw = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            raise ConfigError([f"config file {path} is not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"config file {path} is not a mapping"])
     return config_from_dict(raw)

@@ -7,7 +7,6 @@ unit-normalized protocol period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -22,13 +21,6 @@ from paswipt.config import (
 )
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
-
-
-@dataclass(frozen=True)
-class EnergyResult:
-    value_w: float
-    scheme: Scheme
-    method: str  # "closed" | "bound" | "quadrature" | "monte-carlo"
 
 
 def logistic_harvest_power(model: LogisticHarvest, p_in):

@@ -48,15 +48,6 @@ def _check_ue(geom: RegionGeometry, ue: UePosition) -> None:
         raise ValueError(f"UE ({ue.x}, {ue.y}) outside rectangle [0,{geom.d_x}]x[0,{geom.d_y}]")
 
 
-def waveguide_point(scheme: Scheme, geom: RegionGeometry, x_p: float) -> AntennaPosition:
-    """Point on the scheme's waveguide line at x-coordinate x_p."""
-    if scheme is Scheme.EDS:
-        return AntennaPosition(x_p, 0.0)
-    if scheme is Scheme.CDS:
-        return AntennaPosition(x_p, geom.d_y / 2.0)
-    return AntennaPosition(x_p, geom.aspect_ratio * x_p)
-
-
 def optimal_antenna_position(scheme: Scheme, geom: RegionGeometry, ue: UePosition) -> AntennaPosition:
     """Closest waveguide point to the UE (perpendicular foot).
 

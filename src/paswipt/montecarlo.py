@@ -5,17 +5,21 @@ chunk j draws from a Philox generator keyed by (seed, j), so sample i is
 a pure function of (seed, i) and workers need no shared state.  Partial
 sums are reduced in chunk order with numpy's pairwise summation, which
 makes the result bitwise identical for any worker count.
+
+A sweep evaluates many metrics and powers on one scheme, room, seed and
+n; distance_stream() draws that stream once and estimate(..., stream=)
+reuses it, which gives every column the same digits as drawing afresh.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from paswipt.config import Config, LinearHarvest, LogisticHarvest
+from paswipt.config import Config, LinearHarvest, LogisticHarvest, RegionGeometry
 from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
@@ -32,6 +36,10 @@ class EstimateWithCI:
     std_error: float
     n_samples: int
     seed: int
+
+
+def _chunk_sizes(n: int) -> list[int]:
+    return [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -53,16 +61,44 @@ def sample_ue_stream(config: Config, seed: int, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     xs, ys = [], []
-    for j in range(0, -(-n // CHUNK_SIZE)):
-        size = min(CHUNK_SIZE, n - j * CHUNK_SIZE)
+    for j, size in enumerate(_chunk_sizes(n)):
         x_u, y_u = _chunk_ue(config, seed, j, size)
         xs.append(x_u)
         ys.append(y_u)
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def _metric_values(metric: str, scheme: Scheme, config: Config, x_u, y_u):
-    l = optimal_squared_distance(scheme, config.geometry, x_u, y_u)
+def _chunk_distance(scheme: Scheme, config: Config, seed: int, chunk_index: int, size: int):
+    """Squared distances at the optimal placement for chunk j of the stream."""
+    x_u, y_u = _chunk_ue(config, seed, chunk_index, size)
+    return optimal_squared_distance(scheme, config.geometry, x_u, y_u)
+
+
+@dataclass(frozen=True)
+class DistanceStream:
+    """The squared-distance stream of one (scheme, geometry, seed, n), kept
+    chunk by chunk so several metrics can be estimated on the same draws
+    (common random numbers).  Holds 8 * n bytes."""
+
+    scheme: Scheme
+    geometry: RegionGeometry
+    seed: int
+    n: int
+    chunks: tuple[np.ndarray, ...]
+
+
+def distance_stream(scheme: Scheme, config: Config, n: int, seed: int = 0) -> DistanceStream:
+    """Draw the stream once; pass it to estimate(..., stream=...) for every
+    metric and power evaluated on the same scheme, room, seed and n."""
+    chunks = []
+    for j, size in enumerate(_chunk_sizes(n)):
+        l = _chunk_distance(scheme, config, seed, j, size)
+        l.flags.writeable = False  # shared read-only by every estimate
+        chunks.append(l)
+    return DistanceStream(scheme, config.geometry, seed, n, tuple(chunks))
+
+
+def _metric_values(metric: str, config: Config, l):
     p = config.protocol
     s = config.system
     if metric == "energy-lm":
@@ -81,13 +117,6 @@ def _metric_values(metric: str, scheme: Scheme, config: Config, x_u, y_u):
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _chunk_stats(args):
-    metric, scheme, config, seed, chunk_index, size = args
-    x_u, y_u = _chunk_ue(config, seed, chunk_index, size)
-    v = _metric_values(metric, scheme, config, x_u, y_u)
-    return np.sum(v), np.sum(v * v)
-
-
 def estimate(
     metric: str,
     scheme: Scheme,
@@ -95,24 +124,42 @@ def estimate(
     n: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
+    *,
+    stream: DistanceStream | None = None,
 ) -> EstimateWithCI:
     """Sample mean and standard error of the per-UE metric.
 
     Pipeline per sample: uniform UE draw -> optimal antenna placement ->
-    squared distance -> metric formula.
+    squared distance -> metric formula.  With a stream from
+    distance_stream() the first three steps are read from it instead of
+    redone; the result is bitwise the same.  workers > 1 runs the chunks
+    on a thread pool: the Philox fills and numpy ufuncs release the GIL.
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a variance estimate")
-    n_chunks = -(-n // CHUNK_SIZE)
-    jobs = [
-        (metric, scheme, config, seed, j, min(CHUNK_SIZE, n - j * CHUNK_SIZE))
-        for j in range(n_chunks)
-    ]
-    if workers > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_chunk_stats, jobs))
+    if stream is not None and (stream.scheme, stream.geometry, stream.seed, stream.n) != (
+        scheme, config.geometry, seed, n
+    ):
+        raise ValueError(
+            f"stream was drawn for scheme={stream.scheme.value} seed={stream.seed} "
+            f"n={stream.n} geometry={stream.geometry}, not scheme={scheme.value} "
+            f"seed={seed} n={n} geometry={config.geometry}"
+        )
+    sizes = _chunk_sizes(n)
+
+    def chunk_stats(j: int):
+        if stream is not None:
+            l = stream.chunks[j]
+        else:
+            l = _chunk_distance(scheme, config, seed, j, sizes[j])
+        v = _metric_values(metric, config, l)
+        return np.sum(v), np.sum(v * v)
+
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+            stats = list(pool.map(chunk_stats, range(len(sizes))))
     else:
-        stats = [_chunk_stats(job) for job in jobs]
+        stats = [chunk_stats(j) for j in range(len(sizes))]
 
     sums = np.array([s for s, _ in stats])
     sumsqs = np.array([q for _, q in stats])

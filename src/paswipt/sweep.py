@@ -22,6 +22,7 @@ from paswipt.config import (
     LogisticHarvest,
     ProtocolParams,
     default_config,
+    model_tag,
     validate,
 )
 from paswipt.energy import (
@@ -30,7 +31,7 @@ from paswipt.energy import (
     avg_energy_quadrature,
 )
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import estimate
+from paswipt.montecarlo import DistanceStream, distance_stream, estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 
 EXPERIMENTS = ("energy", "rate", "region")
@@ -71,10 +72,6 @@ class SweepSpec:
         return self.harvest_models or (self.config.harvest,)
 
 
-def _model_tag(model: HarvestModel) -> str:
-    return "lm" if isinstance(model, LinearHarvest) else "nlm"
-
-
 def _with(config: Config, *, pt_w=None, model=None, alpha=None, beta=None) -> Config:
     cfg = config
     if pt_w is not None:
@@ -92,7 +89,8 @@ def _with(config: Config, *, pt_w=None, model=None, alpha=None, beta=None) -> Co
     return cfg
 
 
-def _energy_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec) -> float | None:
+def _energy_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec,
+                  stream: DistanceStream | None) -> float | None:
     s, p, g, m = cfg.system, cfg.protocol, cfg.geometry, cfg.harvest
     if method == "closed":
         if not isinstance(m, LinearHarvest):
@@ -106,44 +104,53 @@ def _energy_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec) -> 
         return avg_energy_quadrature(scheme, s, p, g, m)
     if method == "mc":
         metric = "energy-lm" if isinstance(m, LinearHarvest) else "energy-nlm"
-        return estimate(metric, scheme, cfg, spec.samples, spec.seed, spec.workers).mean
+        return estimate(metric, scheme, cfg, spec.samples, spec.seed, spec.workers,
+                        stream=stream).mean
     raise ValueError(f"unknown energy method {method!r}")
 
 
-def _rate_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec) -> float | None:
+def _rate_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec,
+                stream: DistanceStream | None) -> float | None:
     s, p, g = cfg.system, cfg.protocol, cfg.geometry
     if method == "closed":
         return avg_rate_closed(scheme, s, p, g).value_bits_s_hz
     if method == "quadrature":
         return avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz
     if method == "mc":
-        return estimate("rate", scheme, cfg, spec.samples, spec.seed, spec.workers).mean
+        return estimate("rate", scheme, cfg, spec.samples, spec.seed, spec.workers,
+                        stream=stream).mean
     if method == "bound":
         return None
     raise ValueError(f"unknown rate method {method!r}")
 
 
 def run_power_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per (grid power x scheme x model x method), sorted."""
+    """One row per (grid power x scheme x model x method), sorted.
+
+    MC rows of one scheme share a single distance stream: every row uses
+    the same seed, n and room, so the UE draw is done once per scheme.
+    """
     rows = []
     methods = spec.methods + (("mc",) if spec.include_mc and "mc" not in spec.methods else ())
     for scheme in spec.schemes:
+        stream = (distance_stream(scheme, spec.config, spec.samples, spec.seed)
+                  if "mc" in methods else None)
         for model in spec.models:
             for method in methods:
                 for pt_w in spec.grid:
                     cfg = _with(spec.config, pt_w=pt_w, model=model)
                     try:
                         if spec.experiment == "energy":
-                            value = _energy_value(method, scheme, cfg, spec)
+                            value = _energy_value(method, scheme, cfg, spec, stream)
                             if value is None:
                                 break
                             rows.append({
                                 "pt_w": pt_w, "scheme": scheme.value,
-                                "model": _model_tag(model), "method": method,
+                                "model": model_tag(model), "method": method,
                                 "value_w": value,
                             })
                         else:
-                            value = _rate_value(method, scheme, cfg, spec)
+                            value = _rate_value(method, scheme, cfg, spec, stream)
                             if value is None:
                                 break
                             rows.append({
@@ -156,6 +163,7 @@ def run_power_sweep(spec: SweepSpec) -> list[dict]:
                         ) from exc
             if spec.experiment == "rate":
                 break  # rate rows carry no model tag
+        del stream  # 8 * n bytes; free it before the next scheme draws its own
     key = (("scheme", "model", "method", "pt_w") if spec.experiment == "energy"
            else ("scheme", "method", "pt_w"))
     rows.sort(key=lambda r: tuple(r[c] for c in key))
@@ -196,7 +204,7 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
                         "protocol": protocol_tag,
                         "control": control,
                         "scheme": scheme.value,
-                        "model": _model_tag(model),
+                        "model": model_tag(model),
                         "energy_w": _tradeoff_energy(scheme, cfg),
                         "rate_bits_s_hz": avg_rate_closed(
                             scheme, cfg.system, cfg.protocol, cfg.geometry

