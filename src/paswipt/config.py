@@ -8,7 +8,7 @@ unit-suffixed keys and convert here, at the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
@@ -109,6 +109,13 @@ class LogisticHarvest:
 
 HarvestModel = Union[LinearHarvest, LogisticHarvest]
 
+# The baseline harvesters, by model tag: eta = 1 for the linear model; a
+# 20 mW ceiling, 100 per uW slope and 2.9 uW turn-on for the logistic one.
+DEFAULT_HARVEST: dict[str, HarvestModel] = {
+    "lm": LinearHarvest(eta=1.0),
+    "nlm": LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6),
+}
+
 
 def model_tag(model: HarvestModel) -> str:
     """The short name of a harvest model, as in config files: lm or nlm."""
@@ -124,6 +131,25 @@ class Config:
 
     def replace(self, **kwargs) -> "Config":
         return replace(self, **kwargs)
+
+    def with_params(self, **params) -> "Config":
+        """A copy with leaf fields replaced by name, whatever their section:
+        with_params(transmit_power_w=0.5, d_x=40.0, harvest=model).  Names
+        are unique across sections; an unknown one raises TypeError.  The
+        copy is not validated."""
+        changes = {}
+        if "harvest" in params:
+            changes["harvest"] = params.pop("harvest")
+        for section in ("system", "protocol", "geometry"):
+            if not params:
+                break
+            part = getattr(self, section)
+            own = {f.name: params.pop(f.name) for f in fields(part) if f.name in params}
+            if own:
+                changes[section] = replace(part, **own)
+        if params:
+            raise TypeError(f"unknown config field(s): {', '.join(sorted(params))}")
+        return replace(self, **changes)
 
 
 class ConfigError(ValueError):
@@ -193,17 +219,14 @@ def default_config(
     alpha: float = 0.8,
     beta: float = 0.8,
 ) -> Config:
-    """Baseline simulation setup: -90 dBm noise, 28 GHz carrier, eta = 1
-    for the linear model, 20 mW / 100 per-uW / 2.9 uW logistic harvester.
+    """Baseline simulation setup: -90 dBm noise, 28 GHz carrier and the
+    DEFAULT_HARVEST model named by `model`.  This is the one home of the
+    defaults: the CLI and the presets start from it.
 
     The transmit power has no sensible default (it is the usual sweep
     variable) and must be given explicitly.
     """
-    if model == "lm":
-        harvest: HarvestModel = LinearHarvest(eta=1.0)
-    elif model == "nlm":
-        harvest = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)
-    else:
+    if model not in DEFAULT_HARVEST:
         raise ValueError(f"model must be 'lm' or 'nlm', got {model!r}")
     return validate(
         Config(
@@ -214,7 +237,7 @@ def default_config(
             ),
             protocol=ProtocolParams(alpha=alpha, beta=beta),
             geometry=RegionGeometry(d_x=d_x, d_y=d_y, height=height),
-            harvest=harvest,
+            harvest=DEFAULT_HARVEST[model],
         )
     )
 

@@ -128,6 +128,8 @@ def emit_cdf_table(dist: SquaredDistanceDistribution, n_points: int = 1000) -> n
     The exact lower endpoint is excluded because the density diverges
     there.
     """
+    if n_points < 1:
+        raise ValueError(f"points must be >= 1, got {n_points}")
     lo, hi = dist.support
     grid = np.linspace(lo, hi, n_points + 1)[1:]
     return np.column_stack([grid, dist.cdf(grid), dist.pdf(grid)])

@@ -43,7 +43,9 @@ def _chunk_sizes(n: int) -> list[int]:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = (seed & _MASK64) | (chunk_index << 64)
+    if not 0 <= seed <= _MASK64:  # the key's low 64 bits; a wider seed would alias
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = seed | (chunk_index << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -137,6 +139,8 @@ def estimate(
     """
     if n < 2:
         raise ValueError("n must be >= 2 for a variance estimate")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if stream is not None and (stream.scheme, stream.geometry, stream.seed, stream.n) != (
         scheme, config.geometry, seed, n
     ):

@@ -10,17 +10,16 @@ hybrid protocol.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from paswipt.config import (
+    DEFAULT_HARVEST,
     Config,
     HarvestModel,
-    LinearHarvest,
-    LogisticHarvest,
-    ProtocolParams,
     default_config,
     model_tag,
     validate,
@@ -36,6 +35,8 @@ from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 
 EXPERIMENTS = ("energy", "rate", "region")
 
+METHODS = ("closed", "bound", "quadrature", "mc")
+
 CSV_COLUMNS = {
     "energy": ("pt_w", "scheme", "model", "method", "value_w"),
     "rate": ("pt_w", "scheme", "method", "value_bits_s_hz"),
@@ -43,8 +44,6 @@ CSV_COLUMNS = {
 }
 
 ALL_SCHEMES = (Scheme.EDS, Scheme.CDS, Scheme.DDS)
-
-DEFAULT_NLM = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,14 @@ class SweepSpec:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if len(self.grid) < 2:
             raise ValueError("grid needs at least 2 points")
+        if self.experiment == "region":
+            bad = [c for c in self.grid if not 0.0 <= c <= 1.0]
+            if bad:
+                raise ValueError(f"region controls must lie in [0, 1], got {bad}")
+        else:
+            bad = [p for p in self.grid if not (math.isfinite(p) and p > 0.0)]
+            if bad:
+                raise ValueError(f"grid powers must be finite and > 0, got {bad}")
         validate(self.config)
 
     @property
@@ -72,118 +79,93 @@ class SweepSpec:
         return self.harvest_models or (self.config.harvest,)
 
 
-def _with(config: Config, *, pt_w=None, model=None, alpha=None, beta=None) -> Config:
-    cfg = config
-    if pt_w is not None:
-        cfg = cfg.replace(system=replace(cfg.system, transmit_power_w=pt_w))
-    if model is not None:
-        cfg = cfg.replace(harvest=model)
-    if alpha is not None or beta is not None:
-        p = cfg.protocol
-        cfg = cfg.replace(
-            protocol=ProtocolParams(
-                alpha=p.alpha if alpha is None else alpha,
-                beta=p.beta if beta is None else beta,
-            )
-        )
-    return cfg
+def evaluate(quantity: str, method: str, scheme: Scheme, cfg: Config, *,
+             samples: int = 1_000_000, seed: int = 0, workers: int = 1,
+             stream: DistanceStream | None = None) -> tuple[float, float | None] | None:
+    """The average energy [W] or rate [bits/s/Hz] of one method.
 
-
-def _energy_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec,
-                  stream: DistanceStream | None) -> float | None:
+    Returns (value, MC standard error), the error being None for every
+    method but mc, or None where the method does not apply: there is no
+    closed form for the logistic model and no bound for the linear model
+    or the rate.  samples, seed, workers and stream are read by mc only.
+    """
     s, p, g, m = cfg.system, cfg.protocol, cfg.geometry, cfg.harvest
-    if method == "closed":
-        if not isinstance(m, LinearHarvest):
+    if quantity == "energy":
+        tag = model_tag(m)
+        if method == "closed":
+            return (avg_energy_lm_closed(scheme, s, p, g, m), None) if tag == "lm" else None
+        if method == "bound":
+            return (avg_energy_nlm_bound(scheme, s, p, g, m), None) if tag == "nlm" else None
+        if method == "quadrature":
+            return avg_energy_quadrature(scheme, s, p, g, m), None
+        metric = f"energy-{tag}"
+    elif quantity == "rate":
+        if method == "closed":
+            return avg_rate_closed(scheme, s, p, g).value_bits_s_hz, None
+        if method == "bound":
             return None
-        return avg_energy_lm_closed(scheme, s, p, g, m)
-    if method == "bound":
-        if not isinstance(m, LogisticHarvest):
-            return None
-        return avg_energy_nlm_bound(scheme, s, p, g, m)
-    if method == "quadrature":
-        return avg_energy_quadrature(scheme, s, p, g, m)
-    if method == "mc":
-        metric = "energy-lm" if isinstance(m, LinearHarvest) else "energy-nlm"
-        return estimate(metric, scheme, cfg, spec.samples, spec.seed, spec.workers,
-                        stream=stream).mean
-    raise ValueError(f"unknown energy method {method!r}")
-
-
-def _rate_value(method: str, scheme: Scheme, cfg: Config, spec: SweepSpec,
-                stream: DistanceStream | None) -> float | None:
-    s, p, g = cfg.system, cfg.protocol, cfg.geometry
-    if method == "closed":
-        return avg_rate_closed(scheme, s, p, g).value_bits_s_hz
-    if method == "quadrature":
-        return avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz
-    if method == "mc":
-        return estimate("rate", scheme, cfg, spec.samples, spec.seed, spec.workers,
-                        stream=stream).mean
-    if method == "bound":
-        return None
-    raise ValueError(f"unknown rate method {method!r}")
+        if method == "quadrature":
+            return avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz, None
+        metric = "rate"
+    else:
+        raise ValueError(f"unknown quantity {quantity!r}; expected energy or rate")
+    if method != "mc":
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    est = estimate(metric, scheme, cfg, samples, seed, workers, stream=stream)
+    return est.mean, est.std_error
 
 
 def run_power_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per (grid power x scheme x model x method), sorted.
+    """One row per (grid power x scheme x model x method that applies), sorted.
 
     MC rows of one scheme share a single distance stream: every row uses
     the same seed, n and room, so the UE draw is done once per scheme.
     """
-    rows = []
+    columns = CSV_COLUMNS[spec.experiment]
+    # rate rows carry no model tag, so a rate sweep runs the first model only
+    models = spec.models if "model" in columns else spec.models[:1]
     methods = spec.methods + (("mc",) if spec.include_mc and "mc" not in spec.methods else ())
+    rows = []
     for scheme in spec.schemes:
         stream = (distance_stream(scheme, spec.config, spec.samples, spec.seed)
                   if "mc" in methods else None)
-        for model in spec.models:
+        for model in models:
+            base = spec.config.with_params(harvest=model)
             for method in methods:
                 for pt_w in spec.grid:
-                    cfg = _with(spec.config, pt_w=pt_w, model=model)
+                    cfg = base.with_params(transmit_power_w=pt_w)
                     try:
-                        if spec.experiment == "energy":
-                            value = _energy_value(method, scheme, cfg, spec, stream)
-                            if value is None:
-                                break
-                            rows.append({
-                                "pt_w": pt_w, "scheme": scheme.value,
-                                "model": model_tag(model), "method": method,
-                                "value_w": value,
-                            })
-                        else:
-                            value = _rate_value(method, scheme, cfg, spec, stream)
-                            if value is None:
-                                break
-                            rows.append({
-                                "pt_w": pt_w, "scheme": scheme.value,
-                                "method": method, "value_bits_s_hz": value,
-                            })
+                        result = evaluate(spec.experiment, method, scheme, cfg,
+                                          samples=spec.samples, seed=spec.seed,
+                                          workers=spec.workers, stream=stream)
                     except RuntimeError as exc:
                         raise RuntimeError(
                             f"sweep row failed: scheme={scheme.value} method={method} pt_w={pt_w}"
                         ) from exc
-            if spec.experiment == "rate":
-                break  # rate rows carry no model tag
+                    if result is None:
+                        break  # the method does not apply to this model, at any power
+                    row = {"pt_w": pt_w, "scheme": scheme.value, "model": model_tag(model),
+                           "method": method, columns[-1]: result[0]}
+                    rows.append({c: row[c] for c in columns})
         del stream  # 8 * n bytes; free it before the next scheme draws its own
-    key = (("scheme", "model", "method", "pt_w") if spec.experiment == "energy"
-           else ("scheme", "method", "pt_w"))
+    key = [c for c in ("scheme", "model", "method", "pt_w") if c in columns]
     rows.sort(key=lambda r: tuple(r[c] for c in key))
     return rows
 
 
 def _tradeoff_config(protocol_tag: str, control: float, cfg: Config) -> Config:
     if protocol_tag == "ts":
-        return _with(cfg, alpha=control, beta=1.0)
+        return cfg.with_params(alpha=control, beta=1.0)
     if protocol_tag == "ps":
-        return _with(cfg, alpha=1.0, beta=control)
+        return cfg.with_params(alpha=1.0, beta=control)
     raise ValueError(f"protocol must be 'ts' or 'ps', got {protocol_tag!r}")
 
 
-def _tradeoff_energy(scheme: Scheme, cfg: Config) -> float:
-    # LM has an exact closed form; the logistic model uses quadrature
-    # (the true expectation, not the Jensen bound) for the region.
-    if isinstance(cfg.harvest, LinearHarvest):
-        return avg_energy_lm_closed(scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
-    return avg_energy_quadrature(scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
+def _region_energy(scheme: Scheme, cfg: Config) -> float:
+    """The true expected energy: the closed form where one exists (LM),
+    else quadrature, never the Jensen bound."""
+    closed = evaluate("energy", "closed", scheme, cfg)
+    return (closed or evaluate("energy", "quadrature", scheme, cfg))[0]
 
 
 def run_tradeoff(spec: SweepSpec) -> list[dict]:
@@ -196,19 +178,16 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
     for protocol_tag in ("ts", "ps"):
         for scheme in spec.schemes:
             for model in spec.models:
+                base = spec.config.with_params(harvest=model)
                 for control in spec.grid:
-                    if not 0.0 <= control <= 1.0:
-                        raise ValueError(f"control value {control} outside [0, 1]")
-                    cfg = _tradeoff_config(protocol_tag, control, _with(spec.config, model=model))
+                    cfg = _tradeoff_config(protocol_tag, control, base)
                     rows.append({
                         "protocol": protocol_tag,
                         "control": control,
                         "scheme": scheme.value,
                         "model": model_tag(model),
-                        "energy_w": _tradeoff_energy(scheme, cfg),
-                        "rate_bits_s_hz": avg_rate_closed(
-                            scheme, cfg.system, cfg.protocol, cfg.geometry
-                        ).value_bits_s_hz,
+                        "energy_w": _region_energy(scheme, cfg),
+                        "rate_bits_s_hz": evaluate("rate", "closed", scheme, cfg)[0],
                     })
     rows.sort(key=lambda r: (r["protocol"], r["scheme"], r["model"], r["control"]))
     return rows
@@ -225,10 +204,10 @@ def tradeoff_rate_at_energy(
     flat over much of the range, so the boundary point is the SMALLEST
     control reaching the requested energy (leftmost crossing).
     """
-    base = _with(base, model=model)
+    base = base.with_params(harvest=model)
 
     def energy_at(control: float) -> float:
-        return _tradeoff_energy(scheme, _tradeoff_config(protocol_tag, control, base))
+        return _region_energy(scheme, _tradeoff_config(protocol_tag, control, base))
 
     if energy_w <= 0.0:
         control = 0.0
@@ -243,8 +222,7 @@ def tradeoff_rate_at_energy(
             else:
                 lo = mid
         control = hi
-    cfg = _tradeoff_config(protocol_tag, control, base)
-    return avg_rate_closed(scheme, cfg.system, cfg.protocol, cfg.geometry).value_bits_s_hz
+    return evaluate("rate", "closed", scheme, _tradeoff_config(protocol_tag, control, base))[0]
 
 
 def _preset_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
@@ -262,18 +240,19 @@ def preset(name: str, *, include_mc: bool = False, samples: int = 1_000_000,
     is otherwise unspecified).
     """
     common = dict(include_mc=include_mc, samples=samples, seed=seed, workers=workers)
+    both = tuple(DEFAULT_HARVEST.values())
     if name == "s1":
         return SweepSpec(
             "energy", default_config(0.3, d_x=8.0, d_y=8.0),
             _preset_grid(0.01, 1.0, 50),
-            harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
+            harvest_models=both,
             methods=("closed", "bound", "quadrature"), **common,
         )
     if name == "s2":
         return SweepSpec(
             "energy", default_config(0.3, d_x=15.0, d_y=8.0),
             _preset_grid(0.01, 1.0, 50),
-            harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
+            harvest_models=both,
             methods=("closed", "bound", "quadrature"), **common,
         )
     if name == "c1":
@@ -290,7 +269,7 @@ def preset(name: str, *, include_mc: bool = False, samples: int = 1_000_000,
         return SweepSpec(
             "region", default_config(0.3, d_x=8.0, d_y=8.0),
             tuple(np.linspace(0.0, 1.0, 41)),
-            harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM), **common,
+            harvest_models=both, **common,
         )
     raise ValueError(f"unknown preset {name!r}; choose s1, s2, c1, c2 or fig4")
 

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from paswipt.config import (
+    DEFAULT_HARVEST,
     LinearHarvest,
     LogisticHarvest,
     ProtocolParams,
@@ -34,13 +35,14 @@ from paswipt.geometry import (
 from paswipt.montecarlo import estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 from paswipt.sweep import (
-    DEFAULT_NLM,
     SweepSpec,
     emit_outputs,
     run_power_sweep,
     run_tradeoff,
     tradeoff_rate_at_energy,
 )
+
+DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
 N_MC = 1_000_000
 NLM = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)

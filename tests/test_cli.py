@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from paswipt.cli import main
+from paswipt.config import default_config
+from paswipt.energy import avg_energy_lm_closed
+from paswipt.geometry import Scheme
 
 
 def test_dist_emits_table(tmp_path, capsys):
@@ -50,14 +53,8 @@ def test_rate_requires_power():
         main(["rate", "--scheme", "eds"])
 
 
-def test_sweep_preset_mismatch(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["sweep", "--experiment", "rate", "--preset", "s1", "--out", str(tmp_path)])
-
-
 def test_sweep_writes_outputs(tmp_path, capsys):
-    assert main(["sweep", "--experiment", "region", "--preset", "fig4",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--preset", "fig4", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "region.csv").exists()
     assert (tmp_path / "plot_region.py").exists()
 
@@ -95,6 +92,55 @@ def test_config_file_flag(tmp_path, capsys):
     assert float(fields["closed_w"]) == pytest.approx(8.1878e-3, rel=1e-4)
 
 
+def _output(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_flags_override_config_file(tmp_path, capsys):
+    cfg = _config_file(tmp_path)  # 0.3 W, 15 m room
+    out = _output(["energy", "--scheme", "eds", "--pt-w", "0.5", "--dx", "40",
+                   "--config", str(cfg)], capsys)
+    header, row = out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    c = default_config(0.5, d_x=40.0)
+    expected = avg_energy_lm_closed(Scheme.EDS, c.system, c.protocol, c.geometry, c.harvest)
+    assert fields["pt_w"] == "0.5"
+    assert fields["closed_w"] == f"{expected:.17g}"
+    assert out == _output(["energy", "--scheme", "eds", "--pt-w", "0.5", "--dx", "40"], capsys)
+
+
+def test_rate_power_from_config_file(tmp_path, capsys):
+    cfg = _config_file(tmp_path)
+    out = _output(["rate", "--scheme", "dds", "--config", str(cfg)], capsys)
+    assert out.splitlines()[1].split(",")[1] == f"{0.3:.17g}"
+    assert out == _output(["rate", "--scheme", "dds", "--pt-w", "0.3"], capsys)
+    # every other flag is applied on top of the file too
+    out = _output(["rate", "--scheme", "dds", "--config", str(cfg), "--noise-dbm", "-100",
+                   "--fc-ghz", "10", "--dy", "4", "--height", "1", "--alpha", "0.5",
+                   "--beta", "0.6"], capsys)
+    assert out == _output(["rate", "--scheme", "dds", "--pt-w", "0.3", "--noise-dbm", "-100",
+                           "--fc-ghz", "10", "--dy", "4", "--height", "1", "--alpha", "0.5",
+                           "--beta", "0.6"], capsys)
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["energy", "--model", "lm"], "scheme,model,pt_w,closed_w,quadrature_w"),
+    (["energy", "--model", "lm", "--mc"],
+     "scheme,model,pt_w,closed_w,quadrature_w,mc_w,mc_stderr_w"),
+    (["energy", "--model", "nlm"], "scheme,model,pt_w,bound_w,quadrature_w"),
+    (["energy", "--model", "nlm", "--mc"],
+     "scheme,model,pt_w,bound_w,quadrature_w,mc_w,mc_stderr_w"),
+    (["rate"], "scheme,pt_w,closed_bits_s_hz,quadrature_bits_s_hz"),
+    (["rate", "--method", "mc", "--method", "closed"],
+     "scheme,pt_w,closed_bits_s_hz,mc_bits_s_hz,mc_stderr_bits_s_hz"),
+])
+def test_output_header(argv, header, capsys):
+    out = _output([*argv, "--scheme", "cds", "--pt-w", "0.3", "--samples", "1000"], capsys)
+    assert out.splitlines()[0] == header
+    assert len(out.splitlines()[1].split(",")) == len(header.split(","))
+
+
 def test_energy_model_label_comes_from_config_file(tmp_path, capsys):
     cfg = _config_file(tmp_path, NLM_HARVEST)
     assert main(["energy", "--scheme", "eds", "--pt-w", "0.3", "--config", str(cfg)]) == 0
@@ -121,6 +167,15 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
     (["energy", "--scheme", "dds", "--pt-w", "0.3", "--dx", "-3"], "d_x"),
     (["energy", "--scheme", "dds", "--pt-w", "0.3", "--alpha", "1.5"], "alpha"),
     (["dist", "--scheme", "cds", "--emit-cdf", "unused.csv", "--height", "0"], "height"),
+    (["dist", "--scheme", "cds", "--emit-cdf", "unused.csv", "--points", "0"], "points"),
+    (["rate", "--scheme", "eds", "--pt-w", "0.3", "--method", "mc", "--samples", "1000",
+      "--workers", "-2"], "workers"),
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--mc", "--samples", "1000",
+      "--workers", "0"], "workers"),
+    (["rate", "--scheme", "eds", "--pt-w", "0.3", "--method", "mc", "--samples", "1000",
+      "--seed", "-1"], "seed"),
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--mc", "--samples", "1000",
+      "--seed", str(1 << 64)], "seed"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)

@@ -108,6 +108,21 @@ def test_derived_constants_are_pure():
     assert a.geometry.diagonal_half_width == b.geometry.diagonal_half_width
 
 
+def test_with_params_replaces_fields_across_sections():
+    cfg = default_config(0.3).with_params(transmit_power_w=0.5, d_x=40.0, beta=0.5,
+                                          harvest=LogisticHarvest(1e-2, 1e8, 3e-6))
+    assert cfg.system.transmit_power_w == 0.5
+    assert cfg.geometry == RegionGeometry(d_x=40.0, d_y=10.0, height=3.0)
+    assert cfg.protocol == ProtocolParams(alpha=0.8, beta=0.5)
+    assert cfg.harvest == LogisticHarvest(1e-2, 1e8, 3e-6)
+    assert default_config(0.3).with_params() == default_config(0.3)
+
+
+def test_with_params_rejects_unknown_field():
+    with pytest.raises(TypeError, match="pt_w"):
+        default_config(0.3).with_params(pt_w=0.5)
+
+
 def test_config_from_dict_units():
     cfg = config_from_dict({
         "system": {"carrier_frequency_ghz": 28, "noise_power_dbm": -90, "transmit_power_w": 0.3},

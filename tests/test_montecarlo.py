@@ -22,6 +22,21 @@ def test_rejects_unknown_metric(lm_config):
         estimate("outage", Scheme.EDS, lm_config, n=100)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_rejects_workers_below_one(lm_config, workers):
+    with pytest.raises(ValueError, match="workers"):
+        estimate("rate", Scheme.EDS, lm_config, n=100, workers=workers)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_rejects_seed_outside_64_bits(lm_config, seed):
+    with pytest.raises(ValueError, match="seed"):
+        estimate("rate", Scheme.EDS, lm_config, n=100, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        distance_stream(Scheme.EDS, lm_config, 100, seed=seed)
+    estimate("rate", Scheme.EDS, lm_config, n=100, seed=(1 << 64) - 1)  # the top seed is valid
+
+
 def test_metric_model_mismatch(lm_config, nlm_config):
     with pytest.raises(ValueError, match="LogisticHarvest"):
         estimate("energy-nlm", Scheme.EDS, lm_config, n=100)

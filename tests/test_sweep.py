@@ -3,18 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from paswipt.config import LinearHarvest, default_config
+from paswipt.config import DEFAULT_HARVEST, LinearHarvest, default_config
 from paswipt.montecarlo import estimate
 from paswipt.geometry import Scheme
 from paswipt.sweep import (
-    DEFAULT_NLM,
+    METHODS,
     SweepSpec,
     emit_outputs,
+    evaluate,
     preset,
     run_power_sweep,
     run_tradeoff,
     tradeoff_rate_at_energy,
 )
+
+DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
 
 def _rows_for(rows, **match):
@@ -31,6 +34,22 @@ def test_spec_needs_two_grid_points(lm_config):
 def test_spec_rejects_unknown_experiment(lm_config):
     with pytest.raises(ValueError, match="experiment"):
         SweepSpec("outage", lm_config, (0.1, 0.2))
+
+
+@pytest.mark.parametrize("experiment,grid", [
+    ("energy", (-0.5, 0.1)),
+    ("rate", (-0.5, 0.1)),
+    ("energy", (0.0, 0.1)),
+    ("rate", (0.1, float("inf"))),
+    ("energy", (float("nan"), 0.1)),
+    ("region", (-0.1, 0.5)),
+    ("region", (0.5, 1.5)),
+    ("region", (float("nan"), 0.5)),
+])
+def test_spec_rejects_bad_grid(lm_config, experiment, grid):
+    what = "region controls" if experiment == "region" else "grid powers"
+    with pytest.raises(ValueError, match=what):
+        SweepSpec(experiment, lm_config, grid)
 
 
 def test_unknown_preset():
@@ -223,3 +242,39 @@ def test_shared_stream_rows_match_fresh_estimates(name, n, grid_stride):
         fresh = estimate(metric, Scheme(r["scheme"]), cfg, n=n, seed=11).mean
         assert r["value_w" if "model" in r else "value_bits_s_hz"] == fresh
 
+
+
+@pytest.mark.parametrize("quantity,method,model", [
+    ("energy", "closed", "nlm"), ("energy", "bound", "lm"), ("rate", "bound", "lm"),
+    ("rate", "bound", "nlm"),
+])
+def test_evaluate_none_where_method_does_not_apply(quantity, method, model):
+    assert evaluate(quantity, method, Scheme.EDS, default_config(0.3, model)) is None
+
+
+@pytest.mark.parametrize("quantity", ["energy", "rate"])
+@pytest.mark.parametrize("model", ["lm", "nlm"])
+def test_evaluate_reports_an_error_for_mc_only(quantity, model):
+    cfg = default_config(1e-4, model)
+    for method in METHODS:
+        result = evaluate(quantity, method, Scheme.DDS, cfg, samples=4000, seed=3)
+        if result is None:
+            continue
+        value, std_error = result
+        assert np.isfinite(value) and value > 0.0
+        if method == "mc":
+            assert std_error > 0.0
+            fresh = estimate("rate" if quantity == "rate" else f"energy-{model}",
+                             Scheme.DDS, cfg, n=4000, seed=3)
+            assert (value, std_error) == (fresh.mean, fresh.std_error)
+        else:
+            assert std_error is None
+
+
+def test_evaluate_rejects_unknown_names(lm_config):
+    with pytest.raises(ValueError, match="method"):
+        evaluate("energy", "simulation", Scheme.EDS, lm_config)
+    with pytest.raises(ValueError, match="method"):
+        evaluate("rate", "quad", Scheme.EDS, lm_config)
+    with pytest.raises(ValueError, match="quantity"):
+        evaluate("outage", "closed", Scheme.EDS, lm_config)
