@@ -13,6 +13,7 @@ import sys
 from paswipt.config import Config, default_config, dbm_to_watts, load_config, model_tag, validate
 from paswipt.distributions import SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
+from paswipt.montecarlo import check_mc_inputs
 from paswipt.sweep import METHODS, emit_outputs, evaluate, preset, run_power_sweep, run_tradeoff
 
 # Not called here: bound so that benchmarks/tracer.py finds every name it wraps in this module.
@@ -90,6 +91,7 @@ def _cmd_evaluate(args) -> int:
     """energy / rate: one CSV row with a `{method}_{unit}` column for each
     requested method that applies, in METHODS order; mc adds its error."""
     cfg = _config(args)
+    check_mc_inputs(args.samples, args.seed, args.workers)  # even where no mc column runs
     scheme = Scheme(args.scheme)
     unit = _UNITS[args.command]
     if args.command == "energy":
@@ -103,11 +105,11 @@ def _cmd_evaluate(args) -> int:
     for method in METHODS:
         if method not in wanted:
             continue
-        result = evaluate(args.command, method, scheme, cfg,
-                          samples=args.samples, seed=args.seed, workers=args.workers)
-        if result is None:
+        results = evaluate(args.command, method, scheme, [cfg],
+                           samples=args.samples, seed=args.seed, workers=args.workers)
+        if results is None:
             continue
-        value, std_error = result
+        (value, std_error), = results
         fields.append(f"{method}_{unit}")
         values.append(f"{value:.17g}")
         if std_error is not None:

@@ -249,6 +249,17 @@ def _require(section: dict, key: str, where: str, errors: list[str]):
     return section[key]
 
 
+def _number(section: dict, key: str, where: str, errors: list[str]) -> float | None:
+    """section[key] as a float, or None with the reason appended to errors."""
+    if key not in section:
+        return _require(section, key, where, errors)  # records the missing key
+    try:
+        return float(section[key])
+    except (TypeError, ValueError):
+        errors.append(f"key '{key}' in section '{where}' must be a number, got {section[key]!r}")
+        return None
+
+
 def config_from_dict(raw: dict) -> Config:
     """Build a Config from the nested, unit-suffixed file schema.
 
@@ -259,35 +270,37 @@ def config_from_dict(raw: dict) -> Config:
     for section in ("system", "protocol", "geometry", "harvest"):
         if section not in raw:
             errors.append(f"missing section '{section}'")
+        elif not isinstance(raw[section], dict):
+            errors.append(f"section '{section}' must be a mapping, got {raw[section]!r}")
     if errors:
         raise ConfigError(errors)
 
     sy, pr, ge, ha = raw["system"], raw["protocol"], raw["geometry"], raw["harvest"]
 
-    fc = _require(sy, "carrier_frequency_ghz", "system", errors)
-    noise = _require(sy, "noise_power_dbm", "system", errors)
-    pt = _require(sy, "transmit_power_w", "system", errors)
-    alpha = _require(pr, "alpha", "protocol", errors)
-    beta = _require(pr, "beta", "protocol", errors)
-    dx = _require(ge, "d_x_m", "geometry", errors)
-    dy = _require(ge, "d_y_m", "geometry", errors)
-    h = _require(ge, "height_m", "geometry", errors)
+    fc = _number(sy, "carrier_frequency_ghz", "system", errors)
+    noise = _number(sy, "noise_power_dbm", "system", errors)
+    pt = _number(sy, "transmit_power_w", "system", errors)
+    alpha = _number(pr, "alpha", "protocol", errors)
+    beta = _number(pr, "beta", "protocol", errors)
+    dx = _number(ge, "d_x_m", "geometry", errors)
+    dy = _number(ge, "d_y_m", "geometry", errors)
+    h = _number(ge, "height_m", "geometry", errors)
     model = _require(ha, "model", "harvest", errors)
 
     harvest: HarvestModel | None = None
     if model == "lm":
-        eta = _require(ha, "eta", "harvest", errors)
+        eta = _number(ha, "eta", "harvest", errors)
         if eta is not None:
-            harvest = LinearHarvest(eta=float(eta))
+            harvest = LinearHarvest(eta=eta)
     elif model == "nlm":
-        phi = _require(ha, "saturation_mw", "harvest", errors)
-        a = _require(ha, "slope_per_uw", "harvest", errors)
-        b = _require(ha, "turn_on_uw", "harvest", errors)
+        phi = _number(ha, "saturation_mw", "harvest", errors)
+        a = _number(ha, "slope_per_uw", "harvest", errors)
+        b = _number(ha, "turn_on_uw", "harvest", errors)
         if None not in (phi, a, b):
             harvest = LogisticHarvest(
-                saturation_w=float(phi) * 1e-3,
-                slope_per_w=float(a) * 1e6,
-                turn_on_w=float(b) * 1e-6,
+                saturation_w=phi * 1e-3,
+                slope_per_w=a * 1e6,
+                turn_on_w=b * 1e-6,
             )
     elif model is not None:
         errors.append(f"harvest.model must be 'lm' or 'nlm', got {model!r}")
@@ -298,12 +311,12 @@ def config_from_dict(raw: dict) -> Config:
     return validate(
         Config(
             system=SystemParams(
-                carrier_frequency_hz=float(fc) * 1e9,
-                noise_power_w=dbm_to_watts(float(noise)),
-                transmit_power_w=float(pt),
+                carrier_frequency_hz=fc * 1e9,
+                noise_power_w=dbm_to_watts(noise),
+                transmit_power_w=pt,
             ),
-            protocol=ProtocolParams(alpha=float(alpha), beta=float(beta)),
-            geometry=RegionGeometry(d_x=float(dx), d_y=float(dy), height=float(h)),
+            protocol=ProtocolParams(alpha=alpha, beta=beta),
+            geometry=RegionGeometry(d_x=dx, d_y=dy, height=h),
             harvest=harvest,  # type: ignore[arg-type]
         )
     )

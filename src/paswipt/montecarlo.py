@@ -6,20 +6,22 @@ a pure function of (seed, i) and workers need no shared state.  Partial
 sums are reduced in chunk order with numpy's pairwise summation, which
 makes the result bitwise identical for any worker count.
 
-A sweep evaluates many metrics and powers on one scheme, room, seed and
-n; distance_stream() draws that stream once and estimate(..., stream=)
-reuses it, which gives every column the same digits as drawing afresh.
+estimate() takes a series of configs on one room (a power sweep, say):
+each chunk is drawn once and every config is evaluated on it, so the
+series shares its random numbers and each config gets the same digits
+as an estimate of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from paswipt.config import Config, LinearHarvest, LogisticHarvest, RegionGeometry
+from paswipt.config import Config, LinearHarvest, LogisticHarvest
 from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
@@ -42,9 +44,17 @@ def _chunk_sizes(n: int) -> list[int]:
     return [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    if not 0 <= seed <= _MASK64:  # the key's low 64 bits; a wider seed would alias
+def check_mc_inputs(n: int, seed: int, workers: int) -> None:
+    """Raise ValueError unless n >= 2, workers >= 1 and seed is in [0, 2**64)."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2 samples for a variance estimate, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 0 <= seed <= _MASK64:  # the Philox key's low 64 bits; a wider seed would alias
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     key = seed | (chunk_index << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -60,8 +70,7 @@ def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int):
 
 def sample_ue_stream(config: Config, seed: int, n: int):
     """The first n UE positions of the stream, as (x, y) arrays."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_mc_inputs(n, seed, workers=1)
     xs, ys = [], []
     for j, size in enumerate(_chunk_sizes(n)):
         x_u, y_u = _chunk_ue(config, seed, j, size)
@@ -74,30 +83,6 @@ def _chunk_distance(scheme: Scheme, config: Config, seed: int, chunk_index: int,
     """Squared distances at the optimal placement for chunk j of the stream."""
     x_u, y_u = _chunk_ue(config, seed, chunk_index, size)
     return optimal_squared_distance(scheme, config.geometry, x_u, y_u)
-
-
-@dataclass(frozen=True)
-class DistanceStream:
-    """The squared-distance stream of one (scheme, geometry, seed, n), kept
-    chunk by chunk so several metrics can be estimated on the same draws
-    (common random numbers).  Holds 8 * n bytes."""
-
-    scheme: Scheme
-    geometry: RegionGeometry
-    seed: int
-    n: int
-    chunks: tuple[np.ndarray, ...]
-
-
-def distance_stream(scheme: Scheme, config: Config, n: int, seed: int = 0) -> DistanceStream:
-    """Draw the stream once; pass it to estimate(..., stream=...) for every
-    metric and power evaluated on the same scheme, room, seed and n."""
-    chunks = []
-    for j, size in enumerate(_chunk_sizes(n)):
-        l = _chunk_distance(scheme, config, seed, j, size)
-        l.flags.writeable = False  # shared read-only by every estimate
-        chunks.append(l)
-    return DistanceStream(scheme, config.geometry, seed, n, tuple(chunks))
 
 
 def _metric_values(metric: str, config: Config, l):
@@ -122,58 +107,50 @@ def _metric_values(metric: str, config: Config, l):
 def estimate(
     metric: str,
     scheme: Scheme,
-    config: Config,
+    configs: Sequence[Config],
     n: int = 1_000_000,
     seed: int = 0,
     workers: int = 1,
-    *,
-    stream: DistanceStream | None = None,
-) -> EstimateWithCI:
-    """Sample mean and standard error of the per-UE metric.
+) -> list[EstimateWithCI]:
+    """Sample mean and standard error of the per-UE metric, one per config.
 
     Pipeline per sample: uniform UE draw -> optimal antenna placement ->
-    squared distance -> metric formula.  With a stream from
-    distance_stream() the first three steps are read from it instead of
-    redone; the result is bitwise the same.  workers > 1 runs the chunks
-    on a thread pool: the Philox fills and numpy ufuncs release the GIL.
+    squared distance -> metric formula.  The configs must share one room:
+    each chunk's squared distances are computed once and every config's
+    metric is summed over them, so memory stays at one chunk and each
+    result is bitwise the estimate of that config alone.  workers > 1 runs
+    the chunks on a thread pool: the Philox fills and numpy ufuncs release
+    the GIL.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2 for a variance estimate")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if stream is not None and (stream.scheme, stream.geometry, stream.seed, stream.n) != (
-        scheme, config.geometry, seed, n
-    ):
-        raise ValueError(
-            f"stream was drawn for scheme={stream.scheme.value} seed={stream.seed} "
-            f"n={stream.n} geometry={stream.geometry}, not scheme={scheme.value} "
-            f"seed={seed} n={n} geometry={config.geometry}"
-        )
+    check_mc_inputs(n, seed, workers)
+    if len({cfg.geometry for cfg in configs}) != 1:
+        raise ValueError("estimate needs a non-empty series of configs sharing one geometry")
     sizes = _chunk_sizes(n)
 
     def chunk_stats(j: int):
-        if stream is not None:
-            l = stream.chunks[j]
-        else:
-            l = _chunk_distance(scheme, config, seed, j, sizes[j])
-        v = _metric_values(metric, config, l)
-        return np.sum(v), np.sum(v * v)
+        l = _chunk_distance(scheme, configs[0], seed, j, sizes[j])
+        stats = []
+        for cfg in configs:
+            v = _metric_values(metric, cfg, l)
+            stats.append((np.sum(v), np.sum(v * v)))
+        return stats
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            stats = list(pool.map(chunk_stats, range(len(sizes))))
+            chunks = list(pool.map(chunk_stats, range(len(sizes))))
     else:
-        stats = [chunk_stats(j) for j in range(len(sizes))]
+        chunks = [chunk_stats(j) for j in range(len(sizes))]
 
-    sums = np.array([s for s, _ in stats])
-    sumsqs = np.array([q for _, q in stats])
-    total = np.sum(sums)
-    total_sq = np.sum(sumsqs)
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    return EstimateWithCI(
-        mean=float(mean),
-        std_error=float(math.sqrt(var / n)),
-        n_samples=n,
-        seed=seed,
-    )
+    results = []
+    for per_chunk in zip(*chunks):  # one config's (sum, sum of squares) in chunk order
+        total = np.sum(np.array([s for s, _ in per_chunk]))
+        total_sq = np.sum(np.array([q for _, q in per_chunk]))
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        results.append(EstimateWithCI(
+            mean=float(mean),
+            std_error=float(math.sqrt(var / n)),
+            n_samples=n,
+            seed=seed,
+        ))
+    return results

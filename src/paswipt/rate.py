@@ -73,36 +73,26 @@ def _diagonal_i2(mu_gamma: float, h: float, lam: float) -> float:
     )
 
 
-def avg_rate_edge_center_closed(
-    scheme: Scheme, system: SystemParams, protocol: ProtocolParams, geom: RegionGeometry
-) -> RateResult:
-    if scheme is Scheme.DDS:
-        raise ValueError("edge/center closed form does not apply to the diagonal scheme")
-    mu_gamma = system.path_loss_factor_m2 * system.transmit_snr
-    span = geom.d_y / scheme.line_factor
-    prefactor = (1.0 - protocol.alpha * protocol.beta) / (span * LN2)
-    value = prefactor * _edge_center_integral(mu_gamma, geom.height, span)
-    return RateResult(value, scheme, "closed")
-
-
-def avg_rate_diagonal_closed(
-    system: SystemParams, protocol: ProtocolParams, geom: RegionGeometry
-) -> RateResult:
-    mu_gamma = system.path_loss_factor_m2 * system.transmit_snr
-    lam = geom.diagonal_half_width
-    h = geom.height
-    value = (1.0 - protocol.alpha * protocol.beta) / LN2 * (
-        _diagonal_i1(mu_gamma, h, lam) / lam - _diagonal_i2(mu_gamma, h, lam) / lam**2
-    )
-    return RateResult(value, Scheme.DDS, "closed")
-
-
 def avg_rate_closed(
     scheme: Scheme, system: SystemParams, protocol: ProtocolParams, geom: RegionGeometry
 ) -> RateResult:
+    """(1 - alpha beta) * E[log2(1 + mu gamma_bar / L)] in closed form.
+
+    Edge/center: the by-parts integral over the span d_y / varpi.
+    Diagonal: I1 / Lam - I2 / Lam^2 over the half-width Lam.
+    """
+    mu_gamma = system.path_loss_factor_m2 * system.transmit_snr
+    h = geom.height
+    share = 1.0 - protocol.alpha * protocol.beta
     if scheme is Scheme.DDS:
-        return avg_rate_diagonal_closed(system, protocol, geom)
-    return avg_rate_edge_center_closed(scheme, system, protocol, geom)
+        lam = geom.diagonal_half_width
+        value = share / LN2 * (
+            _diagonal_i1(mu_gamma, h, lam) / lam - _diagonal_i2(mu_gamma, h, lam) / lam**2
+        )
+    else:
+        span = geom.d_y / scheme.line_factor
+        value = share / (span * LN2) * _edge_center_integral(mu_gamma, h, span)
+    return RateResult(value, scheme, "closed")
 
 
 def avg_rate_quadrature(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from paswipt.energy import (
     avg_energy_quadrature,
 )
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import DistanceStream, distance_stream, estimate
+from paswipt.montecarlo import check_mc_inputs, estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 
 EXPERIMENTS = ("energy", "rate", "region")
@@ -54,7 +55,6 @@ class SweepSpec:
     schemes: tuple[Scheme, ...] = ALL_SCHEMES
     harvest_models: tuple[HarvestModel, ...] = ()
     methods: tuple[str, ...] = ("closed", "bound", "quadrature")
-    include_mc: bool = False
     samples: int = 1_000_000
     seed: int = 0
     workers: int = 1
@@ -72,6 +72,7 @@ class SweepSpec:
             bad = [p for p in self.grid if not (math.isfinite(p) and p > 0.0)]
             if bad:
                 raise ValueError(f"grid powers must be finite and > 0, got {bad}")
+        check_mc_inputs(self.samples, self.seed, self.workers)
         validate(self.config)
 
     @property
@@ -79,75 +80,77 @@ class SweepSpec:
         return self.harvest_models or (self.config.harvest,)
 
 
-def evaluate(quantity: str, method: str, scheme: Scheme, cfg: Config, *,
+def evaluate(quantity: str, method: str, scheme: Scheme, cfgs: Sequence[Config], *,
              samples: int = 1_000_000, seed: int = 0, workers: int = 1,
-             stream: DistanceStream | None = None) -> tuple[float, float | None] | None:
-    """The average energy [W] or rate [bits/s/Hz] of one method.
+             ) -> list[tuple[float, float | None]] | None:
+    """The average energy [W] or rate [bits/s/Hz] of one method over a
+    series of configs of one harvest model.
 
-    Returns (value, MC standard error), the error being None for every
-    method but mc, or None where the method does not apply: there is no
-    closed form for the logistic model and no bound for the linear model
-    or the rate.  samples, seed, workers and stream are read by mc only.
+    Returns one (value, MC standard error) per config, the error being
+    None for every method but mc, or None where the method does not
+    apply: there is no closed form for the logistic model and no bound
+    for the linear model or the rate.  samples, seed and workers are read
+    by mc only, which draws the series' samples once (see estimate).
     """
-    s, p, g, m = cfg.system, cfg.protocol, cfg.geometry, cfg.harvest
+    tags = {model_tag(cfg.harvest) for cfg in cfgs}
+    if len(tags) != 1:
+        raise ValueError(f"evaluate needs a non-empty series of one harvest model, "
+                         f"got {sorted(tags)}")
+    (tag,) = tags
     if quantity == "energy":
-        tag = model_tag(m)
-        if method == "closed":
-            return (avg_energy_lm_closed(scheme, s, p, g, m), None) if tag == "lm" else None
-        if method == "bound":
-            return (avg_energy_nlm_bound(scheme, s, p, g, m), None) if tag == "nlm" else None
-        if method == "quadrature":
-            return avg_energy_quadrature(scheme, s, p, g, m), None
+        functions = {"closed": avg_energy_lm_closed if tag == "lm" else None,
+                     "bound": avg_energy_nlm_bound if tag == "nlm" else None,
+                     "quadrature": avg_energy_quadrature}
         metric = f"energy-{tag}"
     elif quantity == "rate":
-        if method == "closed":
-            return avg_rate_closed(scheme, s, p, g).value_bits_s_hz, None
-        if method == "bound":
-            return None
-        if method == "quadrature":
-            return avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz, None
+        functions = {"closed": avg_rate_closed, "bound": None, "quadrature": avg_rate_quadrature}
         metric = "rate"
     else:
         raise ValueError(f"unknown quantity {quantity!r}; expected energy or rate")
-    if method != "mc":
+    if method == "mc":
+        estimates = estimate(metric, scheme, cfgs, samples, seed, workers)
+        return [(e.mean, e.std_error) for e in estimates]
+    if method not in functions:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    est = estimate(metric, scheme, cfg, samples, seed, workers, stream=stream)
-    return est.mean, est.std_error
+    fn = functions[method]
+    if fn is None:
+        return None
+    results = []
+    for cfg in cfgs:
+        s, p, g = cfg.system, cfg.protocol, cfg.geometry
+        try:
+            if quantity == "energy":
+                value = fn(scheme, s, p, g, cfg.harvest)
+            else:
+                value = fn(scheme, s, p, g).value_bits_s_hz
+        except RuntimeError as exc:
+            raise RuntimeError(f"{quantity} row failed: scheme={scheme.value} model={tag} "
+                               f"method={method} pt_w={s.transmit_power_w}") from exc
+        results.append((value, None))
+    return results
 
 
 def run_power_sweep(spec: SweepSpec) -> list[dict]:
     """One row per (grid power x scheme x model x method that applies), sorted.
 
-    MC rows of one scheme share a single distance stream: every row uses
-    the same seed, n and room, so the UE draw is done once per scheme.
+    Each (scheme, model, method) is one evaluate call over the power grid,
+    so the MC rows of a series share their draws.
     """
     columns = CSV_COLUMNS[spec.experiment]
     # rate rows carry no model tag, so a rate sweep runs the first model only
     models = spec.models if "model" in columns else spec.models[:1]
-    methods = spec.methods + (("mc",) if spec.include_mc and "mc" not in spec.methods else ())
     rows = []
-    for scheme in spec.schemes:
-        stream = (distance_stream(scheme, spec.config, spec.samples, spec.seed)
-                  if "mc" in methods else None)
-        for model in models:
-            base = spec.config.with_params(harvest=model)
-            for method in methods:
-                for pt_w in spec.grid:
-                    cfg = base.with_params(transmit_power_w=pt_w)
-                    try:
-                        result = evaluate(spec.experiment, method, scheme, cfg,
-                                          samples=spec.samples, seed=spec.seed,
-                                          workers=spec.workers, stream=stream)
-                    except RuntimeError as exc:
-                        raise RuntimeError(
-                            f"sweep row failed: scheme={scheme.value} method={method} pt_w={pt_w}"
-                        ) from exc
-                    if result is None:
-                        break  # the method does not apply to this model, at any power
+    for model in models:
+        base = spec.config.with_params(harvest=model)
+        cfgs = [base.with_params(transmit_power_w=pt_w) for pt_w in spec.grid]
+        for scheme in spec.schemes:
+            for method in spec.methods:
+                results = evaluate(spec.experiment, method, scheme, cfgs, samples=spec.samples,
+                                   seed=spec.seed, workers=spec.workers)
+                for pt_w, (value, _) in zip(spec.grid, results or ()):
                     row = {"pt_w": pt_w, "scheme": scheme.value, "model": model_tag(model),
-                           "method": method, columns[-1]: result[0]}
+                           "method": method, columns[-1]: value}
                     rows.append({c: row[c] for c in columns})
-        del stream  # 8 * n bytes; free it before the next scheme draws its own
     key = [c for c in ("scheme", "model", "method", "pt_w") if c in columns]
     rows.sort(key=lambda r: tuple(r[c] for c in key))
     return rows
@@ -161,11 +164,11 @@ def _tradeoff_config(protocol_tag: str, control: float, cfg: Config) -> Config:
     raise ValueError(f"protocol must be 'ts' or 'ps', got {protocol_tag!r}")
 
 
-def _region_energy(scheme: Scheme, cfg: Config) -> float:
+def _region_energy(scheme: Scheme, cfgs: list[Config]) -> list[float]:
     """The true expected energy: the closed form where one exists (LM),
     else quadrature, never the Jensen bound."""
-    closed = evaluate("energy", "closed", scheme, cfg)
-    return (closed or evaluate("energy", "quadrature", scheme, cfg))[0]
+    closed = evaluate("energy", "closed", scheme, cfgs)
+    return [value for value, _ in closed or evaluate("energy", "quadrature", scheme, cfgs)]
 
 
 def run_tradeoff(spec: SweepSpec) -> list[dict]:
@@ -179,15 +182,17 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
         for scheme in spec.schemes:
             for model in spec.models:
                 base = spec.config.with_params(harvest=model)
-                for control in spec.grid:
-                    cfg = _tradeoff_config(protocol_tag, control, base)
+                cfgs = [_tradeoff_config(protocol_tag, control, base) for control in spec.grid]
+                energies = _region_energy(scheme, cfgs)
+                rates = evaluate("rate", "closed", scheme, cfgs)
+                for control, energy_w, (rate, _) in zip(spec.grid, energies, rates):
                     rows.append({
                         "protocol": protocol_tag,
                         "control": control,
                         "scheme": scheme.value,
                         "model": model_tag(model),
-                        "energy_w": _region_energy(scheme, cfg),
-                        "rate_bits_s_hz": evaluate("rate", "closed", scheme, cfg)[0],
+                        "energy_w": energy_w,
+                        "rate_bits_s_hz": rate,
                     })
     rows.sort(key=lambda r: (r["protocol"], r["scheme"], r["model"], r["control"]))
     return rows
@@ -207,7 +212,7 @@ def tradeoff_rate_at_energy(
     base = base.with_params(harvest=model)
 
     def energy_at(control: float) -> float:
-        return _region_energy(scheme, _tradeoff_config(protocol_tag, control, base))
+        return _region_energy(scheme, [_tradeoff_config(protocol_tag, control, base)])[0]
 
     if energy_w <= 0.0:
         control = 0.0
@@ -222,7 +227,8 @@ def tradeoff_rate_at_energy(
             else:
                 lo = mid
         control = hi
-    return evaluate("rate", "closed", scheme, _tradeoff_config(protocol_tag, control, base))[0]
+    cfg = _tradeoff_config(protocol_tag, control, base)
+    return evaluate("rate", "closed", scheme, [cfg])[0][0]
 
 
 def _preset_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
@@ -231,39 +237,40 @@ def _preset_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
 
 def preset(name: str, *, include_mc: bool = False, samples: int = 1_000_000,
            seed: int = 0, workers: int = 1) -> SweepSpec:
-    """Named experiment presets.
+    """Named experiment presets; include_mc appends "mc" to the methods.
 
     s1/s2: energy vs power in a square (8 x 8) / rectangular (15 x 8)
     room; c1/c2: rate vs power with alpha = beta = 0.8 / 0.6; fig4:
-    energy-rate region at 0.3 W in the 8 x 8 room.  Power grids default
-    to 50 log-spaced points on [0.01, 1] W (a repo choice; the axis range
-    is otherwise unspecified).
+    energy-rate region at 0.3 W in the 8 x 8 room, which has no MC rows.
+    Power grids default to 50 log-spaced points on [0.01, 1] W (a repo
+    choice; the axis range is otherwise unspecified).
     """
-    common = dict(include_mc=include_mc, samples=samples, seed=seed, workers=workers)
+    mc = ("mc",) if include_mc else ()
+    common = dict(samples=samples, seed=seed, workers=workers)
     both = tuple(DEFAULT_HARVEST.values())
     if name == "s1":
         return SweepSpec(
             "energy", default_config(0.3, d_x=8.0, d_y=8.0),
             _preset_grid(0.01, 1.0, 50),
             harvest_models=both,
-            methods=("closed", "bound", "quadrature"), **common,
+            methods=("closed", "bound", "quadrature", *mc), **common,
         )
     if name == "s2":
         return SweepSpec(
             "energy", default_config(0.3, d_x=15.0, d_y=8.0),
             _preset_grid(0.01, 1.0, 50),
             harvest_models=both,
-            methods=("closed", "bound", "quadrature"), **common,
+            methods=("closed", "bound", "quadrature", *mc), **common,
         )
     if name == "c1":
         return SweepSpec(
             "rate", default_config(0.3, alpha=0.8, beta=0.8),
-            _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature"), **common,
+            _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature", *mc), **common,
         )
     if name == "c2":
         return SweepSpec(
             "rate", default_config(0.3, alpha=0.6, beta=0.6),
-            _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature"), **common,
+            _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature", *mc), **common,
         )
     if name == "fig4":
         return SweepSpec(
@@ -322,10 +329,9 @@ _PLOT_FIELDS = {
 }
 
 
-def emit_outputs(rows: list[dict], out_dir: str | Path, experiment: str,
-                 write_plot_script: bool = True) -> list[Path]:
+def emit_outputs(rows: list[dict], out_dir: str | Path, experiment: str) -> list[Path]:
     """Write <experiment>.csv (fixed column order, deterministic bytes)
-    and optionally a standalone plot script next to it."""
+    and a standalone plot script, plot_<experiment>.py, next to it."""
     if not rows:
         raise ValueError("refusing to write an empty table")
     columns = CSV_COLUMNS[experiment]
@@ -343,12 +349,9 @@ def emit_outputs(rows: list[dict], out_dir: str | Path, experiment: str,
                 )
     except OSError as exc:
         raise OSError(f"failed writing {csv_path}: {exc}") from exc
-    written = [csv_path]
-    if write_plot_script:
-        script_path = out_dir / f"plot_{experiment}.py"
-        script_path.write_text(
-            PLOT_SCRIPT.format(experiment=experiment, csv_name=csv_path.name,
-                               **_PLOT_FIELDS[experiment])
-        )
-        written.append(script_path)
-    return written
+    script_path = out_dir / f"plot_{experiment}.py"
+    script_path.write_text(
+        PLOT_SCRIPT.format(experiment=experiment, csv_name=csv_path.name,
+                           **_PLOT_FIELDS[experiment])
+    )
+    return [csv_path, script_path]

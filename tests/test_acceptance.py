@@ -11,7 +11,6 @@ from scipy import stats
 from paswipt.config import (
     DEFAULT_HARVEST,
     LinearHarvest,
-    LogisticHarvest,
     ProtocolParams,
     RegionGeometry,
     SystemParams,
@@ -45,7 +44,6 @@ from paswipt.sweep import (
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
 N_MC = 1_000_000
-NLM = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)
 
 
 def _report(n, text):
@@ -58,11 +56,11 @@ def test_criterion_1_closed_form_vs_monte_carlo():
     for scheme in Scheme:
         s, p, g = lm.system, lm.protocol, lm.geometry
         closed_e = avg_energy_lm_closed(scheme, s, p, g, lm.harvest)
-        est_e = estimate("energy-lm", scheme, lm, N_MC, seed=101)
+        (est_e,) = estimate("energy-lm", scheme, [lm], N_MC, seed=101)
         assert abs(est_e.mean - closed_e) <= 4 * est_e.std_error, scheme
 
         closed_r = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
-        est_r = estimate("rate", scheme, lm, N_MC, seed=101)
+        (est_r,) = estimate("rate", scheme, [lm], N_MC, seed=101)
         assert abs(est_r.mean - closed_r) <= 4 * est_r.std_error, scheme
     _report(1, "closed forms within 4 std errors of 1e6-sample MC (all schemes, energy + rate)")
 
@@ -132,7 +130,7 @@ def test_criterion_5_jensen_ordering():
             bound = avg_energy_nlm_bound(scheme, s, p, g, cfg.harvest)
             quad = avg_energy_quadrature(scheme, s, p, g, cfg.harvest)
             assert bound >= quad - 1e-12
-            est = estimate("energy-nlm", scheme, cfg, N_MC, seed=505)
+            (est,) = estimate("energy-nlm", scheme, [cfg], N_MC, seed=505)
             assert bound >= est.mean - 4 * est.std_error - 1e-12
     _report(5, "Jensen bound >= quadrature and >= MC - 4 std errors at 0.05/0.3/1 W, all schemes")
 
@@ -207,9 +205,9 @@ def test_criterion_7_energy_rate_region():
 def test_criterion_8_determinism(tmp_path):
     """Bitwise-identical estimates across worker counts; byte-identical CSVs."""
     cfg = default_config(0.3)
-    ref = estimate("energy-lm", Scheme.DDS, cfg, 200_000, seed=808, workers=1)
+    (ref,) = estimate("energy-lm", Scheme.DDS, [cfg], 200_000, seed=808, workers=1)
     for workers in (4, 8):
-        est = estimate("energy-lm", Scheme.DDS, cfg, 200_000, seed=808, workers=workers)
+        (est,) = estimate("energy-lm", Scheme.DDS, [cfg], 200_000, seed=808, workers=workers)
         assert est.mean == ref.mean
         assert est.std_error == ref.std_error
 

@@ -12,7 +12,8 @@ from paswipt.geometry import Scheme
 def test_dist_emits_table(tmp_path, capsys):
     out = tmp_path / "points.csv"
     assert main(["dist", "--scheme", "dds", "--emit-cdf", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 1000
     assert float(rows[-1]["cdf"]) == pytest.approx(1.0, abs=1e-12)
     ls = np.array([float(r["l_m2"]) for r in rows])
@@ -176,6 +177,13 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
       "--seed", "-1"], "seed"),
     (["energy", "--scheme", "eds", "--pt-w", "0.3", "--mc", "--samples", "1000",
       "--seed", str(1 << 64)], "seed"),
+    # MC flags are checked even where no MC column or row runs
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--workers", "-2", "--seed", "-1"],
+     "workers"),
+    (["rate", "--scheme", "eds", "--pt-w", "0.3", "--samples", "1"], "samples"),
+    (["sweep", "--preset", "fig4", "--out", "unused", "--mc", "--workers", "-2",
+      "--samples", "1"], "samples"),
+    (["sweep", "--preset", "c1", "--out", "unused", "--seed", "-1"], "seed"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)
@@ -196,3 +204,19 @@ def test_bad_config_file_fails_cleanly(tmp_path, capsys):
                             "--config", str(broken)], capsys)
     assert code == 2 and "not valid YAML" in err and err.count("\n") == 1
 
+
+@pytest.mark.parametrize("old, new, message", [
+    ("system:\n  carrier_frequency_ghz: 28\n  noise_power_dbm: -90\n  transmit_power_w: 0.3\n",
+     "system: 5\n", "section 'system' must be a mapping, got 5"),
+    ("eta: 1.0", "eta: [1]", "key 'eta' in section 'harvest' must be a number, got [1]"),
+    ("transmit_power_w: 0.3", "transmit_power_w: abc",
+     "key 'transmit_power_w' in section 'system' must be a number, got 'abc'"),
+], ids=["section-not-a-mapping", "eta-not-a-number", "power-not-a-number"])
+def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, message):
+    path = _config_file(tmp_path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    code, err = _exit_code(["rate", "--scheme", "eds", "--config", str(path)], capsys)
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paswipt.config import (
+    DEFAULT_HARVEST,
     Config,
     ConfigError,
     LinearHarvest,
@@ -64,7 +65,7 @@ def test_region_derived_constants():
 
 
 def test_logistic_offset_underflows_gracefully():
-    m = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)
+    m = DEFAULT_HARVEST["nlm"]
     # a*b = 290: e^{a b} overflows but the offset must still come out fine
     assert 0.0 <= m.zero_input_offset <= 1e-100
 
@@ -145,6 +146,37 @@ def test_config_from_dict_reports_missing_keys():
         })
     assert any("noise_power_dbm" in m for m in exc.value.errors)
     assert any("transmit_power_w" in m for m in exc.value.errors)
+
+
+def _raw_config(**changes):
+    raw = {
+        "system": {"carrier_frequency_ghz": 28, "noise_power_dbm": -90, "transmit_power_w": 0.3},
+        "protocol": {"alpha": 0.8, "beta": 0.8},
+        "geometry": {"d_x_m": 15, "d_y_m": 10, "height_m": 3},
+        "harvest": {"model": "lm", "eta": 1.0},
+    }
+    for section, value in changes.items():
+        raw[section] = value if not isinstance(value, dict) else {**raw[section], **value}
+    return raw
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(system=5), "section 'system' must be a mapping, got 5"),
+    (dict(geometry=[15, 10, 3]), "section 'geometry' must be a mapping"),
+    (dict(harvest={"eta": [1]}), "key 'eta' in section 'harvest' must be a number, got [1]"),
+    (dict(system={"transmit_power_w": "abc"}),
+     "key 'transmit_power_w' in section 'system' must be a number, got 'abc'"),
+    (dict(protocol={"alpha": None}), "key 'alpha' in section 'protocol' must be a number"),
+])
+def test_config_from_dict_rejects_malformed_structure(changes, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(_raw_config(**changes))
+    assert any(message in m for m in exc.value.errors), exc.value.errors
+
+
+def test_config_from_dict_accepts_numeric_strings():
+    cfg = config_from_dict(_raw_config(system={"transmit_power_w": "0.5"}))
+    assert cfg.system.transmit_power_w == 0.5
 
 
 def test_load_config_yaml(tmp_path):

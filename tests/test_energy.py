@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from paswipt.config import (
+    DEFAULT_HARVEST,
     LinearHarvest,
-    LogisticHarvest,
     ProtocolParams,
     RegionGeometry,
 )
@@ -17,7 +17,7 @@ from paswipt.energy import (
 )
 from paswipt.geometry import Scheme
 
-NLM = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6)
+NLM = DEFAULT_HARVEST["nlm"]
 
 
 class TestLogisticTransfer:

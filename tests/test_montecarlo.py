@@ -1,52 +1,56 @@
-import dataclasses
 import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from paswipt.config import ProtocolParams, default_config
+from paswipt.config import LinearHarvest, ProtocolParams, default_config
 from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import CHUNK_SIZE, distance_stream, estimate, sample_ue_stream
+from paswipt.montecarlo import (
+    CHUNK_SIZE,
+    _chunk_distance,
+    estimate,
+    sample_ue_stream,
+)
 from paswipt.rate import avg_rate_closed
 
 
 def test_rejects_too_few_samples(lm_config):
     with pytest.raises(ValueError):
-        estimate("rate", Scheme.EDS, lm_config, n=1)
+        estimate("rate", Scheme.EDS, [lm_config], n=1)
 
 
 def test_rejects_unknown_metric(lm_config):
     with pytest.raises(ValueError, match="metric"):
-        estimate("outage", Scheme.EDS, lm_config, n=100)
+        estimate("outage", Scheme.EDS, [lm_config], n=100)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
 def test_rejects_workers_below_one(lm_config, workers):
     with pytest.raises(ValueError, match="workers"):
-        estimate("rate", Scheme.EDS, lm_config, n=100, workers=workers)
+        estimate("rate", Scheme.EDS, [lm_config], n=100, workers=workers)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_rejects_seed_outside_64_bits(lm_config, seed):
     with pytest.raises(ValueError, match="seed"):
-        estimate("rate", Scheme.EDS, lm_config, n=100, seed=seed)
+        estimate("rate", Scheme.EDS, [lm_config], n=100, seed=seed)
     with pytest.raises(ValueError, match="seed"):
-        distance_stream(Scheme.EDS, lm_config, 100, seed=seed)
-    estimate("rate", Scheme.EDS, lm_config, n=100, seed=(1 << 64) - 1)  # the top seed is valid
+        sample_ue_stream(lm_config, seed, 100)
+    estimate("rate", Scheme.EDS, [lm_config], n=100, seed=(1 << 64) - 1)  # the top seed is valid
 
 
 def test_metric_model_mismatch(lm_config, nlm_config):
     with pytest.raises(ValueError, match="LogisticHarvest"):
-        estimate("energy-nlm", Scheme.EDS, lm_config, n=100)
+        estimate("energy-nlm", Scheme.EDS, [lm_config], n=100)
     with pytest.raises(ValueError, match="LinearHarvest"):
-        estimate("energy-lm", Scheme.EDS, nlm_config, n=100)
+        estimate("energy-lm", Scheme.EDS, [nlm_config], n=100)
 
 
 def test_zero_prefactor_rate(lm_config):
     cfg = lm_config.replace(protocol=ProtocolParams(1.0, 1.0))
-    est = estimate("rate", Scheme.CDS, cfg, n=1000, seed=3)
+    (est,) = estimate("rate", Scheme.CDS, [cfg], n=1000, seed=3)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
@@ -81,46 +85,66 @@ def test_stream_covers_rectangle_uniformly(lm_config):
 
 def test_worker_count_invariance(lm_config):
     kwargs = dict(n=100_000, seed=123)
-    ref = estimate("energy-lm", Scheme.DDS, lm_config, workers=1, **kwargs)
+    (ref,) = estimate("energy-lm", Scheme.DDS, [lm_config], workers=1, **kwargs)
     for workers in (4, 8):
-        est = estimate("energy-lm", Scheme.DDS, lm_config, workers=workers, **kwargs)
+        (est,) = estimate("energy-lm", Scheme.DDS, [lm_config], workers=workers, **kwargs)
         assert est.mean == ref.mean  # bitwise
         assert est.std_error == ref.std_error
 
 
 def test_threads_sharing_a_stream_match_serial(lm_config):
     # More threads than cores, switching as often as the interpreter allows,
-    # all reading one stream: any lost or reordered chunk changes the digits.
+    # each evaluating a whole power series on its chunks: any lost or
+    # reordered chunk or config changes the digits.
     n = 10 * CHUNK_SIZE + 17
-    ref = estimate("energy-lm", Scheme.DDS, lm_config, n=n, seed=6, workers=1)
-    stream = distance_stream(Scheme.DDS, lm_config, n=n, seed=6)
+    configs = [lm_config.with_params(transmit_power_w=p) for p in (0.01, 0.3, 1.0)]
+    refs = [estimate("energy-lm", Scheme.DDS, [cfg], n=n, seed=6, workers=1)[0] for cfg in configs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            est = estimate("energy-lm", Scheme.DDS, lm_config, n=n, seed=6, workers=8,
-                           stream=stream)
-            assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+            assert estimate("energy-lm", Scheme.DDS, configs, n=n, seed=6, workers=8) == refs
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_mismatched_stream_is_rejected(lm_config):
-    stream = distance_stream(Scheme.EDS, lm_config, n=1000, seed=4)
-    assert estimate("rate", Scheme.EDS, lm_config, n=1000, seed=4, stream=stream).n_samples == 1000
-    other_room = lm_config.replace(geometry=dataclasses.replace(lm_config.geometry, d_y=9.0))
-    for kwargs in (dict(scheme=Scheme.DDS, config=lm_config, n=1000, seed=4),
-                   dict(scheme=Scheme.EDS, config=other_room, n=1000, seed=4),
-                   dict(scheme=Scheme.EDS, config=lm_config, n=999, seed=4),
-                   dict(scheme=Scheme.EDS, config=lm_config, n=1000, seed=5)):
-        with pytest.raises(ValueError, match="stream"):
-            estimate("rate", stream=stream, **kwargs)
+def test_batch_matches_single_config_estimates(lm_config):
+    # powers, protocols and harvesters of one room share the draws; every
+    # estimate of the batch is bitwise the estimate of its config alone
+    configs = [lm_config.with_params(transmit_power_w=0.01), lm_config,
+               lm_config.with_params(alpha=0.3, beta=0.9, harvest=LinearHarvest(eta=0.5))]
+    n = 2 * CHUNK_SIZE + 5
+    for metric in ("energy-lm", "rate"):
+        batch = estimate(metric, Scheme.CDS, configs, n=n, seed=12)
+        assert batch == [estimate(metric, Scheme.CDS, [cfg], n=n, seed=12)[0] for cfg in configs]
+
+
+def test_batch_draws_each_chunk_once(lm_config, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])  # the chunk index
+        return _chunk_distance(*args)
+
+    monkeypatch.setattr("paswipt.montecarlo._chunk_distance", counted)
+    configs = [lm_config.with_params(transmit_power_w=p) for p in (0.1, 0.2, 0.3, 0.4)]
+    estimate("rate", Scheme.EDS, configs, n=3 * CHUNK_SIZE, seed=1, workers=2)
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_mixed_geometry_batch_is_rejected(lm_config):
+    other_room = lm_config.with_params(d_y=9.0)
+    with pytest.raises(ValueError, match="geometry"):
+        estimate("rate", Scheme.EDS, [lm_config, other_room], n=1000)
+    with pytest.raises(ValueError, match="geometry"):
+        estimate("rate", Scheme.EDS, [], n=1000)
+
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_agrees_with_lm_energy_closed_form(scheme, lm_config):
     s, p, g = lm_config.system, lm_config.protocol, lm_config.geometry
     closed = avg_energy_lm_closed(scheme, s, p, g, lm_config.harvest)
-    est = estimate("energy-lm", scheme, lm_config, n=1_000_000, seed=8)
+    (est,) = estimate("energy-lm", scheme, [lm_config], n=1_000_000, seed=8)
     assert abs(est.mean - closed) <= 4 * est.std_error
 
 
@@ -128,7 +152,7 @@ def test_agrees_with_lm_energy_closed_form(scheme, lm_config):
 def test_agrees_with_rate_closed_form(scheme, lm_config):
     s, p, g = lm_config.system, lm_config.protocol, lm_config.geometry
     closed = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
-    est = estimate("rate", scheme, lm_config, n=1_000_000, seed=8)
+    (est,) = estimate("rate", scheme, [lm_config], n=1_000_000, seed=8)
     assert abs(est.mean - closed) <= 4 * est.std_error
 
 
@@ -136,12 +160,12 @@ def test_agrees_with_rate_closed_form(scheme, lm_config):
 def test_nlm_estimate_below_jensen_bound(scheme, nlm_config):
     s, p, g = nlm_config.system, nlm_config.protocol, nlm_config.geometry
     bound = avg_energy_nlm_bound(scheme, s, p, g, nlm_config.harvest)
-    est = estimate("energy-nlm", scheme, nlm_config, n=1_000_000, seed=8)
+    (est,) = estimate("energy-nlm", scheme, [nlm_config], n=1_000_000, seed=8)
     assert est.mean <= bound + 4 * est.std_error + 1e-12
 
 
 def test_estimate_records_inputs(lm_config):
-    est = estimate("rate", Scheme.EDS, lm_config, n=5000, seed=77)
+    (est,) = estimate("rate", Scheme.EDS, [lm_config], n=5000, seed=77)
     assert est.n_samples == 5000
     assert est.seed == 77
     assert est.std_error > 0
@@ -191,5 +215,6 @@ def _golden_config(metric):
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=repr), ids=lambda c: "-".join(map(str, c)))
 def test_stream_golden_digits(case, workers):
     metric, scheme, seed, n = case
-    est = estimate(metric, Scheme(scheme), _golden_config(metric), n=n, seed=seed, workers=workers)
+    (est,) = estimate(metric, Scheme(scheme), [_golden_config(metric)], n=n, seed=seed,
+                      workers=workers)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]

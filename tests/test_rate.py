@@ -11,8 +11,6 @@ from paswipt.rate import (
     _diagonal_i2,
     _edge_center_integral,
     avg_rate_closed,
-    avg_rate_diagonal_closed,
-    avg_rate_edge_center_closed,
     avg_rate_quadrature,
     snr,
 )
@@ -49,22 +47,16 @@ class TestEdgeCenterClosedForm:
 
     def test_default_edge_value(self, lm_config):
         s, p, g = lm_config.system, lm_config.protocol, lm_config.geometry
-        val = avg_rate_edge_center_closed(Scheme.EDS, s, p, g).value_bits_s_hz
+        val = avg_rate_closed(Scheme.EDS, s, p, g).value_bits_s_hz
         # frozen from the quadrature oracle at the default setup
         assert val == pytest.approx(4.587339420276814, rel=1e-12)
-
-    def test_rejects_diagonal(self, lm_config):
-        with pytest.raises(ValueError):
-            avg_rate_edge_center_closed(
-                Scheme.DDS, lm_config.system, lm_config.protocol, lm_config.geometry
-            )
 
     def test_center_at_least_edge(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             s, p, g = _random_setup(rng)
-            eds = avg_rate_edge_center_closed(Scheme.EDS, s, p, g).value_bits_s_hz
-            cds = avg_rate_edge_center_closed(Scheme.CDS, s, p, g).value_bits_s_hz
+            eds = avg_rate_closed(Scheme.EDS, s, p, g).value_bits_s_hz
+            cds = avg_rate_closed(Scheme.CDS, s, p, g).value_bits_s_hz
             assert cds >= eds - 1e-12
 
     def test_integral_identity_vs_quadrature(self):
@@ -88,7 +80,7 @@ class TestDiagonalClosedForm:
 
     def test_all_resources_to_harvesting(self, lm_config):
         s, g = lm_config.system, lm_config.geometry
-        val = avg_rate_diagonal_closed(s, ProtocolParams(1.0, 1.0), g).value_bits_s_hz
+        val = avg_rate_closed(Scheme.DDS, s, ProtocolParams(1.0, 1.0), g).value_bits_s_hz
         assert val == 0.0
 
     def test_i1_identity(self):

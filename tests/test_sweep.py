@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from paswipt.config import DEFAULT_HARVEST, LinearHarvest, default_config
-from paswipt.montecarlo import estimate
+from paswipt.distributions import QuadratureError
+from paswipt.montecarlo import _chunk_distance, estimate
 from paswipt.geometry import Scheme
 from paswipt.sweep import (
     METHODS,
@@ -211,6 +212,15 @@ class TestEmitOutputs:
         # the plot script only references the CSV by relative name
         assert "region.csv" in paths[1].read_text()
 
+    def test_always_writes_the_plot_script(self, tmp_path):
+        rows = run_power_sweep(SweepSpec("rate", default_config(0.3), (0.1, 0.2),
+                                         schemes=(Scheme.EDS,), methods=("closed",)))
+        paths = emit_outputs(rows, tmp_path, "rate")
+        assert [p.name for p in paths] == ["rate.csv", "plot_rate.py"]
+        assert all(p.exists() for p in paths)
+        with pytest.raises(TypeError):
+            emit_outputs(rows, tmp_path, "rate", write_plot_script=False)
+
 
 @pytest.mark.parametrize("name,experiment", [
     ("s1", "energy"), ("s2", "energy"), ("c1", "rate"), ("c2", "rate"), ("fig4", "region"),
@@ -224,24 +234,64 @@ def test_presets_build_valid_specs(name, experiment):
 @pytest.mark.parametrize("name", ["s1", "s2", "c1", "c2"])  # fig4 has no MC rows
 @pytest.mark.parametrize("n,grid_stride", [(1 << 14, 1), (100_003, 7)])
 def test_shared_stream_rows_match_fresh_estimates(name, n, grid_stride):
-    """Each MC row of a sweep, which reads its scheme's shared stream, is
-    bitwise the estimate a single call draws afresh.  100 003 is not a
-    multiple of the chunk size; its grid is thinned to keep the test fast."""
+    """Each MC row of a sweep, estimated with the rest of its power series
+    on shared draws, is bitwise the estimate of its config alone.  100 003
+    is not a multiple of the chunk size; its grid is thinned to keep the
+    test fast."""
     spec = preset(name, include_mc=True, samples=n, seed=11)
-    spec = dataclasses.replace(spec, methods=(), grid=spec.grid[::grid_stride])
+    spec = dataclasses.replace(spec, methods=("mc",), grid=spec.grid[::grid_stride])
     rows = run_power_sweep(spec)
     models = {"lm": spec.models[0], "nlm": spec.models[-1]}
     assert len(rows) == len(spec.schemes) * len(spec.grid) * (2 if name.startswith("s") else 1)
     for r in rows:
         assert r["method"] == "mc"
-        system = dataclasses.replace(spec.config.system, transmit_power_w=r["pt_w"])
-        cfg = spec.config.replace(system=system)
+        cfg = spec.config.with_params(transmit_power_w=r["pt_w"])
         if "model" in r:
-            cfg = cfg.replace(harvest=models[r["model"]])
+            cfg = cfg.with_params(harvest=models[r["model"]])
         metric = f"energy-{r['model']}" if "model" in r else "rate"
-        fresh = estimate(metric, Scheme(r["scheme"]), cfg, n=n, seed=11).mean
-        assert r["value_w" if "model" in r else "value_bits_s_hz"] == fresh
+        (fresh,) = estimate(metric, Scheme(r["scheme"]), [cfg], n=n, seed=11)
+        assert r["value_w" if "model" in r else "value_bits_s_hz"] == fresh.mean
 
+
+def test_mc_sweep_draws_each_chunk_once_per_series(monkeypatch):
+    """s1 with MC rows at n = 2^14 (one chunk): one draw per (scheme, model)."""
+    calls = []
+
+    def counted(scheme, *args):
+        calls.append(scheme)
+        return _chunk_distance(scheme, *args)
+
+    monkeypatch.setattr("paswipt.montecarlo._chunk_distance", counted)
+    spec = preset("s1", include_mc=True, samples=1 << 14, seed=2)
+    rows = run_power_sweep(spec)
+    assert sum(r["method"] == "mc" for r in rows) == 3 * 2 * len(spec.grid)
+    assert sorted(calls) == sorted(2 * list(Scheme))
+
+
+def test_preset_include_mc_appends_mc_method():
+    for name in ("s1", "s2", "c1", "c2"):
+        plain, with_mc = preset(name), preset(name, include_mc=True)
+        assert with_mc.methods == plain.methods + ("mc",)
+        assert "mc" not in plain.methods
+    assert preset("fig4", include_mc=True).methods == preset("fig4").methods
+    assert "include_mc" not in {f.name for f in dataclasses.fields(SweepSpec)}
+
+
+def test_power_sweep_evaluates_exactly_spec_methods():
+    spec = SweepSpec("energy", default_config(0.3), (0.1, 0.2), schemes=(Scheme.EDS,),
+                     methods=("mc",), samples=1000, seed=4)
+    assert {r["method"] for r in run_power_sweep(spec)} == {"mc"}
+    spec = dataclasses.replace(spec, methods=("quadrature", "closed"))
+    assert {r["method"] for r in run_power_sweep(spec)} == {"quadrature", "closed"}
+
+
+@pytest.mark.parametrize("samples,seed,workers,what", [
+    (1, 0, 1, "samples"), (1000, -1, 1, "seed"), (1000, 1 << 64, 1, "seed"),
+    (1000, 0, 0, "workers"),
+])
+def test_spec_rejects_bad_mc_inputs_without_mc_rows(lm_config, samples, seed, workers, what):
+    with pytest.raises(ValueError, match=what):
+        SweepSpec("energy", lm_config, (0.1, 0.2), samples=samples, seed=seed, workers=workers)
 
 
 @pytest.mark.parametrize("quantity,method,model", [
@@ -249,32 +299,56 @@ def test_shared_stream_rows_match_fresh_estimates(name, n, grid_stride):
     ("rate", "bound", "nlm"),
 ])
 def test_evaluate_none_where_method_does_not_apply(quantity, method, model):
-    assert evaluate(quantity, method, Scheme.EDS, default_config(0.3, model)) is None
+    assert evaluate(quantity, method, Scheme.EDS, [default_config(0.3, model)]) is None
 
 
 @pytest.mark.parametrize("quantity", ["energy", "rate"])
 @pytest.mark.parametrize("model", ["lm", "nlm"])
 def test_evaluate_reports_an_error_for_mc_only(quantity, model):
-    cfg = default_config(1e-4, model)
+    cfgs = [default_config(p, model) for p in (1e-4, 2e-4)]
     for method in METHODS:
-        result = evaluate(quantity, method, Scheme.DDS, cfg, samples=4000, seed=3)
-        if result is None:
+        results = evaluate(quantity, method, Scheme.DDS, cfgs, samples=4000, seed=3)
+        if results is None:
             continue
-        value, std_error = result
-        assert np.isfinite(value) and value > 0.0
-        if method == "mc":
-            assert std_error > 0.0
-            fresh = estimate("rate" if quantity == "rate" else f"energy-{model}",
-                             Scheme.DDS, cfg, n=4000, seed=3)
-            assert (value, std_error) == (fresh.mean, fresh.std_error)
-        else:
-            assert std_error is None
+        assert len(results) == len(cfgs)
+        for cfg, (value, std_error) in zip(cfgs, results):
+            assert np.isfinite(value) and value > 0.0
+            if method == "mc":
+                assert std_error > 0.0
+                (fresh,) = estimate("rate" if quantity == "rate" else f"energy-{model}",
+                                    Scheme.DDS, [cfg], n=4000, seed=3)
+                assert (value, std_error) == (fresh.mean, fresh.std_error)
+            else:
+                assert std_error is None
 
 
 def test_evaluate_rejects_unknown_names(lm_config):
     with pytest.raises(ValueError, match="method"):
-        evaluate("energy", "simulation", Scheme.EDS, lm_config)
+        evaluate("energy", "simulation", Scheme.EDS, [lm_config])
     with pytest.raises(ValueError, match="method"):
-        evaluate("rate", "quad", Scheme.EDS, lm_config)
+        evaluate("rate", "quad", Scheme.EDS, [lm_config])
     with pytest.raises(ValueError, match="quantity"):
-        evaluate("outage", "closed", Scheme.EDS, lm_config)
+        evaluate("outage", "closed", Scheme.EDS, [lm_config])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_evaluate_rejects_mixed_models(lm_config, nlm_config, method):
+    for cfgs in ([lm_config, nlm_config], []):
+        with pytest.raises(ValueError, match="harvest model"):
+            evaluate("energy", method, Scheme.EDS, cfgs, samples=1000)
+
+
+def test_failed_row_names_scheme_model_method_and_power(nlm_config, monkeypatch):
+    def failing(scheme, system, *args):
+        if system.transmit_power_w == 0.2:
+            raise QuadratureError("no convergence")
+        return 0.0
+
+    monkeypatch.setattr("paswipt.sweep.avg_energy_quadrature", failing)
+    spec = SweepSpec("energy", nlm_config, (0.1, 0.2, 0.3), schemes=(Scheme.CDS,),
+                     methods=("quadrature",))
+    with pytest.raises(RuntimeError) as exc:
+        run_power_sweep(spec)
+    for part in ("scheme=cds", "model=nlm", "method=quadrature", "pt_w=0.2"):
+        assert part in str(exc.value)
+    assert isinstance(exc.value.__cause__, QuadratureError)
