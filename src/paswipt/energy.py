@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from paswipt.config import (
     HarvestModel,
@@ -21,6 +20,15 @@ from paswipt.config import (
 )
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
+
+
+def expit(x):
+    """scipy.special.expit, imported on first use so that only the
+    logistic curve loads scipy.  The first call rebinds this module name
+    to the ufunc itself, so later calls cost nothing extra."""
+    global expit
+    from scipy.special import expit
+    return expit(x)
 
 
 def logistic_harvest_power(model: LogisticHarvest, p_in):
@@ -41,11 +49,11 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
 
 
 def harvest_power(model: HarvestModel, p_in):
-    """Harvested power for incident power p_in under either model."""
+    """Harvested power for incident power p_in (a float or an array) under
+    either model.  The linear model is one multiply, with no numpy round
+    trip for a float: the quadrature calls this once per node."""
     if isinstance(model, LinearHarvest):
-        p_in = np.asarray(p_in, dtype=float)
-        out = model.eta * p_in
-        return out if out.ndim else float(out)
+        return model.eta * p_in
     return logistic_harvest_power(model, p_in)
 
 

@@ -216,7 +216,7 @@ def tradeoff_rate_at_energy(
 
     if energy_w <= 0.0:
         control = 0.0
-    elif energy_w >= energy_at(1.0):
+    elif energy_w > energy_at(1.0):
         control = 1.0
     else:
         lo, hi = 0.0, 1.0

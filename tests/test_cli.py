@@ -1,8 +1,14 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paswipt
 from paswipt.cli import main
 from paswipt.config import default_config
 from paswipt.energy import avg_energy_lm_closed
@@ -220,3 +226,41 @@ def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, m
     code, err = _exit_code(["rate", "--scheme", "eds", "--config", str(path)], capsys)
     assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
     assert message in err
+
+
+def _scipy_loaded_after(tmp_path, *argvs):
+    """The scipy modules in sys.modules after a fresh interpreter imports
+    paswipt.cli and runs main() on each argv in turn."""
+    code = (
+        "import json, sys\n"
+        "from paswipt.cli import main\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    main(argv)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = str(Path(paswipt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_cold_cli_loads_no_scipy(tmp_path):
+    loaded = _scipy_loaded_after(
+        tmp_path,
+        ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
+        ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"],
+        ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
+    )
+    assert loaded == set()
+
+
+def test_logistic_curve_loads_only_scipy_special(tmp_path):
+    loaded = _scipy_loaded_after(
+        tmp_path,
+        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3",
+         "--mc", "--samples", "20000"],
+    )
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded

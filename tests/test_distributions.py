@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from paswipt.config import RegionGeometry
+from paswipt.config import DEFAULT_HARVEST, RegionGeometry, dbm_to_watts, default_config
 from paswipt.distributions import (
+    QuadratureError,
     SquaredDistanceDistribution,
     emit_cdf_table,
     ground_projection_cdf,
 )
+from paswipt.energy import harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
@@ -158,3 +162,100 @@ def test_emit_cdf_table_shape():
     assert table.shape == (1000, 3)
     assert np.all(np.isfinite(table))
     assert table[-1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+# --- the in-package Gauss-Kronrod quadrature against its oracles ---------
+
+
+def _quadpack_expect(dist, g, rel_tol=1e-11):
+    """expect()'s integral through scipy's QUADPACK (qagse), the routine
+    the package used to call: (value, number of subintervals).  The
+    integrand repeats expect()'s float operations."""
+    h2, span = dist.geometry.height**2, dist.span
+    if dist.scheme is Scheme.DDS:
+        def integrand(t):
+            return g(h2 + t * t) * (2.0 / span) * (1.0 - t / span)
+    else:
+        def integrand(t):
+            return g(h2 + t * t) / span
+    value, _, info = integrate.quad(integrand, 0.0, span, epsabs=1e-14, epsrel=rel_tol,
+                                    limit=200, full_output=1)[:3]
+    return value, info["last"]
+
+
+def _integrands(cfg):
+    """The energy (lm, nlm) and rate integrands of a config, as functions of l."""
+    beta_pt = cfg.protocol.beta * cfg.system.transmit_power_w
+    mu_gamma = cfg.system.path_loss_factor_m2 * cfg.system.transmit_snr
+    return {
+        "lm": lambda l: harvest_power(DEFAULT_HARVEST["lm"], beta_pt / l),
+        "nlm": lambda l: harvest_power(DEFAULT_HARVEST["nlm"], beta_pt / l),
+        "rate": lambda l: math.log1p(mu_gamma / l),
+    }
+
+
+def _random_config(rng):
+    """A room with h down to 0.3 m, a power in 1e-4..10 W, noise in -80..-190 dBm."""
+    return default_config(
+        float(np.exp(rng.uniform(np.log(1e-4), np.log(10.0)))),
+        d_x=float(rng.uniform(2.0, 40.0)), d_y=float(rng.uniform(2.0, 40.0)),
+        height=float(np.exp(rng.uniform(np.log(0.3), np.log(10.0)))),
+    ).with_params(noise_power_w=dbm_to_watts(float(rng.uniform(-190.0, -80.0))))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_expect_matches_quadpack(case):
+    cfg = _random_config(np.random.default_rng([2025, case]))
+    for scheme in Scheme:
+        dist = SquaredDistanceDistribution(scheme, cfg.geometry)
+        for name, g in _integrands(cfg).items():
+            ours = dist.expect(g)
+            ref, parts = _quadpack_expect(dist, g)
+            where = f"{scheme.value} {name} {cfg.geometry} pt={cfg.system.transmit_power_w}"
+            assert abs(ours - ref) <= 1e-13 * abs(ref), where
+            if parts == 1:  # one qk21 application: the same sums in the same order
+                assert ours == ref, where
+
+
+def test_expect_constant_has_quadpack_bits(dist):
+    assert dist.expect(lambda l: 1.0) == _quadpack_expect(dist, lambda l: 1.0)[0]
+
+
+@pytest.mark.parametrize("mu_gamma", [1e-2, 1.0, 1e6, 1e10, 1e14])
+@pytest.mark.parametrize("height", [0.3, 3.0, 30.0])
+def test_expect_matches_mpmath(mu_gamma, height):
+    """E[ln(1 + mu_gamma / L)] against a 40-digit mpmath integral."""
+    mpmath = pytest.importorskip("mpmath")
+    geom = RegionGeometry(d_x=15.0, d_y=10.0, height=height)
+    for scheme in Scheme:
+        dist = SquaredDistanceDistribution(scheme, geom)
+        ours = dist.expect(lambda l: math.log1p(mu_gamma / l))
+        with mpmath.workdps(40):
+            h2, span, mu = mpmath.mpf(height) ** 2, mpmath.mpf(dist.span), mpmath.mpf(mu_gamma)
+            if scheme is Scheme.DDS:
+                def f(t):
+                    return mpmath.log1p(mu / (h2 + t * t)) * 2 / span * (1 - t / span)
+            else:
+                def f(t):
+                    return mpmath.log1p(mu / (h2 + t * t)) / span
+            cuts = sorted({mpmath.mpf(0), min(mpmath.mpf(height), span), span})
+            ref = float(mpmath.quad(f, cuts))
+        assert ours == pytest.approx(ref, rel=1e-14, abs=0.0), scheme
+
+
+def test_expect_rejects_nan_integrand(dist):
+    with pytest.raises(QuadratureError, match="value=nan"):
+        dist.expect(lambda l: float("nan"))
+
+
+def test_expect_rejects_divergent_integrand(dist):
+    """1/(l - h^2) = 1/t^2 has no finite mean.  The bisection closes in on
+    t = 0, where l - h^2 rounds to 0; there the integrand is +inf."""
+    h2 = GEOM.height**2
+    with pytest.raises(QuadratureError) as exc:
+        dist.expect(lambda l: 1.0 / (l - h2) if l != h2 else math.inf)
+    message = str(exc.value)
+    assert dist.scheme.value in message
+    assert "15 x 10 x 3 m room" in message
+    for key in ("value=", "abserr=", "neval=", "subintervals="):
+        assert key in message

@@ -189,6 +189,20 @@ class TestTradeoff:
                         assert dds_rate >= r["rate_bits_s_hz"] - 1e-9
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_tradeoff_at_own_plateau_is_leftmost_crossing(scheme):
+    """Under PS the logistic energy saturates before beta = 1, so the
+    leftmost control that reaches the plateau still leaves a positive rate."""
+    base = preset("fig4").config
+    (plateau, _), = evaluate("energy", "quadrature", scheme,
+                             [base.with_params(alpha=1.0, beta=1.0, harvest=DEFAULT_NLM)])
+    rate = tradeoff_rate_at_energy(scheme, "ps", DEFAULT_NLM, base, plateau)
+    below = tradeoff_rate_at_energy(scheme, "ps", DEFAULT_NLM, base, plateau * (1 - 1e-15))
+    assert rate > 0.0
+    assert rate == pytest.approx(below, rel=1e-4)
+    assert tradeoff_rate_at_energy(scheme, "ps", DEFAULT_NLM, base, plateau * (1 + 1e-15)) == 0.0
+
+
 class TestEmitOutputs:
     def test_refuses_empty_table(self, tmp_path):
         with pytest.raises(ValueError):
