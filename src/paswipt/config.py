@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
@@ -96,15 +97,21 @@ class LogisticHarvest:
     slope_per_w: float
     turn_on_w: float
 
-    @property
-    def zero_input_offset(self) -> float:
-        """Logistic value at zero input, 1 / (1 + e^{a b}), in (0, 0.5).
+    @cached_property
+    def curve_constants(self) -> tuple[float, float]:
+        """(Omega, scale) of the transfer curve: the logistic value at zero
+        input, Omega = expit(-a b), and saturation_w / (1 - Omega).
 
-        Computed from exp(-a b) so that a*b of several hundred underflows
-        to 0.0 instead of overflowing e^{a b}.
+        Computed on first use and kept on the instance, so the curve's
+        kernel reads them per call without hashing the model.  expit
+        keeps a*b of several hundred from overflowing e^{a b}; scipy is
+        imported here, not with the module, so that only the logistic
+        curve loads it.
         """
-        e = math.exp(-self.slope_per_w * self.turn_on_w)
-        return e / (1.0 + e)
+        from scipy.special import expit
+
+        omega = expit(-self.slope_per_w * self.turn_on_w)
+        return float(omega), float(self.saturation_w / (1.0 - omega))
 
 
 HarvestModel = Union[LinearHarvest, LogisticHarvest]

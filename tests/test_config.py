@@ -67,12 +67,14 @@ def test_region_derived_constants():
 def test_logistic_offset_underflows_gracefully():
     m = DEFAULT_HARVEST["nlm"]
     # a*b = 290: e^{a b} overflows but the offset must still come out fine
-    assert 0.0 <= m.zero_input_offset <= 1e-100
+    omega, _ = m.curve_constants
+    assert 0.0 <= omega <= 1e-100
 
 
 def test_logistic_offset_range():
     m = LogisticHarvest(saturation_w=1e-3, slope_per_w=100.0, turn_on_w=1e-3)
-    assert 0.0 < m.zero_input_offset < 0.5
+    omega, _ = m.curve_constants
+    assert 0.0 < omega < 0.5
 
 
 def test_validate_collects_all_errors():

@@ -6,6 +6,7 @@ from paswipt.config import (
     LinearHarvest,
     ProtocolParams,
     RegionGeometry,
+    default_config,
 )
 from paswipt.energy import (
     avg_energy_lm_closed,
@@ -27,7 +28,7 @@ class TestLogisticTransfer:
     def test_midpoint(self):
         # at the turn-on power the logistic sits at 1/2
         val = logistic_harvest_power(NLM, NLM.turn_on_w)
-        omega = NLM.zero_input_offset
+        omega, _ = NLM.curve_constants
         expected = NLM.saturation_w * (0.5 - omega) / (1.0 - omega)
         assert val == pytest.approx(expected, rel=1e-12)
         assert val == pytest.approx(10e-3, rel=1e-9)
@@ -114,6 +115,31 @@ class TestQuadratureOracle:
         # fully saturated over the whole room, so the average equals
         # alpha * saturation
         assert val == pytest.approx(0.016, rel=1e-9)
+
+
+# float.hex of (quadrature, Jensen bound) for the logistic model in the
+# default 15 x 10 m room: at 0.3 W every node is saturated, at 1e-4 W the
+# incident power straddles the 2.9 uW turn-on, at 1e-5 W it stays below it.
+# Recorded before the logistic curve gained its saturation shortcut.
+NLM_PINS = {
+    (0.3, "eds"): ("0x1.0624dd2f1a9fcp-6", "0x1.0624dd2f1a9fcp-6"),
+    (0.3, "cds"): ("0x1.0624dd2f1a9fcp-6", "0x1.0624dd2f1a9fcp-6"),
+    (0.3, "dds"): ("0x1.0624dd2f1a9fbp-6", "0x1.0624dd2f1a9fcp-6"),
+    (1e-4, "eds"): ("0x1.c41143afd0f07p-8", "0x1.0624dd2f1a9fcp-6"),
+    (1e-4, "cds"): ("0x1.c41143afd0f07p-7", "0x1.0624dd2f1a9fcp-6"),
+    (1e-4, "dds"): ("0x1.928e1592fb191p-7", "0x1.0624dd2f1a9fcp-6"),
+    (1e-5, "eds"): ("0x1.b0752a5555d7fp-302", "0x1.d4484ea9027c8p-376"),
+    (1e-5, "cds"): ("0x1.b0752a5555d7fp-301", "0x1.e9007402790bfp-346"),
+    (1e-5, "dds"): ("0x1.fc5f3f28877c8p-301", "0x1.d0ed9ee59ecadp-348"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NLM_PINS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_nlm_quadrature_and_bound_digits(case):
+    pt, scheme = case
+    c = default_config(pt, model="nlm")
+    args = (Scheme(scheme), c.system, c.protocol, c.geometry, c.harvest)
+    assert (avg_energy_quadrature(*args).hex(), avg_energy_nlm_bound(*args).hex()) == NLM_PINS[case]
 
 
 class TestJensenBound:

@@ -218,3 +218,23 @@ def test_stream_golden_digits(case, workers):
     (est,) = estimate(metric, Scheme(scheme), [_golden_config(metric)], n=n, seed=seed,
                       workers=workers)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]
+
+
+# The logistic metric at 0.3 W, where every sample sits on the curve's flat
+# top: the per-sample value is the constant alpha * saturation, and these
+# digits pin the saturated chunks' bits (recorded before the logistic
+# curve gained its saturation shortcut).
+GOLDEN_SATURATED = {
+    ("energy-nlm", scheme, seed, n): ("0x1.0624dd2f1a9fep-6", "0x0.0p+0")
+    for scheme in ("eds", "dds") for seed in (0, GOLDEN_SEED_BIG) for n in (16384, 100003)
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(GOLDEN_SATURATED, key=repr),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_saturated_logistic_golden_digits(case, workers):
+    metric, scheme, seed, n = case
+    (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n,
+                      seed=seed, workers=workers)
+    assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
