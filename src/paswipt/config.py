@@ -13,8 +13,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Union
 
-import yaml
-
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
@@ -24,6 +22,20 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 def watts_to_dbm(p_w: float) -> float:
     return 10.0 * math.log10(p_w) + 30.0
+
+
+def expit_float(x: float) -> float:
+    """The logistic sigmoid 1 / (1 + e^{-x}) of one float, on libm's exp.
+
+    This is scipy.special.expit's formula, so it gives scipy's bits
+    without loading numpy or scipy; where e^{-x} overflows (x below about
+    -709.78) the value is 0.0, scipy's 1 / (1 + inf).
+    tests/test_logistic_kernel.py pins it against scipy bit for bit.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -104,14 +116,11 @@ class LogisticHarvest:
 
         Computed on first use and kept on the instance, so the curve's
         kernel reads them per call without hashing the model.  expit
-        keeps a*b of several hundred from overflowing e^{a b}; scipy is
-        imported here, not with the module, so that only the logistic
-        curve loads it.
+        keeps a*b of several hundred from overflowing e^{a b}; it is the
+        float form, expit_float, so no scipy is loaded here.
         """
-        from scipy.special import expit
-
-        omega = expit(-self.slope_per_w * self.turn_on_w)
-        return float(omega), float(self.saturation_w / (1.0 - omega))
+        omega = expit_float(-self.slope_per_w * self.turn_on_w)
+        return omega, self.saturation_w / (1.0 - omega)
 
 
 HarvestModel = Union[LinearHarvest, LogisticHarvest]
@@ -330,6 +339,8 @@ def config_from_dict(raw: dict) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
+    import yaml  # here, not at the top: only a config file needs it
+
     with open(path) as f:
         try:
             raw = yaml.safe_load(f)

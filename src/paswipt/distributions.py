@@ -9,12 +9,13 @@ singularity at the lower support edge analytically.
 
 The expectations use QUADPACK's globally adaptive 21-point Gauss-Kronrod
 rule (``qk21`` inside the ``qag`` bisection loop; Piessens et al.,
-*QUADPACK*, 1983), written out here so that importing the package needs
-no scipy.  The rule sums its nodes in ``qk21``'s own order, so a
-single-interval integral has QUADPACK's bits.  Settings: absolute
-tolerance 1e-14, relative tolerance ``rel_tol`` (1e-11), at most 200
-subintervals; a result whose error estimate exceeds
-1e-7 |value| + 1e-13, or that is not finite, raises ``QuadratureError``.
+*QUADPACK*, 1983), written out here on Python floats, so that an
+expectation needs neither scipy nor numpy.  The rule sums its nodes in
+``qk21``'s own order, so a single-interval integral has QUADPACK's bits.
+Settings: absolute tolerance 1e-14, relative tolerance ``rel_tol``
+(1e-11), at most 200 subintervals; a result whose error estimate
+exceeds 1e-7 |value| + 1e-13, or that is not finite, raises
+``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from paswipt.config import RegionGeometry
 from paswipt.geometry import Scheme
@@ -145,7 +144,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SquaredDistanceDistribution:
-    """CDF / PDF / inverse-CDF of the optimal squared distance."""
+    """CDF / PDF and quadrature expectations of the optimal squared distance.
+
+    expect() runs on floats alone; cdf() and pdf() take arrays and load
+    numpy when called.
+    """
 
     scheme: Scheme
     geometry: RegionGeometry
@@ -164,6 +167,8 @@ class SquaredDistanceDistribution:
         return h2, h2 + self.span**2
 
     def cdf(self, l):
+        import numpy as np
+
         l = np.asarray(l, dtype=float)
         h2 = self.geometry.height**2
         if self.scheme is Scheme.DDS:
@@ -178,6 +183,8 @@ class SquaredDistanceDistribution:
         return out if out.ndim else float(out)
 
     def pdf(self, l):
+        import numpy as np
+
         l = np.asarray(l, dtype=float)
         lo, hi = self.support
         if np.any(l == lo):
@@ -191,20 +198,6 @@ class SquaredDistanceDistribution:
             else:
                 val = self.scheme.line_factor / (2.0 * self.geometry.d_y * s)
         out = np.where((l < lo) | (l > hi), 0.0, val)
-        return out if out.ndim else float(out)
-
-    def sample(self, u):
-        """Inverse-CDF transform of uniform(0,1) variates."""
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise ValueError("u must lie strictly in (0, 1)")
-        h2 = self.geometry.height**2
-        if self.scheme is Scheme.DDS:
-            lam = self.geometry.diagonal_half_width
-            s = lam * (1.0 - np.sqrt(1.0 - u))
-        else:
-            s = u * self.geometry.d_y / self.scheme.line_factor
-        out = h2 + s**2
         return out if out.ndim else float(out)
 
     def expect(self, g: Callable, rel_tol: float = 1e-11) -> float:
@@ -244,22 +237,15 @@ class SquaredDistanceDistribution:
         return val
 
 
-def ground_projection_cdf(geometry: RegionGeometry, x) -> float:
-    """CDF of the perpendicular distance from a uniform UE to the room
-    diagonal: (2 L x - x^2) / L^2 on [0, L], clamped outside."""
-    lam = geometry.diagonal_half_width
-    x = np.asarray(x, dtype=float)
-    val = (2.0 * lam * x - x**2) / lam**2
-    out = np.clip(np.where(x < 0.0, 0.0, np.where(x > lam, 1.0, val)), 0.0, 1.0)
-    return out if out.ndim else float(out)
-
-
-def emit_cdf_table(dist: SquaredDistanceDistribution, n_points: int = 1000) -> np.ndarray:
-    """(l, cdf, pdf) rows on a uniform grid over the support interior.
+def emit_cdf_table(dist: SquaredDistanceDistribution, n_points: int = 1000):
+    """(l, cdf, pdf) rows on a uniform grid over the support interior, as
+    an (n_points, 3) numpy array.
 
     The exact lower endpoint is excluded because the density diverges
     there.
     """
+    import numpy as np
+
     if n_points < 1:
         raise ValueError(f"points must be >= 1, got {n_points}")
     lo, hi = dist.support

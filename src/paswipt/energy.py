@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from paswipt.config import (
     HarvestModel,
     LinearHarvest,
@@ -17,15 +15,17 @@ from paswipt.config import (
     ProtocolParams,
     RegionGeometry,
     SystemParams,
+    expit_float,
 )
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
 
 
 def expit(x):
-    """scipy.special.expit, imported on first use so that only the
-    logistic curve loads scipy.  The first call rebinds this module name
-    to the ufunc itself, so later calls cost nothing extra."""
+    """scipy.special.expit, imported on first use so that scipy loads only
+    for an array the saturation shortcut does not cover (floats use
+    config.expit_float).  The first call rebinds this module name to the
+    ufunc itself, so later calls cost nothing extra."""
     global expit
     from scipy.special import expit
     return expit(x)
@@ -33,28 +33,34 @@ def expit(x):
 
 def logistic_harvest_power(model: LogisticHarvest, p_in):
     """Saturating transfer curve: phi/(1-Omega) * (sigmoid(a(p-b)) - Omega),
-    clamped at zero.  Vectorized; exact 0.0 at p_in = 0.  A float (or an
-    np.float64, or a 0-d array) gives a Python float, an array an array.
+    clamped at zero.  Vectorized; exact 0.0 at p_in = 0.  A float or an
+    int gives a Python float and imports nothing; an array (or a 0-d
+    array, which gives a float) goes through numpy.
 
     Uses expit throughout so a*(p_in - b) in the hundreds neither
     overflows nor loses the zero-input cancellation (the offset Omega is
     the same expit evaluation at -a*b, kept per model with the scale
-    phi/(1-Omega) in `LogisticHarvest.curve_constants`).
+    phi/(1-Omega) in `LogisticHarvest.curve_constants`).  A float runs
+    `config.expit_float`, scipy's formula on libm's exp with scipy's
+    bits, so the scalar path loads neither numpy nor scipy; an array runs
+    the scipy.special.expit ufunc.
 
     Saturation shortcut, bit for bit: where x = a*(p_in - b) > 40,
     expit(x) = 1/(1 + exp(-x)) is exactly 1.0, because exp(-40) < 2**-54
     rounds away against 1 (the first such x is near 36.74).  x is
     monotone in p_in under IEEE rounding (a > 0), so an array whose
     smallest x passes 40 is one constant, phi/(1-Omega) * (1 - Omega),
-    and costs one min instead of the ufunc chain; any other array runs
-    the whole chain.  A float skips its one expit the same way.  The
-    test is on the minimum, not per element: a masked evaluation was
-    2.5x slower on a partly saturated chunk, and expit(..., where=mask)
-    has segfaulted on arrays of 4,096 elements.
+    and costs one min instead of the ufunc chain (and never loads scipy);
+    any other array runs the whole chain.  A float skips its expit the
+    same way.  The test is on the minimum, not per element: a masked
+    evaluation was 2.5x slower on a partly saturated chunk, and
+    expit(..., where=mask) has segfaulted on arrays of 4,096 elements.
     """
     omega, scale = model.curve_constants
     a, b = model.slope_per_w, model.turn_on_w
-    if not isinstance(p_in, float):
+    if not isinstance(p_in, (float, int)):
+        import numpy as np
+
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
             if p_in.size and a > 0.0 and a * (p_in.min() - b) > 40.0:
@@ -62,7 +68,7 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
                 return np.full_like(p_in, 0.0 if top <= 0.0 else top)
             return np.maximum(scale * (expit(a * (p_in - b)) - omega), 0.0)
     x = a * (float(p_in) - b)
-    raw = scale * ((1.0 if x > 40.0 else float(expit(x))) - omega)
+    raw = scale * ((1.0 if x > 40.0 else expit_float(x)) - omega)
     return 0.0 if raw <= 0.0 else raw  # np.maximum(raw, 0.0): NaN stays, -0.0 -> 0.0
 
 

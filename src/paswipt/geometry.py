@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from paswipt.config import RegionGeometry
 
 
@@ -74,27 +72,6 @@ def squared_distance(geom: RegionGeometry, antenna: AntennaPosition, ue: UePosit
     return (antenna.x - ue.x) ** 2 + (antenna.y - ue.y) ** 2 + geom.height**2
 
 
-def min_squared_distance_bruteforce(
-    scheme: Scheme, geom: RegionGeometry, ue: UePosition, grid_points: int = 10_000
-) -> float:
-    """Grid-search oracle for the closed-form optimum.
-
-    Minimizes over grid_points uniformly spaced antenna positions along
-    the waveguide; always >= the true minimum.
-    """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    xs = np.linspace(0.0, geom.d_x, grid_points)
-    if scheme is Scheme.EDS:
-        ys = np.zeros_like(xs)
-    elif scheme is Scheme.CDS:
-        ys = np.full_like(xs, geom.d_y / 2.0)
-    else:
-        ys = geom.aspect_ratio * xs
-    d2 = (xs - ue.x) ** 2 + (ys - ue.y) ** 2 + geom.height**2
-    return float(d2.min())
-
-
 def diagonal_distance_derivative(geom: RegionGeometry, ue: UePosition, x_p: float) -> float:
     """d/dx_p of the diagonal-scheme squared distance (analytic).
 
@@ -112,6 +89,8 @@ def optimal_squared_distance(scheme: Scheme, geom: RegionGeometry, x_u, y_u):
     distance to the diagonal squared, (k x_u - y_u)^2 / (1 + k^2), plus
     h^2.  Accepts scalars or numpy arrays.
     """
+    import numpy as np
+
     h2 = geom.height**2
     x_u = np.asarray(x_u, dtype=float)
     y_u = np.asarray(y_u, dtype=float)

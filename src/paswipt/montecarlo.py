@@ -10,6 +10,9 @@ estimate() takes a series of configs on one room (a power sweep, say):
 each chunk is drawn once and every config is evaluated on it, so the
 series shares its random numbers and each config gets the same digits
 as an estimate of its own.
+
+numpy is imported inside the functions that build arrays, not with the
+module, so a process that never estimates never loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from paswipt.config import Config, LinearHarvest, LogisticHarvest
 from paswipt.energy import logistic_harvest_power
@@ -54,29 +55,16 @@ def check_mc_inputs(n: int, seed: int, workers: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    key = seed | (chunk_index << 64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int):
+    """UE positions of chunk j, drawn from a Philox generator keyed by (seed, j)."""
+    import numpy as np
+
     g = config.geometry
-    rng = _chunk_rng(seed, chunk_index)
+    rng = np.random.Generator(np.random.Philox(key=seed | (chunk_index << 64)))
     x_u = rng.random(size) * g.d_x
     y_u = rng.random(size) * g.d_y
     assert np.all((x_u >= 0) & (x_u <= g.d_x) & (y_u >= 0) & (y_u <= g.d_y))
     return x_u, y_u
-
-
-def sample_ue_stream(config: Config, seed: int, n: int):
-    """The first n UE positions of the stream, as (x, y) arrays."""
-    check_mc_inputs(n, seed, workers=1)
-    xs, ys = [], []
-    for j, size in enumerate(_chunk_sizes(n)):
-        x_u, y_u = _chunk_ue(config, seed, j, size)
-        xs.append(x_u)
-        ys.append(y_u)
-    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _chunk_distance(scheme: Scheme, config: Config, seed: int, chunk_index: int, size: int):
@@ -99,6 +87,8 @@ def _metric_values(metric: str, config: Config, l):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
         return p.alpha * logistic_harvest_power(model, p.beta * s.transmit_power_w / l)
     if metric == "rate":
+        import numpy as np
+
         mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
         return (1.0 - p.alpha * p.beta) * np.log1p(mu_gamma / l) / math.log(2.0)
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
@@ -122,6 +112,8 @@ def estimate(
     the chunks on a thread pool: the Philox fills and numpy ufuncs release
     the GIL.
     """
+    import numpy as np
+
     check_mc_inputs(n, seed, workers)
     if len({cfg.geometry for cfg in configs}) != 1:
         raise ValueError("estimate needs a non-empty series of configs sharing one geometry")

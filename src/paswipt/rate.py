@@ -1,4 +1,4 @@
-"""Average achievable rate: SNR model, closed forms, quadrature oracle.
+"""Average achievable rate: closed forms and their quadrature oracle.
 
 Logs are natural internally; the single division by ln 2 at the end
 converts to bits.  At the default link budget mu * snr is around 2e5 m^2
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from paswipt.config import ProtocolParams, RegionGeometry, SystemParams
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
@@ -28,14 +26,6 @@ class RateResult:
     value_bits_s_hz: float
     scheme: Scheme
     method: str  # "closed" | "quadrature" | "monte-carlo"
-
-
-def snr(system: SystemParams, squared_distance) -> float:
-    """mu * gamma_bar / L.  The propagation phase factor has unit modulus
-    and never enters the magnitude."""
-    squared_distance = np.asarray(squared_distance, dtype=float)
-    out = system.path_loss_factor_m2 * system.transmit_snr / squared_distance
-    return out if out.ndim else float(out)
 
 
 def _edge_center_integral(mu_gamma: float, h: float, span: float) -> float:

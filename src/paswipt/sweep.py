@@ -15,8 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from paswipt.config import (
     DEFAULT_HARVEST,
     Config,
@@ -232,6 +230,8 @@ def tradeoff_rate_at_energy(
 
 
 def _preset_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
+    import numpy as np
+
     return tuple(np.logspace(np.log10(lo), np.log10(hi), points))
 
 
@@ -273,6 +273,8 @@ def preset(name: str, *, include_mc: bool = False, samples: int = 1_000_000,
             _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature", *mc), **common,
         )
     if name == "fig4":
+        import numpy as np
+
         return SweepSpec(
             "region", default_config(0.3, d_x=8.0, d_y=8.0),
             tuple(np.linspace(0.0, 1.0, 41)),

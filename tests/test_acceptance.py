@@ -16,7 +16,7 @@ from paswipt.config import (
     SystemParams,
     default_config,
 )
-from paswipt.distributions import SquaredDistanceDistribution, ground_projection_cdf
+from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import (
     avg_energy_lm_closed,
     avg_energy_nlm_bound,
@@ -26,13 +26,18 @@ from paswipt.geometry import (
     Scheme,
     UePosition,
     diagonal_distance_derivative,
-    min_squared_distance_bruteforce,
     optimal_antenna_position,
     optimal_squared_distance,
     squared_distance,
 )
 from paswipt.montecarlo import estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
+
+from oracles import (
+    ground_projection_cdf,
+    min_squared_distance_bruteforce,
+    sample_squared_distance,
+)
 from paswipt.sweep import (
     SweepSpec,
     emit_outputs,
@@ -94,7 +99,7 @@ def test_criterion_3_distribution_correctness():
     for scheme in Scheme:
         dist = SquaredDistanceDistribution(scheme, g)
         geometric = optimal_squared_distance(scheme, g, x_u, y_u)
-        inverse = dist.sample(rng.uniform(1e-12, 1 - 1e-12, N_MC))
+        inverse = sample_squared_distance(dist, rng.uniform(1e-12, 1 - 1e-12, N_MC))
         assert stats.ks_2samp(inverse, geometric).statistic < 0.0027, scheme
         # one-sample against the analytic CDF as well
         assert stats.kstest(geometric, dist.cdf).statistic < 0.0019, scheme

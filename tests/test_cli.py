@@ -228,15 +228,16 @@ def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, m
     assert message in err
 
 
-def _scipy_loaded_after(tmp_path, *argvs):
-    """The scipy modules in sys.modules after a fresh interpreter imports
-    paswipt.cli and runs main() on each argv in turn."""
+def _loaded_after(tmp_path, *argvs, roots=("numpy", "scipy", "yaml")):
+    """The modules under the given top-level packages that are in
+    sys.modules after a fresh interpreter imports paswipt.cli and runs
+    main() on each argv in turn."""
     code = (
         "import json, sys\n"
         "from paswipt.cli import main\n"
         f"for argv in {list(argvs)!r}:\n"
         "    main(argv)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))\n"
     )
     src = str(Path(paswipt.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -247,20 +248,62 @@ def _scipy_loaded_after(tmp_path, *argvs):
 
 
 def test_cold_cli_loads_no_scipy(tmp_path):
-    loaded = _scipy_loaded_after(
+    loaded = _loaded_after(
         tmp_path,
         ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
         ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"],
         ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
+        roots=("scipy",),
     )
     assert loaded == set()
 
 
+@pytest.mark.parametrize("argv", [
+    None,
+    ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"],
+    ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3"],
+    ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4"],
+    ["energy", "--scheme", "eds", "--model", "nlm", "--pt-w", "1e-5"],
+    ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
+], ids=["import-only", "lm", "nlm-saturated", "nlm-knee", "nlm-below-turn-on", "rate"])
+def test_scalar_calls_load_no_numpy_scipy_or_yaml(tmp_path, argv):
+    # closed forms, the Jensen bound and the quadrature run on floats alone
+    assert _loaded_after(tmp_path, *([argv] if argv else [])) == set()
+
+
+def test_config_file_loads_yaml(tmp_path):
+    loaded = _loaded_after(tmp_path, ["energy", "--scheme", "eds",
+                                      "--config", str(_config_file(tmp_path))])
+    assert loaded == {"yaml"} | {m for m in loaded if m.startswith("yaml.")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
+    ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3", "--mc", "--samples", "2000"],
+    ["rate", "--scheme", "dds", "--pt-w", "0.3", "--method", "mc", "--samples", "2000"],
+], ids=["dist", "energy-mc", "rate-mc"])
+def test_array_calls_load_numpy(tmp_path, argv):
+    assert "numpy" in _loaded_after(tmp_path, argv)
+
+
 def test_logistic_curve_loads_only_scipy_special(tmp_path):
-    loaded = _scipy_loaded_after(
+    # at 1e-4 W the MC chunk straddles the knee, so the array kernel calls expit
+    loaded = _loaded_after(
+        tmp_path,
+        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4",
+         "--mc", "--samples", "20000"],
+        roots=("scipy",),
+    )
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_saturated_logistic_chunks_load_no_scipy(tmp_path):
+    # at 0.3 W every chunk passes the saturation shortcut: no expit call
+    loaded = _loaded_after(
         tmp_path,
         ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3",
          "--mc", "--samples", "20000"],
     )
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}

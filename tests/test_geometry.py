@@ -8,11 +8,12 @@ from paswipt.geometry import (
     Scheme,
     UePosition,
     diagonal_distance_derivative,
-    min_squared_distance_bruteforce,
     optimal_antenna_position,
     optimal_squared_distance,
     squared_distance,
 )
+
+from oracles import min_squared_distance_bruteforce
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
 SQUARE = RegionGeometry(d_x=8.0, d_y=8.0, height=3.0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from paswipt.config import DEFAULT_HARVEST, LogisticHarvest
+from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, expit_float
 from paswipt.energy import logistic_harvest_power
 
 NLM = DEFAULT_HARVEST["nlm"]
@@ -152,3 +152,57 @@ def test_expit_is_one_past_threshold():
         assert np.all(expit(x) == 1.0)
     assert expit(np.inf) == 1.0
     assert expit(first) == 1.0 and expit(1e6) == 1.0
+
+
+# --- the float path's expit: the math formula against scipy, bit for bit ---
+#
+# logistic_harvest_power on a float and LogisticHarvest.curve_constants
+# use config.expit_float, 1 / (1 + math.exp(-x)), so that the scalar path
+# loads neither numpy nor scipy.  That keeps every digit only while it is
+# scipy.special.expit's own formula on the same libm exp; a scipy or libm
+# change that broke this must fail here, before it moves a digit.
+
+_OVERFLOW_EDGE = -math.log(np.finfo(float).max)  # about -709.7827: exp(-x) overflows below
+EXPIT_INPUTS = np.concatenate([
+    np.linspace(-760.0, 760.0, 1_520_001),
+    np.geomspace(1e-300, 800.0, 300_000),
+    -np.geomspace(1e-300, 800.0, 300_000),
+    (np.array(_OVERFLOW_EDGE).view(np.int64) + np.arange(-5_000, 5_001)).view(np.float64),
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, np.finfo(float).max,
+     -np.finfo(float).max],
+])
+
+
+def test_expit_float_matches_scipy_bitwise():
+    got = np.array([expit_float(x) for x in EXPIT_INPUTS.tolist()])
+    want = expit(EXPIT_INPUTS)
+    mismatches = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert mismatches.size == 0, [
+        (EXPIT_INPUTS[i].hex(), got[i].hex(), want[i].hex()) for i in mismatches[:10]
+    ]
+    # the inputs do reach the overflow branch, and scipy gives +0.0 there
+    assert got[np.isneginf(EXPIT_INPUTS)].view(np.int64).tolist() == [0]
+    assert np.any((EXPIT_INPUTS < _OVERFLOW_EDGE) & np.isfinite(EXPIT_INPUTS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.floats(1e-3, 1e12), b=st.floats(0.0, 1e-2), phi=st.floats(1e-9, 1e3))
+def test_curve_constants_match_scipy_bitwise(a, b, phi):
+    omega, scale = LogisticHarvest(saturation_w=phi, slope_per_w=a, turn_on_w=b).curve_constants
+    want = expit(-a * b)
+    assert type(omega) is float and type(scale) is float
+    assert omega.hex() == float(want).hex()
+    assert scale.hex() == float(phi / (1.0 - want)).hex()
+
+
+KNEE = np.concatenate([
+    np.linspace(2.8e-6, 3.0e-6, 4096),
+    _x_at(NLM, np.linspace(-745.0, 45.0, 4096)),
+])
+
+
+def test_scalar_and_array_kernels_agree_on_the_knee():
+    array = logistic_harvest_power(NLM, KNEE)
+    scalar = np.array([logistic_harvest_power(NLM, p) for p in KNEE.tolist()])
+    assert array.tobytes() == scalar.tobytes()
+

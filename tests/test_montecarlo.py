@@ -11,9 +11,10 @@ from paswipt.montecarlo import (
     CHUNK_SIZE,
     _chunk_distance,
     estimate,
-    sample_ue_stream,
 )
 from paswipt.rate import avg_rate_closed
+
+from oracles import sample_ue_stream
 
 
 def test_rejects_too_few_samples(lm_config):

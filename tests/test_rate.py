@@ -12,8 +12,9 @@ from paswipt.rate import (
     _edge_center_integral,
     avg_rate_closed,
     avg_rate_quadrature,
-    snr,
 )
+
+from oracles import snr
 
 
 def _random_setup(rng):
