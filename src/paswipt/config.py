@@ -47,10 +47,6 @@ class SystemParams:
     transmit_power_w: float
 
     @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency_hz
-
-    @property
     def path_loss_factor_m2(self) -> float:
         """Free-space factor c^2 / (16 pi^2 f_c^2) == (lambda / 4 pi)^2."""
         return SPEED_OF_LIGHT**2 / (16.0 * math.pi**2 * self.carrier_frequency_hz**2)

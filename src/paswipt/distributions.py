@@ -9,19 +9,22 @@ singularity at the lower support edge analytically.
 
 The expectations use QUADPACK's globally adaptive 21-point Gauss-Kronrod
 rule (``qk21`` inside the ``qag`` bisection loop; Piessens et al.,
-*QUADPACK*, 1983), written out here on Python floats, so that an
-expectation needs neither scipy nor numpy.  The rule sums its nodes in
-``qk21``'s own order, so a single-interval integral has QUADPACK's bits.
-Settings: absolute tolerance 1e-14, relative tolerance ``rel_tol``
-(1e-11), at most 200 subintervals; a result whose error estimate
-exceeds 1e-7 |value| + 1e-13, or that is not finite, raises
+*QUADPACK*, 1983), written out here on Python floats.  The rule sums its
+nodes in ``qk21``'s own order, so a single-interval integral has
+QUADPACK's bits.  Settings: absolute tolerance 1e-14, relative tolerance
+``rel_tol`` (1e-11), at most 200 subintervals; a result whose error
+estimate exceeds 1e-7 |value| + 1e-13, or that is not finite, raises
 ``QuadratureError``.
+
+The module runs on ``math`` alone: the laws, their CDF/PDF table and the
+expectations load neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from paswipt.config import RegionGeometry
@@ -146,14 +149,13 @@ class QuadratureError(RuntimeError):
 class SquaredDistanceDistribution:
     """CDF / PDF and quadrature expectations of the optimal squared distance.
 
-    expect() runs on floats alone; cdf() and pdf() take arrays and load
-    numpy when called.
+    cdf(), pdf() and expect() take and return Python floats.
     """
 
     scheme: Scheme
     geometry: RegionGeometry
 
-    @property
+    @cached_property
     def span(self) -> float:
         """Width of the in-plane offset: d_y / (1 or 2), or the diagonal
         half-width for the diagonal scheme."""
@@ -161,44 +163,38 @@ class SquaredDistanceDistribution:
             return self.geometry.diagonal_half_width
         return self.geometry.d_y / self.scheme.line_factor
 
-    @property
+    @cached_property
     def support(self) -> tuple[float, float]:
         h2 = self.geometry.height**2
         return h2, h2 + self.span**2
 
-    def cdf(self, l):
-        import numpy as np
-
-        l = np.asarray(l, dtype=float)
-        h2 = self.geometry.height**2
+    def cdf(self, l: float) -> float:
+        """P(L <= l): 0 below h^2, 1 above the support, clamped to <= 1."""
+        h2, hi = self.support
+        if l < h2:
+            return 0.0
+        if l > hi:
+            return 1.0
         if self.scheme is Scheme.DDS:
-            lam = self.geometry.diagonal_half_width
-            s = np.sqrt(np.clip(l - h2, 0.0, None))
-            val = (2.0 * lam * s - (l - h2)) / lam**2
+            lam = self.span
+            val = (2.0 * lam * math.sqrt(l - h2) - (l - h2)) / lam**2
         else:
-            varpi = self.scheme.line_factor
-            val = varpi * np.sqrt(np.clip(l - h2, 0.0, None)) / self.geometry.d_y
-        out = np.where(l < h2, 0.0, np.minimum(val, 1.0))
-        out = np.where(l > self.support[1], 1.0, out)
-        return out if out.ndim else float(out)
+            val = self.scheme.line_factor * math.sqrt(l - h2) / self.geometry.d_y
+        return min(val, 1.0)  # in this order a NaN val stays NaN
 
-    def pdf(self, l):
-        import numpy as np
-
-        l = np.asarray(l, dtype=float)
+    def pdf(self, l: float) -> float:
+        """Density of L: 0 outside the support; raises ValueError at l = h^2."""
         lo, hi = self.support
-        if np.any(l == lo):
+        if l == lo:
             # density diverges like 1/sqrt(l - h^2) at the lower edge
             raise ValueError("pdf is undefined at l = h^2 (integrable singularity)")
-        s = np.sqrt(np.clip(l - lo, 0.0, None))
-        with np.errstate(divide="ignore"):
-            if self.scheme is Scheme.DDS:
-                lam = self.geometry.diagonal_half_width
-                val = 1.0 / (lam * s) - 1.0 / lam**2
-            else:
-                val = self.scheme.line_factor / (2.0 * self.geometry.d_y * s)
-        out = np.where((l < lo) | (l > hi), 0.0, val)
-        return out if out.ndim else float(out)
+        if l < lo or l > hi:
+            return 0.0
+        s = math.sqrt(l - lo)
+        if self.scheme is Scheme.DDS:
+            lam = self.span
+            return 1.0 / (lam * s) - 1.0 / lam**2
+        return self.scheme.line_factor / (2.0 * self.geometry.d_y * s)
 
     def expect(self, g: Callable, rel_tol: float = 1e-11) -> float:
         """E[g(L)] by adaptive quadrature after the l = h^2 + t^2 change
@@ -237,17 +233,29 @@ class SquaredDistanceDistribution:
         return val
 
 
-def emit_cdf_table(dist: SquaredDistanceDistribution, n_points: int = 1000):
-    """(l, cdf, pdf) rows on a uniform grid over the support interior, as
-    an (n_points, 3) numpy array.
+def emit_cdf_table(dist: SquaredDistanceDistribution,
+                   n_points: int = 1000) -> list[tuple[float, float, float]]:
+    """(l, cdf, pdf) rows on a uniform grid over the support interior.
 
-    The exact lower endpoint is excluded because the density diverges
-    there.
+    The grid has the floats of np.linspace(lo, hi, n_points + 1)[1:]:
+    point i is i * step + lo with step = (hi - lo) / n_points, and the
+    last point is hi itself.  The exact lower endpoint is excluded because
+    the density diverges there, so a step too small to move off it raises
+    ValueError.  (np.linspace computes a step that is 0 differently; its
+    first point is then on lo as well.)
     """
-    import numpy as np
-
     if n_points < 1:
         raise ValueError(f"points must be >= 1, got {n_points}")
     lo, hi = dist.support
-    grid = np.linspace(lo, hi, n_points + 1)[1:]
-    return np.column_stack([grid, dist.cdf(grid), dist.pdf(grid)])
+    step = (hi - lo) / n_points
+    grid = [i * step + lo for i in range(1, n_points)] + [hi]
+    if grid[0] == lo:
+        geom = dist.geometry
+        raise ValueError(
+            f"the {dist.scheme.value} support in the {geom.d_x:g} x {geom.d_y:g} x "
+            f"{geom.height:g} m room (d_x, d_y, h) is [h^2, h^2 + {hi - lo:.3g}] m^2, too "
+            f"narrow for {n_points} points: a grid step of {step:.3g} m^2 is below the float "
+            f"spacing {math.ulp(lo):.3g} m^2 at h^2 = {lo:.6g} m^2, so the first point rounds "
+            f"onto h^2, where the pdf is undefined"
+        )
+    return [(l, dist.cdf(l), dist.pdf(l)) for l in grid]

@@ -12,14 +12,14 @@ series shares its random numbers and each config gets the same digits
 as an estimate of its own.
 
 numpy is imported inside the functions that build arrays, not with the
-module, so a process that never estimates never loads it.
+module, so a process that never estimates never loads it; the thread
+pool's module loads only when a pool runs.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from paswipt.config import Config, LinearHarvest, LogisticHarvest
@@ -128,6 +128,8 @@ def estimate(
         return stats
 
     if workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             chunks = list(pool.map(chunk_stats, range(len(sizes))))
     else:

@@ -1,16 +1,77 @@
-"""Test-only oracles on numpy arrays.
+"""Test-only oracles.
 
-Brute-force and inverse-transform references that check the package but
-that the package itself never calls, kept here so that `src/` imports
-numpy only where it builds arrays of its own.
+Point-geometry, brute-force, inverse-transform and array references that
+check the package but that the package itself never calls, kept here so
+that `src/` holds only what it runs and imports numpy only where it
+builds arrays of its own.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from paswipt.config import Config, RegionGeometry, SystemParams
+from paswipt.config import SPEED_OF_LIGHT, Config, RegionGeometry, SystemParams
 from paswipt.distributions import SquaredDistanceDistribution
-from paswipt.geometry import Scheme, UePosition
+from paswipt.geometry import Scheme
 from paswipt.montecarlo import _chunk_sizes, _chunk_ue, check_mc_inputs
+
+
+def wavelength_m(system: SystemParams) -> float:
+    """Carrier wavelength c / f_c [m]."""
+    return SPEED_OF_LIGHT / system.carrier_frequency_hz
+
+
+@dataclass(frozen=True)
+class UePosition:
+    x: float
+    y: float
+
+
+@dataclass(frozen=True)
+class AntennaPosition:
+    x: float
+    y: float
+
+
+def _check_ue(geom: RegionGeometry, ue: UePosition) -> None:
+    if not (0.0 <= ue.x <= geom.d_x and 0.0 <= ue.y <= geom.d_y):
+        raise ValueError(f"UE ({ue.x}, {ue.y}) outside rectangle [0,{geom.d_x}]x[0,{geom.d_y}]")
+
+
+def optimal_antenna_position(scheme: Scheme, geom: RegionGeometry, ue: UePosition) -> AntennaPosition:
+    """Closest waveguide point to the UE (perpendicular foot).
+
+    EDS/CDS drop straight onto the horizontal line; for the diagonal the
+    foot is x_p = (x_u + k y_u) / (1 + k^2).  For a UE inside the
+    rectangle the foot provably lands in [0, d_x]; asserted rather than
+    clamped so geometry bugs surface instead of being masked.
+    """
+    _check_ue(geom, ue)
+    if scheme is Scheme.EDS:
+        pos = AntennaPosition(ue.x, 0.0)
+    elif scheme is Scheme.CDS:
+        pos = AntennaPosition(ue.x, geom.d_y / 2.0)
+    else:
+        k = geom.aspect_ratio
+        x_p = (ue.x + k * ue.y) / (1.0 + k * k)
+        pos = AntennaPosition(x_p, k * x_p)
+    assert -1e-12 <= pos.x <= geom.d_x * (1 + 1e-12), pos
+    return pos
+
+
+def squared_distance(geom: RegionGeometry, antenna: AntennaPosition, ue: UePosition) -> float:
+    """3-D squared distance; the antenna sits at the waveguide height."""
+    return (antenna.x - ue.x) ** 2 + (antenna.y - ue.y) ** 2 + geom.height**2
+
+
+def diagonal_distance_derivative(geom: RegionGeometry, ue: UePosition, x_p: float) -> float:
+    """d/dx_p of the diagonal-scheme squared distance (analytic).
+
+    Zero at the closed-form optimum; used to verify the first-order
+    condition without finite differences.
+    """
+    k = geom.aspect_ratio
+    return 2.0 * (1.0 + k * k) * x_p - 2.0 * (ue.x + k * ue.y)
 
 
 def min_squared_distance_bruteforce(
@@ -76,3 +137,43 @@ def snr(system: SystemParams, squared_distance) -> float:
     squared_distance = np.asarray(squared_distance, dtype=float)
     out = system.path_loss_factor_m2 * system.transmit_snr / squared_distance
     return out if out.ndim else float(out)
+
+
+
+def cdf_numpy(dist: SquaredDistanceDistribution, l):
+    """The distance law's CDF on a numpy array, as the package computed it
+    before the law moved to floats."""
+    h2 = dist.geometry.height**2
+    if dist.scheme is Scheme.DDS:
+        lam = dist.geometry.diagonal_half_width
+        s = np.sqrt(np.clip(l - h2, 0.0, None))
+        val = (2.0 * lam * s - (l - h2)) / lam**2
+    else:
+        varpi = dist.scheme.line_factor
+        val = varpi * np.sqrt(np.clip(l - h2, 0.0, None)) / dist.geometry.d_y
+    out = np.where(l < h2, 0.0, np.minimum(val, 1.0))
+    return np.where(l > dist.support[1], 1.0, out)
+
+
+def pdf_numpy(dist: SquaredDistanceDistribution, l):
+    """The distance law's PDF on a numpy array, as the package computed it
+    before the law moved to floats."""
+    lo, hi = dist.support
+    if np.any(l == lo):
+        raise ValueError("pdf is undefined at l = h^2 (integrable singularity)")
+    s = np.sqrt(np.clip(l - lo, 0.0, None))
+    with np.errstate(divide="ignore"):
+        if dist.scheme is Scheme.DDS:
+            lam = dist.geometry.diagonal_half_width
+            val = 1.0 / (lam * s) - 1.0 / lam**2
+        else:
+            val = dist.scheme.line_factor / (2.0 * dist.geometry.d_y * s)
+    return np.where((l < lo) | (l > hi), 0.0, val)
+
+
+def cdf_table_numpy(dist: SquaredDistanceDistribution, n_points: int):
+    """emit_cdf_table as an (n_points, 3) array: np.linspace's grid over
+    the support without its lower end, and the law on arrays."""
+    lo, hi = dist.support
+    grid = np.linspace(lo, hi, n_points + 1)[1:]
+    return np.column_stack([grid, cdf_numpy(dist, grid), pdf_numpy(dist, grid)])

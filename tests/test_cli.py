@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -24,6 +25,69 @@ def test_dist_emits_table(tmp_path, capsys):
     assert float(rows[-1]["cdf"]) == pytest.approx(1.0, abs=1e-12)
     ls = np.array([float(r["l_m2"]) for r in rows])
     assert np.all(np.diff(ls) > 0)
+
+
+# sha256 of the `paswipt dist` CSV by (scheme, room, --points), recorded
+# from the numpy implementation (np.linspace grid, array law) that the
+# float table replaced.  "tiny" is a 1e-4 m wide room 1 km below the
+# waveguide: its grid steps are a few ulps of h^2.
+DIST_ROOMS = {
+    "default": [],
+    "8x8x3": ["--dx", "8", "--dy", "8", "--height", "3"],
+    "15x8x3": ["--dx", "15", "--dy", "8", "--height", "3"],
+    "tiny": ["--dy", "1e-4", "--height", "1000"],
+}
+DIST_SHA256 = {
+    ("eds", "default", 1): "0944ae9cd335966b2cbf6436cf87ea13e7f8b7383f08803e9086757440f4ec61",
+    ("eds", "default", 7): "a7edc0f7981d659755169375136e7506821385c55b8c25da946a44d247aa6831",
+    ("eds", "default", 1000): "e9bd6ad8f17dfbe80da15a9763e5d86a66d2455a3c4697fcd07f80cbb897eba6",
+    ("eds", "8x8x3", 1): "b6e0efde86cc13f9ca1d6a46c89d759e7c043283f76b9cc37aae316ca9f77abb",
+    ("eds", "8x8x3", 7): "c68aded60638cb047777324a550018a8facb17a842d4a399bf6d887110d180d6",
+    ("eds", "8x8x3", 1000): "355ad04d2d82a4c0e3d1df3a8ef86b4f36e76303b2bac615db37386280892861",
+    ("eds", "15x8x3", 1): "b6e0efde86cc13f9ca1d6a46c89d759e7c043283f76b9cc37aae316ca9f77abb",
+    ("eds", "15x8x3", 7): "c68aded60638cb047777324a550018a8facb17a842d4a399bf6d887110d180d6",
+    ("eds", "15x8x3", 1000): "355ad04d2d82a4c0e3d1df3a8ef86b4f36e76303b2bac615db37386280892861",
+    ("eds", "tiny", 5): "6d5d70abc21f572dcae4879b79a4823b34ce53c0d94d57f5f8939e17b0632857",
+    ("cds", "default", 1): "3ede284cbb70fba4af17b14acceb3ec734ca5282c79a8dd05bbe7c5af27b0183",
+    ("cds", "default", 7): "2c5c4c828b2fbf6d200541fe235e8913c934deea4670a206444387ab76636d30",
+    ("cds", "default", 1000): "8da4d1c516e66c6661adeaf011e1c2852cdfbec2ea08cd1dba26c62b292d3f6c",
+    ("cds", "8x8x3", 1): "11c84effb3d414dda3c0466fae133ee8ea243921260126272e4477996d1c0f1f",
+    ("cds", "8x8x3", 7): "db209f3b25b95fc6a5efc7406c136cc03ab1e3d2fc1137fcc44828ec69912173",
+    ("cds", "8x8x3", 1000): "59d74162b21a8725e1d223f39ea019e0341b73a7d56cc75a7d6a6394624cf8ee",
+    ("cds", "15x8x3", 1): "11c84effb3d414dda3c0466fae133ee8ea243921260126272e4477996d1c0f1f",
+    ("cds", "15x8x3", 7): "db209f3b25b95fc6a5efc7406c136cc03ab1e3d2fc1137fcc44828ec69912173",
+    ("cds", "15x8x3", 1000): "59d74162b21a8725e1d223f39ea019e0341b73a7d56cc75a7d6a6394624cf8ee",
+    ("cds", "tiny", 5): "ea8940513c63cf89ef587e3b5ea89739a6d70823a43df751aab811dbc1347b83",
+    ("dds", "default", 1): "d45f79d144aead0ae87a412960f86308538e69c71c81f4ab3e43b30e50648835",
+    ("dds", "default", 7): "8482a709157e65a026a7a08a901b13ac787773abc57c15dae1e7a1856afc8a38",
+    ("dds", "default", 1000): "a1d23a414ac29d8b1eef0b09f963b276da22b3c9e7d666d734bbb2bf319803ef",
+    ("dds", "8x8x3", 1): "f498cce347c4d8e26de8e4b746de6644d9a5d2db4b687207f1defe7ed18b982f",
+    ("dds", "8x8x3", 7): "ba367a59f9978083598388d23d3cef7d0df039f79f3f66c084ba57e2928fe2cd",
+    ("dds", "8x8x3", 1000): "42247d5a5c4ef34e4a7e8715c429003b82bce28cca27aa3201831f5b2d947d84",
+    ("dds", "15x8x3", 1): "e1989a1fcd98fe3f24df57c38ac6360d5dcbf90db43be8e3835ed03dd95be470",
+    ("dds", "15x8x3", 7): "33378106e9b5fea36254aca3aba1fa3e083d03b67f7189f95fd13b8c503c4e9e",
+    ("dds", "15x8x3", 1000): "b1c229626867a7b0717a75777b99d3321e42460c3349ced0d29c92b12dedad0c",
+    ("dds", "tiny", 5): "c5e10b209087974f163cc5ce5e5959b0769cb173df3407fd2037394bc62f79f1",
+}
+
+
+@pytest.mark.parametrize("scheme, room, points", list(DIST_SHA256))
+def test_dist_csv_matches_golden(tmp_path, capsys, scheme, room, points):
+    out = tmp_path / "points.csv"
+    assert main(["dist", "--scheme", scheme, "--emit-cdf", str(out), "--points", str(points),
+                 *DIST_ROOMS[room]]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_SHA256[scheme, room, points]
+
+
+def test_dist_collapsed_support_names_the_cause(tmp_path, capsys):
+    out = tmp_path / "points.csv"
+    code, err = _exit_code(["dist", "--scheme", "eds", "--emit-cdf", str(out), "--dy", "1e-5",
+                            "--height", "1000"], capsys)
+    assert code == 2 and err.count("\n") == 1
+    for part in ("eds support", "15 x 1e-05 x 1000 m room", "1000 points",
+                 "float spacing", "rounds onto h^2"):
+        assert part in err
+    assert not out.exists()
 
 
 def test_energy_row(capsys):
@@ -190,6 +254,9 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
     (["sweep", "--preset", "fig4", "--out", "unused", "--mc", "--workers", "-2",
       "--samples", "1"], "samples"),
     (["sweep", "--preset", "c1", "--out", "unused", "--seed", "-1"], "seed"),
+    # the 1e-10 m^2 support is narrower than the float spacing at h^2 = 1e6 m^2
+    (["dist", "--scheme", "eds", "--emit-cdf", "unused.csv", "--dy", "1e-5", "--height", "1000"],
+     "float spacing"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)
@@ -228,7 +295,7 @@ def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, m
     assert message in err
 
 
-def _loaded_after(tmp_path, *argvs, roots=("numpy", "scipy", "yaml")):
+def _loaded_after(tmp_path, *argvs, roots=("numpy", "scipy", "yaml", "concurrent")):
     """The modules under the given top-level packages that are in
     sys.modules after a fresh interpreter imports paswipt.cli and runs
     main() on each argv in turn."""
@@ -265,9 +332,11 @@ def test_cold_cli_loads_no_scipy(tmp_path):
     ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4"],
     ["energy", "--scheme", "eds", "--model", "nlm", "--pt-w", "1e-5"],
     ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
-], ids=["import-only", "lm", "nlm-saturated", "nlm-knee", "nlm-below-turn-on", "rate"])
+    ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
+], ids=["import-only", "lm", "nlm-saturated", "nlm-knee", "nlm-below-turn-on", "rate", "dist"])
 def test_scalar_calls_load_no_numpy_scipy_or_yaml(tmp_path, argv):
-    # closed forms, the Jensen bound and the quadrature run on floats alone
+    # closed forms, the Jensen bound, the quadrature and the distance-law
+    # table run on floats alone, and no thread pool is loaded
     assert _loaded_after(tmp_path, *([argv] if argv else [])) == set()
 
 
@@ -278,12 +347,20 @@ def test_config_file_loads_yaml(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
     ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3", "--mc", "--samples", "2000"],
     ["rate", "--scheme", "dds", "--pt-w", "0.3", "--method", "mc", "--samples", "2000"],
-], ids=["dist", "energy-mc", "rate-mc"])
+], ids=["energy-mc", "rate-mc"])
 def test_array_calls_load_numpy(tmp_path, argv):
     assert "numpy" in _loaded_after(tmp_path, argv)
+
+
+@pytest.mark.parametrize("workers, pool", [("1", False), ("2", True)])
+def test_thread_pool_loads_only_when_a_pool_runs(tmp_path, workers, pool):
+    # 70000 samples make 3 chunks: one worker runs them inline, two run a pool
+    loaded = _loaded_after(tmp_path, ["energy", "--scheme", "eds", "--model", "lm", "--pt-w",
+                                      "0.3", "--mc", "--samples", "70000", "--workers", workers])
+    assert "numpy" in loaded
+    assert ("concurrent.futures" in loaded) is pool
 
 
 def test_logistic_curve_loads_only_scipy_special(tmp_path):

@@ -19,6 +19,8 @@ from paswipt.config import (
     watts_to_dbm,
 )
 
+from oracles import wavelength_m
+
 
 def test_dbm_to_watts_known_points():
     assert dbm_to_watts(-90.0) == pytest.approx(1e-12, rel=1e-12)
@@ -35,7 +37,7 @@ def test_path_loss_factor_at_28ghz():
     s = SystemParams(28e9, 1e-12, 1.0)
     # c^2 / (16 pi^2 f_c^2) evaluated independently
     assert s.path_loss_factor_m2 == pytest.approx(7.2595e-7, rel=1e-4)
-    assert s.path_loss_factor_m2 == pytest.approx((s.wavelength_m / (4 * math.pi)) ** 2, rel=1e-12)
+    assert s.path_loss_factor_m2 == pytest.approx((wavelength_m(s) / (4 * math.pi)) ** 2, rel=1e-12)
 
 
 def test_path_loss_factor_degenerate_unit_case():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, stats
 
 from paswipt.config import DEFAULT_HARVEST, RegionGeometry, dbm_to_watts, default_config
@@ -13,7 +14,7 @@ from paswipt.distributions import (
 from paswipt.energy import harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
-from oracles import ground_projection_cdf, sample_squared_distance
+from oracles import cdf_table_numpy, ground_projection_cdf, sample_squared_distance
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
 
@@ -48,7 +49,7 @@ def test_cdf_endpoints(dist):
 def test_cdf_nondecreasing(dist):
     lo, hi = dist.support
     grid = np.linspace(lo - 1, hi + 1, 5000)
-    vals = dist.cdf(grid)
+    vals = [dist.cdf(l) for l in grid.tolist()]
     assert np.all(np.diff(vals) >= -1e-15)
 
 
@@ -77,7 +78,7 @@ def test_pdf_rejects_singular_point(dist):
 def test_pdf_nonnegative_and_zero_outside(dist):
     lo, hi = dist.support
     inside = np.linspace(lo, hi, 2001)[1:]
-    assert np.all(dist.pdf(inside) >= 0.0)
+    assert all(dist.pdf(l) >= 0.0 for l in inside.tolist())
     assert dist.pdf(lo - 0.5) == 0.0
     assert dist.pdf(hi + 0.5) == 0.0
 
@@ -98,7 +99,8 @@ def test_cdf_is_antiderivative_of_pdf(dist):
 
 def test_sample_cdf_identity(dist):
     u = np.arange(1e-3, 1.0, 1e-3)
-    assert np.max(np.abs(dist.cdf(sample_squared_distance(dist, u)) - u)) < 1e-10
+    cdf = np.array([dist.cdf(l) for l in sample_squared_distance(dist, u).tolist()])
+    assert np.max(np.abs(cdf - u)) < 1e-10
 
 
 def test_sample_limits(dist):
@@ -146,7 +148,8 @@ def test_dds_cdf_consistent_with_projection_law():
     lo, hi = d.support
     grid = np.linspace(lo, hi, 1001)
     transformed = ground_projection_cdf(GEOM, np.sqrt(grid - lo))
-    assert np.max(np.abs(transformed - d.cdf(grid))) < 1e-12
+    cdf = np.array([d.cdf(l) for l in grid.tolist()])
+    assert np.max(np.abs(transformed - cdf)) < 1e-12
 
 
 def test_center_line_stochastically_smaller_than_edge():
@@ -154,16 +157,41 @@ def test_center_line_stochastically_smaller_than_edge():
     cds = SquaredDistanceDistribution(Scheme.CDS, GEOM)
     lo, hi = eds.support
     grid = np.linspace(lo, hi, 2001)
-    assert np.all(cds.cdf(grid) >= eds.cdf(grid) - 1e-15)
+    assert all(cds.cdf(l) >= eds.cdf(l) - 1e-15 for l in grid.tolist())
 
 
 def test_emit_cdf_table_shape():
     d = SquaredDistanceDistribution(Scheme.DDS, GEOM)
     table = emit_cdf_table(d, 1000)
-    assert table.shape == (1000, 3)
-    assert np.all(np.isfinite(table))
-    assert table[-1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert len(table) == 1000 and all(len(row) == 3 for row in table)
+    assert all(math.isfinite(x) for row in table for x in row)
+    assert table[-1][1] == pytest.approx(1.0, abs=1e-12)
 
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(list(Scheme)), d_x=_log_uniform(-5, 3), d_y=_log_uniform(-5, 3),
+       height=_log_uniform(-3, 3), n_points=st.integers(min_value=1, max_value=4096))
+@example(scheme=Scheme.EDS, d_x=15.0, d_y=1e-5, height=1e3, n_points=1000)  # collapsed
+@example(scheme=Scheme.DDS, d_x=15.0, d_y=1e-4, height=1e3, n_points=5)  # a few ulps wide
+@example(scheme=Scheme.EDS, d_x=1.0, d_y=1e-161, height=1e-170, n_points=4096)  # step 0
+def test_emit_cdf_table_matches_numpy_oracle(scheme, d_x, d_y, height, n_points):
+    """The float table has the bits of np.linspace and the array law; where
+    the first grid point rounds onto h^2, both refuse."""
+    dist = SquaredDistanceDistribution(scheme, RegionGeometry(d_x=d_x, d_y=d_y, height=height))
+    try:
+        want = cdf_table_numpy(dist, n_points)
+    except ValueError:
+        with pytest.raises(ValueError, match="float spacing"):
+            emit_cdf_table(dist, n_points)
+        return
+    got = emit_cdf_table(dist, n_points)
+    assert [tuple(map(float.hex, row)) for row in got] == \
+        [tuple(map(float.hex, row)) for row in want.tolist()]
 
 # --- the in-package Gauss-Kronrod quadrature against its oracles ---------
 
