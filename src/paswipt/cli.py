@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from paswipt.config import Config, default_config, dbm_to_watts, load_config, model_tag, validate
+from paswipt.config import FIELDS, Config, default_config, load_config, model_tag, validate
 from paswipt.distributions import SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import check_mc_inputs
-from paswipt.sweep import METHODS, emit_outputs, evaluate, preset, run_power_sweep, run_tradeoff
+from paswipt.sweep import (METHODS, PRESETS, emit_outputs, evaluate, preset, run_power_sweep,
+                           run_tradeoff)
 
 # Not called here: bound so that benchmarks/tracer.py finds every name it wraps in this module.
 from paswipt.energy import (  # noqa: F401
@@ -25,28 +26,14 @@ from paswipt.energy import (  # noqa: F401
 from paswipt.montecarlo import estimate  # noqa: F401
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature  # noqa: F401
 
-# (flag, Config field, conversion from the flag's unit to SI, help).  No
-# flag has a default: one left out keeps the --config file's value, or
-# default_config's without a file.
-_CONFIG_FLAGS = (
-    ("--pt-w", "transmit_power_w", float, "transmit power [W]; required without --config"),
-    ("--noise-dbm", "noise_power_w", dbm_to_watts, "noise power [dBm]"),
-    ("--fc-ghz", "carrier_frequency_hz", lambda ghz: ghz * 1e9, "carrier frequency [GHz]"),
-    ("--dx", "d_x", float, "room size along x [m]"),
-    ("--dy", "d_y", float, "room size along y [m]"),
-    ("--height", "height", float, "waveguide height [m]"),
-    ("--alpha", "alpha", float, "time-switching factor"),
-    ("--beta", "beta", float, "power-splitting factor"),
-)
-
 _UNITS = {"energy": "w", "rate": "bits_s_hz"}
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file; a flag below, when given, overrides it")
-    for flag, field, _, text in _CONFIG_FLAGS:
-        p.add_argument(flag, dest=field, type=float, help=text,
-                       metavar=flag[2:].upper().replace("-", "_"))
+    for f in FIELDS:
+        p.add_argument(f.flag, dest=f.name, type=float, help=f.help,
+                       metavar=f.flag[2:].upper().replace("-", "_"))
 
 
 def _add_mc_args(p: argparse.ArgumentParser) -> None:
@@ -70,8 +57,8 @@ def _config(args, need_power: bool = True) -> Config:
     else:
         # --pt-w replaces the 1 W; only `dist` may omit it, the distance law ignores it
         cfg = default_config(1.0, model or "lm")
-    given = {field: to_si(getattr(args, field)) for _, field, to_si, _ in _CONFIG_FLAGS
-             if getattr(args, field) is not None}
+    given = {f.name: f.convert(getattr(args, f.name), f.flag) for f in FIELDS
+             if getattr(args, f.name) is not None}
     return validate(cfg.with_params(**given))
 
 
@@ -158,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="run a named experiment preset")
-    p.add_argument("--preset", choices=["s1", "s2", "c1", "c2", "fig4"], required=True)
+    p.add_argument("--preset", choices=list(PRESETS), required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mc", action="store_true")
     _add_mc_args(p)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -149,19 +149,15 @@ class Config:
         with_params(transmit_power_w=0.5, d_x=40.0, harvest=model).  Names
         are unique across sections; an unknown one raises TypeError.  The
         copy is not validated."""
-        changes = {}
-        if "harvest" in params:
-            changes["harvest"] = params.pop("harvest")
-        for section in ("system", "protocol", "geometry"):
-            if not params:
-                break
-            part = getattr(self, section)
-            own = {f.name: params.pop(f.name) for f in fields(part) if f.name in params}
-            if own:
-                changes[section] = replace(part, **own)
-        if params:
-            raise TypeError(f"unknown config field(s): {', '.join(sorted(params))}")
-        return replace(self, **changes)
+        sections: dict[str, dict] = {}
+        for f in FIELDS:
+            if f.name in params:
+                sections.setdefault(f.section, {})[f.name] = params.pop(f.name)
+        unknown = params.keys() - {"harvest"}
+        if unknown:
+            raise TypeError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+        return replace(self, **params, **{section: replace(getattr(self, section), **own)
+                                          for section, own in sections.items()})
 
 
 class ConfigError(ValueError):
@@ -172,6 +168,62 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+class Field(NamedTuple):
+    """One parameter as the config file, the CLI and the defaults see it
+    (a NamedTuple: a dataclass would cost a cold import ~1 ms more)."""
+
+    section: str  # system, protocol, geometry or harvest
+    name: str  # the SI field of that section's dataclass
+    key: str  # the config-file key; its suffix names the file unit
+    to_si: Callable[[float], float]  # file (and flag) unit -> SI
+    flag: str | None = None
+    help: str | None = None
+    default: float | None = None  # in file units; the transmit power has none
+
+    def convert(self, value: float, where: str) -> float:
+        """value in SI units; a ConfigError naming `where` if it overflows."""
+        try:
+            return self.to_si(value)
+        except OverflowError:
+            raise ConfigError([f"{where} is out of range, got {value!r}"]) from None
+
+
+# Every system, protocol and geometry field.  A flag that is not given keeps
+# the --config file's value, or the default without a file.
+FIELDS = (
+    Field("system", "carrier_frequency_hz", "carrier_frequency_ghz", lambda ghz: ghz * 1e9,
+          "--fc-ghz", "carrier frequency [GHz]", 28.0),
+    Field("system", "noise_power_w", "noise_power_dbm", dbm_to_watts,
+          "--noise-dbm", "noise power [dBm]", -90.0),
+    Field("system", "transmit_power_w", "transmit_power_w", float,
+          "--pt-w", "transmit power [W]; required without --config"),
+    Field("protocol", "alpha", "alpha", float, "--alpha", "time-switching factor", 0.8),
+    Field("protocol", "beta", "beta", float, "--beta", "power-splitting factor", 0.8),
+    Field("geometry", "d_x", "d_x_m", float, "--dx", "room size along x [m]", 15.0),
+    Field("geometry", "d_y", "d_y_m", float, "--dy", "room size along y [m]", 10.0),
+    Field("geometry", "height", "height_m", float, "--height", "waveguide height [m]", 3.0),
+)
+
+# The harvester class and its file keys, by harvest.model.  No flag sets
+# them, and their defaults are DEFAULT_HARVEST's SI literals.
+HARVEST_FIELDS: dict[str, tuple[type, tuple[Field, ...]]] = {
+    "lm": (LinearHarvest, (Field("harvest", "eta", "eta", float),)),
+    "nlm": (LogisticHarvest, (
+        Field("harvest", "saturation_w", "saturation_mw", lambda mw: mw * 1e-3),
+        Field("harvest", "slope_per_w", "slope_per_uw", lambda per_uw: per_uw * 1e6),
+        Field("harvest", "turn_on_w", "turn_on_uw", lambda uw: uw * 1e-6),
+    )),
+}
+
+# (allowed range, test) by field name; every other field must be finite and > 0
+_RANGES = {
+    "alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "beta": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "eta": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+}
+_POSITIVE = ("> 0", lambda v: math.isfinite(v) and v > 0)
+
+
 def validate(config: Config) -> Config:
     """Check every constraint and return the config, or raise ConfigError.
 
@@ -179,159 +231,92 @@ def validate(config: Config) -> Config:
     reports everything wrong with a spec in one shot.
     """
     errors: list[str] = []
-
-    s = config.system
-    if not (math.isfinite(s.carrier_frequency_hz) and s.carrier_frequency_hz > 0):
-        errors.append(f"carrier_frequency_hz must be > 0, got {s.carrier_frequency_hz}")
-    if not (math.isfinite(s.noise_power_w) and s.noise_power_w > 0):
-        errors.append(f"noise_power_w must be > 0, got {s.noise_power_w}")
-    if not (math.isfinite(s.transmit_power_w) and s.transmit_power_w > 0):
-        errors.append(f"transmit_power_w must be > 0, got {s.transmit_power_w}")
-
-    p = config.protocol
-    if not (0.0 <= p.alpha <= 1.0):
-        errors.append(f"alpha must be in [0, 1], got {p.alpha}")
-    if not (0.0 <= p.beta <= 1.0):
-        errors.append(f"beta must be in [0, 1], got {p.beta}")
-
-    g = config.geometry
-    if not (math.isfinite(g.d_x) and g.d_x > 0):
-        errors.append(f"d_x must be > 0, got {g.d_x}")
-    if not (math.isfinite(g.d_y) and g.d_y > 0):
-        errors.append(f"d_y must be > 0, got {g.d_y}")
-    if not (math.isfinite(g.height) and g.height > 0):
-        errors.append(f"height must be > 0, got {g.height}")
-
     m = config.harvest
-    if isinstance(m, LinearHarvest):
-        if not (0.0 < m.eta <= 1.0):
-            errors.append(f"eta must be in (0, 1], got {m.eta}")
-    elif isinstance(m, LogisticHarvest):
-        if not (math.isfinite(m.saturation_w) and m.saturation_w > 0):
-            errors.append(f"saturation_w must be > 0, got {m.saturation_w}")
-        if not (math.isfinite(m.slope_per_w) and m.slope_per_w > 0):
-            errors.append(f"slope_per_w must be > 0, got {m.slope_per_w}")
-        if not (math.isfinite(m.turn_on_w) and m.turn_on_w > 0):
-            errors.append(f"turn_on_w must be > 0, got {m.turn_on_w}")
-    else:
+    known = isinstance(m, (LinearHarvest, LogisticHarvest))
+    bad_sections = set()
+    for f in FIELDS + (HARVEST_FIELDS[model_tag(m)][1] if known else ()):
+        value = getattr(getattr(config, f.section), f.name)
+        allowed, ok = _RANGES.get(f.name, _POSITIVE)
+        if not ok(value):
+            errors.append(f"{f.name} must be {allowed}, got {value}")
+            bad_sections.add(f.section)
+    if "system" not in bad_sections:
+        # mu P_t / sigma^2 scales every rate; it can overflow with valid fields
+        s = config.system
+        try:
+            link = s.path_loss_factor_m2 * s.transmit_snr
+        except (OverflowError, ZeroDivisionError):
+            link = math.inf
+        if not math.isfinite(link):
+            errors.append(f"link factor mu P_t / sigma^2 (path_loss_factor_m2 * transmit_snr) "
+                          f"must be finite, got {link}")
+    if not known:
         errors.append(f"harvest model must be LinearHarvest or LogisticHarvest, got {type(m).__name__}")
-
     if errors:
         raise ConfigError(errors)
     return config
 
 
-def default_config(
-    transmit_power_w: float,
-    model: str = "lm",
-    *,
-    d_x: float = 15.0,
-    d_y: float = 10.0,
-    height: float = 3.0,
-    alpha: float = 0.8,
-    beta: float = 0.8,
-) -> Config:
-    """Baseline simulation setup: -90 dBm noise, 28 GHz carrier and the
-    DEFAULT_HARVEST model named by `model`.  This is the one home of the
-    defaults: the CLI and the presets start from it.
-
-    The transmit power has no sensible default (it is the usual sweep
-    variable) and must be given explicitly.
-    """
+def default_config(transmit_power_w: float, model: str = "lm") -> Config:
+    """Baseline setup: the defaults of FIELDS and the DEFAULT_HARVEST model
+    named by `model`.  The CLI and the presets start from it.  The
+    transmit power, the usual sweep variable, has no default."""
     if model not in DEFAULT_HARVEST:
         raise ValueError(f"model must be 'lm' or 'nlm', got {model!r}")
-    return validate(
-        Config(
-            system=SystemParams(
-                carrier_frequency_hz=28e9,
-                noise_power_w=dbm_to_watts(-90.0),
-                transmit_power_w=transmit_power_w,
-            ),
-            protocol=ProtocolParams(alpha=alpha, beta=beta),
-            geometry=RegionGeometry(d_x=d_x, d_y=d_y, height=height),
-            harvest=DEFAULT_HARVEST[model],
-        )
-    )
-
-
-def _require(section: dict, key: str, where: str, errors: list[str]):
-    if key not in section:
-        errors.append(f"missing key '{key}' in section '{where}'")
-        return None
-    return section[key]
-
-
-def _number(section: dict, key: str, where: str, errors: list[str]) -> float | None:
-    """section[key] as a float, or None with the reason appended to errors."""
-    if key not in section:
-        return _require(section, key, where, errors)  # records the missing key
-    try:
-        return float(section[key])
-    except (TypeError, ValueError):
-        errors.append(f"key '{key}' in section '{where}' must be a number, got {section[key]!r}")
-        return None
+    si = {f.name: f.to_si(f.default) for f in FIELDS if f.default is not None}
+    si["transmit_power_w"] = transmit_power_w
+    return validate(Config(*(cls(**{f.name: si[f.name] for f in fields(cls)})
+                             for cls in (SystemParams, ProtocolParams, RegionGeometry)),
+                           DEFAULT_HARVEST[model]))
 
 
 def config_from_dict(raw: dict) -> Config:
     """Build a Config from the nested, unit-suffixed file schema.
 
-    Sections: system / protocol / geometry / harvest.  See README for the
-    full key list; units are encoded in the key names (dbm, ghz, mw, uw).
+    Sections: system / protocol / geometry / harvest, with the keys of
+    FIELDS and of HARVEST_FIELDS for the harvest model; the units are
+    encoded in the key names (dbm, ghz, mw, uw).  Every key is required,
+    and an unknown key or section is an error.
     """
+    sections = ("system", "protocol", "geometry", "harvest")
     errors: list[str] = []
-    for section in ("system", "protocol", "geometry", "harvest"):
+    for section in sections:
         if section not in raw:
             errors.append(f"missing section '{section}'")
         elif not isinstance(raw[section], dict):
             errors.append(f"section '{section}' must be a mapping, got {raw[section]!r}")
+    errors += [f"unknown section '{section}'" for section in raw if section not in sections]
     if errors:
         raise ConfigError(errors)
 
-    sy, pr, ge, ha = raw["system"], raw["protocol"], raw["geometry"], raw["harvest"]
-
-    fc = _number(sy, "carrier_frequency_ghz", "system", errors)
-    noise = _number(sy, "noise_power_dbm", "system", errors)
-    pt = _number(sy, "transmit_power_w", "system", errors)
-    alpha = _number(pr, "alpha", "protocol", errors)
-    beta = _number(pr, "beta", "protocol", errors)
-    dx = _number(ge, "d_x_m", "geometry", errors)
-    dy = _number(ge, "d_y_m", "geometry", errors)
-    h = _number(ge, "height_m", "geometry", errors)
-    model = _require(ha, "model", "harvest", errors)
-
-    harvest: HarvestModel | None = None
-    if model == "lm":
-        eta = _number(ha, "eta", "harvest", errors)
-        if eta is not None:
-            harvest = LinearHarvest(eta=eta)
-    elif model == "nlm":
-        phi = _number(ha, "saturation_mw", "harvest", errors)
-        a = _number(ha, "slope_per_uw", "harvest", errors)
-        b = _number(ha, "turn_on_uw", "harvest", errors)
-        if None not in (phi, a, b):
-            harvest = LogisticHarvest(
-                saturation_w=phi * 1e-3,
-                slope_per_w=a * 1e6,
-                turn_on_w=b * 1e-6,
-            )
-    elif model is not None:
+    model = raw["harvest"].get("model")
+    known_model = model in tuple(HARVEST_FIELDS)  # a tuple: the value may be unhashable
+    rows = FIELDS + (HARVEST_FIELDS[model][1] if known_model else ())
+    si: dict[str, float] = {}
+    for f in rows:
+        section, where = raw[f.section], f"key '{f.key}' in section '{f.section}'"
+        try:
+            si[f.name] = f.convert(float(section[f.key]), where)
+        except KeyError:
+            errors.append(f"missing {where}")
+        except ConfigError as exc:  # the unit conversion overflowed
+            errors += exc.errors
+        except (TypeError, ValueError):
+            errors.append(f"{where} must be a number, got {section[f.key]!r}")
+    if "model" not in raw["harvest"]:
+        errors.append("missing key 'model' in section 'harvest'")
+    elif not known_model:
         errors.append(f"harvest.model must be 'lm' or 'nlm', got {model!r}")
-
+    allowed = {(f.section, f.key) for f in rows} | {("harvest", "model")}
+    for section in sections if known_model else sections[:3]:
+        errors += [f"unknown key '{key}' in section '{section}'"
+                   for key in raw[section] if (section, key) not in allowed]
     if errors:
         raise ConfigError(errors)
-
-    return validate(
-        Config(
-            system=SystemParams(
-                carrier_frequency_hz=fc * 1e9,
-                noise_power_w=dbm_to_watts(noise),
-                transmit_power_w=pt,
-            ),
-            protocol=ProtocolParams(alpha=alpha, beta=beta),
-            geometry=RegionGeometry(d_x=dx, d_y=dy, height=h),
-            harvest=harvest,  # type: ignore[arg-type]
-        )
-    )
+    cls, harvest_rows = HARVEST_FIELDS[model]
+    harvest = cls(**{f.name: si.pop(f.name) for f in harvest_rows})
+    # every key is required, so the file's values replace each default
+    return validate(default_config(1.0).with_params(harvest=harvest, **si))
 
 
 def load_config(path: str | Path) -> Config:

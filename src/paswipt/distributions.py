@@ -169,11 +169,11 @@ class SquaredDistanceDistribution:
         return h2, h2 + self.span**2
 
     def cdf(self, l: float) -> float:
-        """P(L <= l): 0 below h^2, 1 above the support, clamped to <= 1."""
+        """P(L <= l): 0 below h^2, 1 from the top of the support on, <= 1."""
         h2, hi = self.support
         if l < h2:
             return 0.0
-        if l > hi:
+        if l >= hi:
             return 1.0
         if self.scheme is Scheme.DDS:
             lam = self.span
@@ -183,7 +183,7 @@ class SquaredDistanceDistribution:
         return min(val, 1.0)  # in this order a NaN val stays NaN
 
     def pdf(self, l: float) -> float:
-        """Density of L: 0 outside the support; raises ValueError at l = h^2."""
+        """Density of L, >= 0: 0 outside the support; ValueError at l = h^2."""
         lo, hi = self.support
         if l == lo:
             # density diverges like 1/sqrt(l - h^2) at the lower edge
@@ -193,7 +193,8 @@ class SquaredDistanceDistribution:
         s = math.sqrt(l - lo)
         if self.scheme is Scheme.DDS:
             lam = self.span
-            return 1.0 / (lam * s) - 1.0 / lam**2
+            # s, the rounded width of a support a few ulps wide, can exceed lam
+            return max(1.0 / (lam * s) - 1.0 / lam**2, 0.0)  # a NaN stays NaN
         return self.scheme.line_factor / (2.0 * self.geometry.d_y * s)
 
     def expect(self, g: Callable, rel_tol: float = 1e-11) -> float:

@@ -207,6 +207,8 @@ def tradeoff_rate_at_energy(
     flat over much of the range, so the boundary point is the SMALLEST
     control reaching the requested energy (leftmost crossing).
     """
+    if math.isnan(energy_w):
+        raise ValueError(f"energy level must be a number, got {energy_w}")
     base = base.with_params(harvest=model)
 
     def energy_at(control: float) -> float:
@@ -229,58 +231,38 @@ def tradeoff_rate_at_energy(
     return evaluate("rate", "closed", scheme, [cfg])[0][0]
 
 
-def _preset_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
-    import numpy as np
-
-    return tuple(np.logspace(np.log10(lo), np.log10(hi), points))
+# name: (experiment, changes to default_config(0.3), methods before any mc)
+PRESETS = {
+    "s1": ("energy", dict(d_x=8.0, d_y=8.0), ("closed", "bound", "quadrature")),
+    "s2": ("energy", dict(d_x=15.0, d_y=8.0), ("closed", "bound", "quadrature")),
+    "c1": ("rate", dict(alpha=0.8, beta=0.8), ("closed", "quadrature")),
+    "c2": ("rate", dict(alpha=0.6, beta=0.6), ("closed", "quadrature")),
+    "fig4": ("region", dict(d_x=8.0, d_y=8.0), ("closed", "bound", "quadrature")),
+}
 
 
 def preset(name: str, *, include_mc: bool = False, samples: int = 1_000_000,
            seed: int = 0, workers: int = 1) -> SweepSpec:
-    """Named experiment presets; include_mc appends "mc" to the methods.
+    """The SweepSpec of a PRESETS entry.  include_mc appends "mc" to the
+    methods of the power sweeps; the region (fig4) has no MC rows.  Power
+    grids are 50 log-spaced points on [0.01, 1] W (a repo choice; the axis
+    range is otherwise unspecified), region controls 41 points on [0, 1].
+    Energy and region presets run both harvest models."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose s1, s2, c1, c2 or fig4")
+    import numpy as np
 
-    s1/s2: energy vs power in a square (8 x 8) / rectangular (15 x 8)
-    room; c1/c2: rate vs power with alpha = beta = 0.8 / 0.6; fig4:
-    energy-rate region at 0.3 W in the 8 x 8 room, which has no MC rows.
-    Power grids default to 50 log-spaced points on [0.01, 1] W (a repo
-    choice; the axis range is otherwise unspecified).
-    """
-    mc = ("mc",) if include_mc else ()
-    common = dict(samples=samples, seed=seed, workers=workers)
-    both = tuple(DEFAULT_HARVEST.values())
-    if name == "s1":
-        return SweepSpec(
-            "energy", default_config(0.3, d_x=8.0, d_y=8.0),
-            _preset_grid(0.01, 1.0, 50),
-            harvest_models=both,
-            methods=("closed", "bound", "quadrature", *mc), **common,
-        )
-    if name == "s2":
-        return SweepSpec(
-            "energy", default_config(0.3, d_x=15.0, d_y=8.0),
-            _preset_grid(0.01, 1.0, 50),
-            harvest_models=both,
-            methods=("closed", "bound", "quadrature", *mc), **common,
-        )
-    if name == "c1":
-        return SweepSpec(
-            "rate", default_config(0.3, alpha=0.8, beta=0.8),
-            _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature", *mc), **common,
-        )
-    if name == "c2":
-        return SweepSpec(
-            "rate", default_config(0.3, alpha=0.6, beta=0.6),
-            _preset_grid(0.01, 1.0, 50), methods=("closed", "quadrature", *mc), **common,
-        )
-    if name == "fig4":
-        import numpy as np
-
-        return SweepSpec(
-            "region", default_config(0.3, d_x=8.0, d_y=8.0),
-            tuple(np.linspace(0.0, 1.0, 41)),
-            harvest_models=both, **common,
-        )
-    raise ValueError(f"unknown preset {name!r}; choose s1, s2, c1, c2 or fig4")
+    experiment, changes, methods = PRESETS[name]
+    if experiment == "region":
+        grid = tuple(np.linspace(0.0, 1.0, 41))
+    else:
+        grid = tuple(np.logspace(np.log10(0.01), np.log10(1.0), 50))
+        methods += ("mc",) if include_mc else ()
+    return SweepSpec(
+        experiment, default_config(0.3).with_params(**changes), grid,
+        harvest_models=() if experiment == "rate" else tuple(DEFAULT_HARVEST.values()),
+        methods=methods, samples=samples, seed=seed, workers=workers,
+    )
 
 
 PLOT_SCRIPT = """\

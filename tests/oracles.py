@@ -152,7 +152,7 @@ def cdf_numpy(dist: SquaredDistanceDistribution, l):
         varpi = dist.scheme.line_factor
         val = varpi * np.sqrt(np.clip(l - h2, 0.0, None)) / dist.geometry.d_y
     out = np.where(l < h2, 0.0, np.minimum(val, 1.0))
-    return np.where(l > dist.support[1], 1.0, out)
+    return np.where(l >= dist.support[1], 1.0, out)
 
 
 def pdf_numpy(dist: SquaredDistanceDistribution, l):
@@ -165,7 +165,7 @@ def pdf_numpy(dist: SquaredDistanceDistribution, l):
     with np.errstate(divide="ignore"):
         if dist.scheme is Scheme.DDS:
             lam = dist.geometry.diagonal_half_width
-            val = 1.0 / (lam * s) - 1.0 / lam**2
+            val = np.maximum(1.0 / (lam * s) - 1.0 / lam**2, 0.0)
         else:
             val = dist.scheme.line_factor / (2.0 * dist.geometry.d_y * s)
     return np.where((l < lo) | (l > hi), 0.0, val)

@@ -166,7 +166,7 @@ def test_criterion_6_energy_vs_power_shapes():
 
 def test_criterion_7_energy_rate_region():
     """Region shapes at 0.3 W in the 8 x 8 room."""
-    base = default_config(0.3, d_x=8.0, d_y=8.0)
+    base = default_config(0.3).with_params(d_x=8.0, d_y=8.0)
     spec = SweepSpec(
         "region", base, tuple(np.linspace(0.0, 1.0, 41)),
         harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),

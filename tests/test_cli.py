@@ -30,7 +30,8 @@ def test_dist_emits_table(tmp_path, capsys):
 # sha256 of the `paswipt dist` CSV by (scheme, room, --points), recorded
 # from the numpy implementation (np.linspace grid, array law) that the
 # float table replaced.  "tiny" is a 1e-4 m wide room 1 km below the
-# waveguide: its grid steps are a few ulps of h^2.
+# waveguide: its grid steps are a few ulps of h^2.  Its cds and dds tables
+# were re-recorded when the law learned to top out at cdf 1 and pdf >= 0.
 DIST_ROOMS = {
     "default": [],
     "8x8x3": ["--dx", "8", "--dy", "8", "--height", "3"],
@@ -57,7 +58,7 @@ DIST_SHA256 = {
     ("cds", "15x8x3", 1): "11c84effb3d414dda3c0466fae133ee8ea243921260126272e4477996d1c0f1f",
     ("cds", "15x8x3", 7): "db209f3b25b95fc6a5efc7406c136cc03ab1e3d2fc1137fcc44828ec69912173",
     ("cds", "15x8x3", 1000): "59d74162b21a8725e1d223f39ea019e0341b73a7d56cc75a7d6a6394624cf8ee",
-    ("cds", "tiny", 5): "ea8940513c63cf89ef587e3b5ea89739a6d70823a43df751aab811dbc1347b83",
+    ("cds", "tiny", 5): "098dcba9d1e12f9c501d2ab97fe7768298f0d8ef33d5918b37979599bf587f05",
     ("dds", "default", 1): "d45f79d144aead0ae87a412960f86308538e69c71c81f4ab3e43b30e50648835",
     ("dds", "default", 7): "8482a709157e65a026a7a08a901b13ac787773abc57c15dae1e7a1856afc8a38",
     ("dds", "default", 1000): "a1d23a414ac29d8b1eef0b09f963b276da22b3c9e7d666d734bbb2bf319803ef",
@@ -67,7 +68,7 @@ DIST_SHA256 = {
     ("dds", "15x8x3", 1): "e1989a1fcd98fe3f24df57c38ac6360d5dcbf90db43be8e3835ed03dd95be470",
     ("dds", "15x8x3", 7): "33378106e9b5fea36254aca3aba1fa3e083d03b67f7189f95fd13b8c503c4e9e",
     ("dds", "15x8x3", 1000): "b1c229626867a7b0717a75777b99d3321e42460c3349ced0d29c92b12dedad0c",
-    ("dds", "tiny", 5): "c5e10b209087974f163cc5ce5e5959b0769cb173df3407fd2037394bc62f79f1",
+    ("dds", "tiny", 5): "f4889ab72234a376d32cc0d9c7e5ab9b7b895a3972c4d585180ec9d59e0f85a2",
 }
 
 
@@ -77,6 +78,19 @@ def test_dist_csv_matches_golden(tmp_path, capsys, scheme, room, points):
     assert main(["dist", "--scheme", scheme, "--emit-cdf", str(out), "--points", str(points),
                  *DIST_ROOMS[room]]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_SHA256[scheme, room, points]
+
+
+@pytest.mark.parametrize("scheme, pdf", [("cds", 202248486.86231309), ("dds", 0.0)])
+def test_dist_table_tops_out_in_a_few_ulps_wide_support(tmp_path, capsys, scheme, pdf):
+    # s = sqrt(hi - h^2) is the rounded width there, not the span, so the
+    # formulas alone gave cdf 0.98888 (cds) and pdf -58536.9 (dds) at the top
+    out = tmp_path / "points.csv"
+    assert main(["dist", "--scheme", scheme, "--emit-cdf", str(out), "--points", "5",
+                 *DIST_ROOMS["tiny"]]) == 0
+    with open(out) as f:
+        last = list(csv.DictReader(f))[-1]
+    assert float(last["cdf"]) == 1.0
+    assert float(last["pdf"]) == pdf
 
 
 def test_dist_collapsed_support_names_the_cause(tmp_path, capsys):
@@ -174,7 +188,7 @@ def test_flags_override_config_file(tmp_path, capsys):
                    "--config", str(cfg)], capsys)
     header, row = out.strip().splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
-    c = default_config(0.5, d_x=40.0)
+    c = default_config(0.5).with_params(d_x=40.0)
     expected = avg_energy_lm_closed(Scheme.EDS, c.system, c.protocol, c.geometry, c.harvest)
     assert fields["pt_w"] == "0.5"
     assert fields["closed_w"] == f"{expected:.17g}"
@@ -257,6 +271,8 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
     # the 1e-10 m^2 support is narrower than the float spacing at h^2 = 1e6 m^2
     (["dist", "--scheme", "eds", "--emit-cdf", "unused.csv", "--dy", "1e-5", "--height", "1000"],
      "float spacing"),
+    # 1e6 dBm overflows the conversion to watts
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--noise-dbm", "1e6"], "--noise-dbm"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)
@@ -264,6 +280,15 @@ def test_bad_flag_fails_with_one_line(argv, field, capsys):
     assert err.count("\n") == 1 and err.startswith(f"paswipt {argv[0]}: error:")
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["closed", "quad"])
+def test_infinite_link_factor_fails_with_one_line(method, capsys):
+    # 1e300 W over 1e-33 W of noise: mu P_t / sigma^2 overflows, every field is valid
+    code, err = _exit_code(["rate", "--scheme", "eds", "--pt-w", "1e300", "--noise-dbm", "-300",
+                            "--method", method], capsys)
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+    assert "(path_loss_factor_m2 * transmit_snr) must be finite, got inf" in err
 
 
 def test_bad_config_file_fails_cleanly(tmp_path, capsys):
@@ -284,7 +309,9 @@ def test_bad_config_file_fails_cleanly(tmp_path, capsys):
     ("eta: 1.0", "eta: [1]", "key 'eta' in section 'harvest' must be a number, got [1]"),
     ("transmit_power_w: 0.3", "transmit_power_w: abc",
      "key 'transmit_power_w' in section 'system' must be a number, got 'abc'"),
-], ids=["section-not-a-mapping", "eta-not-a-number", "power-not-a-number"])
+    ("noise_power_dbm: -90", "noise_power_dbm: 1e6",
+     "key 'noise_power_dbm' in section 'system' is out of range, got 1000000.0"),
+], ids=["section-not-a-mapping", "eta-not-a-number", "power-not-a-number", "noise-overflows"])
 def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, message):
     path = _config_file(tmp_path)
     text = path.read_text()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from paswipt.config import (
 )
 
 from oracles import wavelength_m
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_dbm_to_watts_known_points():
@@ -171,6 +174,8 @@ def _raw_config(**changes):
     (dict(system={"transmit_power_w": "abc"}),
      "key 'transmit_power_w' in section 'system' must be a number, got 'abc'"),
     (dict(protocol={"alpha": None}), "key 'alpha' in section 'protocol' must be a number"),
+    (dict(system={"noise_power_dbm": 1e6}),
+     "key 'noise_power_dbm' in section 'system' is out of range, got 1000000.0"),
 ])
 def test_config_from_dict_rejects_malformed_structure(changes, message):
     with pytest.raises(ConfigError) as exc:
@@ -199,3 +204,48 @@ def test_load_config_yaml(tmp_path):
     cfg = load_config(path)
     assert cfg.system.transmit_power_w == 0.3
     assert isinstance(cfg.harvest, LinearHarvest)
+
+
+def test_config_from_dict_names_each_unknown_key_and_section():
+    raw = _raw_config(protocol={"gamma": 0.5}, harvest={"model": "nlm", "saturation_mw": 20,
+                                                        "slope_per_uw": 100, "turn_on_uw": 2.9})
+    raw["extra"] = {"x": 1}
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert exc.value.errors == ["unknown section 'extra'"]
+    del raw["extra"]
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    # the lm key eta is unknown to the nlm harvester
+    assert exc.value.errors == ["unknown key 'gamma' in section 'protocol'",
+                                "unknown key 'eta' in section 'harvest'"]
+
+
+def test_readme_config_example_loads(tmp_path):
+    text = README.read_text()
+    start = text.index("```yaml\n", text.index("## Config file")) + len("```yaml\n")
+    path = tmp_path / "readme.yaml"
+    path.write_text(text[start:text.index("```", start)])
+    from paswipt.config import load_config
+
+    cfg = load_config(path)
+    assert cfg == default_config(0.3, "nlm").with_params(
+        harvest=LogisticHarvest(saturation_w=20 * 1e-3, slope_per_w=100 * 1e6,
+                                turn_on_w=2.9 * 1e-6))
+
+
+def test_validate_rejects_an_infinite_link_factor():
+    # each field is valid, but mu P_t / sigma^2 overflows
+    with pytest.raises(ConfigError) as exc:
+        validate(default_config(0.3).with_params(transmit_power_w=1e300, noise_power_w=1e-33))
+    assert exc.value.errors == ["link factor mu P_t / sigma^2 (path_loss_factor_m2 * "
+                                "transmit_snr) must be finite, got inf"]
+    # a carrier whose square underflows to 0 divides by zero inside the factor
+    with pytest.raises(ConfigError, match="must be finite, got inf"):
+        validate(default_config(0.3).with_params(carrier_frequency_hz=1e-200))
+
+
+def test_validate_checks_the_link_factor_only_on_valid_fields():
+    with pytest.raises(ConfigError) as exc:
+        validate(default_config(0.3).with_params(noise_power_w=0.0))
+    assert exc.value.errors == ["noise_power_w must be > 0, got 0.0"]

@@ -225,8 +225,7 @@ def _integrands(cfg):
 
 def _random_config(rng):
     """A room with h down to 0.3 m, a power in 1e-4..10 W, noise in -80..-190 dBm."""
-    return default_config(
-        float(np.exp(rng.uniform(np.log(1e-4), np.log(10.0)))),
+    return default_config(float(np.exp(rng.uniform(np.log(1e-4), np.log(10.0))))).with_params(
         d_x=float(rng.uniform(2.0, 40.0)), d_y=float(rng.uniform(2.0, 40.0)),
         height=float(np.exp(rng.uniform(np.log(0.3), np.log(10.0)))),
     ).with_params(noise_power_w=dbm_to_watts(float(rng.uniform(-190.0, -80.0))))

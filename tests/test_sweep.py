@@ -61,7 +61,7 @@ def test_unknown_preset():
 @pytest.fixture(scope="module")
 def energy_rows():
     spec = SweepSpec(
-        "energy", default_config(0.3, d_x=8.0, d_y=8.0),
+        "energy", default_config(0.3).with_params(d_x=8.0, d_y=8.0),
         tuple(np.linspace(0.05, 10.0, 12)),
         harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
     )
@@ -71,7 +71,7 @@ def energy_rows():
 @pytest.fixture(scope="module")
 def region_spec():
     return SweepSpec(
-        "region", default_config(0.3, d_x=8.0, d_y=8.0),
+        "region", default_config(0.3).with_params(d_x=8.0, d_y=8.0),
         tuple(np.linspace(0.0, 1.0, 21)),
         harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
     )
@@ -104,9 +104,9 @@ class TestPowerSweep:
 
     def test_rate_sweep_c2_above_c1(self):
         grid = tuple(np.logspace(-2, 0, 10))
-        c1 = run_power_sweep(SweepSpec("rate", default_config(0.3, alpha=0.8, beta=0.8),
+        c1 = run_power_sweep(SweepSpec("rate", default_config(0.3).with_params(alpha=0.8, beta=0.8),
                                        grid, methods=("closed",)))
-        c2 = run_power_sweep(SweepSpec("rate", default_config(0.3, alpha=0.6, beta=0.6),
+        c2 = run_power_sweep(SweepSpec("rate", default_config(0.3).with_params(alpha=0.6, beta=0.6),
                                        grid, methods=("closed",)))
         for r1, r2 in zip(c1, c2):
             assert (r1["scheme"], r1["pt_w"]) == (r2["scheme"], r2["pt_w"])
@@ -201,6 +201,12 @@ def test_tradeoff_at_own_plateau_is_leftmost_crossing(scheme):
     assert rate > 0.0
     assert rate == pytest.approx(below, rel=1e-4)
     assert tradeoff_rate_at_energy(scheme, "ps", DEFAULT_NLM, base, plateau * (1 + 1e-15)) == 0.0
+
+
+def test_tradeoff_rejects_nan_energy():
+    base = preset("fig4").config
+    with pytest.raises(ValueError, match="nan"):
+        tradeoff_rate_at_energy(Scheme.EDS, "ps", LinearHarvest(eta=1.0), base, float("nan"))
 
 
 class TestEmitOutputs:
