@@ -12,16 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-from paswipt.sweep import emit_outputs, preset, run_power_sweep, run_tradeoff
-
-PRESETS = ("s1", "s2", "c1", "c2", "fig4")
+from paswipt.montecarlo import DEFAULT_SAMPLES
+from paswipt.sweep import PRESETS, emit_outputs, preset, run_power_sweep, run_tradeoff
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="figures")
     ap.add_argument("--mc", action="store_true", help="add Monte-Carlo rows")
-    ap.add_argument("--samples", type=int, default=1_000_000)
+    ap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()

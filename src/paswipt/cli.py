@@ -13,7 +13,7 @@ import sys
 from paswipt.config import FIELDS, Config, default_config, load_config, model_tag, validate
 from paswipt.distributions import SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import check_mc_inputs
+from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs
 from paswipt.sweep import (METHODS, PRESETS, emit_outputs, evaluate, preset, run_power_sweep,
                            run_tradeoff)
 
@@ -37,7 +37,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mc_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
 

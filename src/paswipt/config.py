@@ -250,6 +250,14 @@ def validate(config: Config) -> Config:
         if not math.isfinite(link):
             errors.append(f"link factor mu P_t / sigma^2 (path_loss_factor_m2 * transmit_snr) "
                           f"must be finite, got {link}")
+    if "geometry" not in bad_sections:
+        # the widest support, h^2 + d_y^2 (edge scheme), and the diagonal span can overflow
+        g = config.geometry
+        widest = g.height * g.height + g.d_y * g.d_y
+        lam = g.diagonal_half_width
+        if not (math.isfinite(widest) and math.isfinite(lam)):
+            errors.append(f"room support h^2 + d_y^2 (height, d_y) and diagonal_half_width "
+                          f"(d_x, d_y) must be finite, got {widest} and {lam}")
     if not known:
         errors.append(f"harvest model must be LinearHarvest or LogisticHarvest, got {type(m).__name__}")
     if errors:

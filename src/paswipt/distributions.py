@@ -12,9 +12,8 @@ rule (``qk21`` inside the ``qag`` bisection loop; Piessens et al.,
 *QUADPACK*, 1983), written out here on Python floats.  The rule sums its
 nodes in ``qk21``'s own order, so a single-interval integral has
 QUADPACK's bits.  Settings: absolute tolerance 1e-14, relative tolerance
-``rel_tol`` (1e-11), at most 200 subintervals; a result whose error
-estimate exceeds 1e-7 |value| + 1e-13, or that is not finite, raises
-``QuadratureError``.
+1e-11, at most 200 subintervals; a result whose error estimate exceeds
+1e-7 |value| + 1e-13, or that is not finite, raises ``QuadratureError``.
 
 The module runs on ``math`` alone: the laws, their CDF/PDF table and the
 expectations load neither numpy nor scipy.
@@ -157,11 +156,8 @@ class SquaredDistanceDistribution:
 
     @cached_property
     def span(self) -> float:
-        """Width of the in-plane offset: d_y / (1 or 2), or the diagonal
-        half-width for the diagonal scheme."""
-        if self.scheme is Scheme.DDS:
-            return self.geometry.diagonal_half_width
-        return self.geometry.d_y / self.scheme.line_factor
+        """The scheme's span S (see Scheme.span)."""
+        return self.scheme.span(self.geometry)
 
     @cached_property
     def support(self) -> tuple[float, float]:
@@ -175,11 +171,11 @@ class SquaredDistanceDistribution:
             return 0.0
         if l >= hi:
             return 1.0
+        span = self.span
         if self.scheme is Scheme.DDS:
-            lam = self.span
-            val = (2.0 * lam * math.sqrt(l - h2) - (l - h2)) / lam**2
+            val = (2.0 * span * math.sqrt(l - h2) - (l - h2)) / span**2
         else:
-            val = self.scheme.line_factor * math.sqrt(l - h2) / self.geometry.d_y
+            val = math.sqrt(l - h2) / span
         return min(val, 1.0)  # in this order a NaN val stays NaN
 
     def pdf(self, l: float) -> float:
@@ -191,13 +187,13 @@ class SquaredDistanceDistribution:
         if l < lo or l > hi:
             return 0.0
         s = math.sqrt(l - lo)
+        span = self.span
         if self.scheme is Scheme.DDS:
-            lam = self.span
-            # s, the rounded width of a support a few ulps wide, can exceed lam
-            return max(1.0 / (lam * s) - 1.0 / lam**2, 0.0)  # a NaN stays NaN
-        return self.scheme.line_factor / (2.0 * self.geometry.d_y * s)
+            # s, the rounded width of a support a few ulps wide, can exceed the span
+            return max(1.0 / (span * s) - 1.0 / span**2, 0.0)  # a NaN stays NaN
+        return 1.0 / (2.0 * span * s)
 
-    def expect(self, g: Callable, rel_tol: float = 1e-11) -> float:
+    def expect(self, g: Callable) -> float:
         """E[g(L)] by adaptive quadrature after the l = h^2 + t^2 change
         of variable (smooth integrand, open support edge removed).
 
@@ -206,8 +202,8 @@ class SquaredDistanceDistribution:
 
         ``g`` is called with one float per node.  The rule is QUADPACK's
         21-point Gauss-Kronrod inside the ``qag`` bisection loop, with
-        absolute tolerance 1e-14, relative tolerance ``rel_tol`` and at
-        most 200 subintervals.  Raises ``QuadratureError`` (naming the
+        absolute tolerance 1e-14, relative tolerance 1e-11 and at most
+        200 subintervals.  Raises ``QuadratureError`` (naming the
         scheme, the room, the value, its error estimate, the number of
         integrand calls and of subintervals) when the value or its error
         estimate is not finite, or the error estimate exceeds
@@ -222,7 +218,7 @@ class SquaredDistanceDistribution:
             def integrand(t):
                 return g(h2 + t * t) / span
 
-        val, abserr, neval, parts = _qag(integrand, 0.0, span, epsabs=1e-14, epsrel=rel_tol,
+        val, abserr, neval, parts = _qag(integrand, 0.0, span, epsabs=1e-14, epsrel=1e-11,
                                          limit=200)
         if not (math.isfinite(val) and math.isfinite(abserr)) or abserr > 1e-7 * abs(val) + 1e-13:
             geom = self.geometry

@@ -82,17 +82,15 @@ def harvest_power(model: HarvestModel, p_in):
 
 
 def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float:
-    """E[1 / L] for the optimal squared distance L, in closed form.
-
-    Edge/center: (varpi / (h d_y)) * arctan(d_y / (varpi h)).
-    Diagonal: 2/(Lam h) * arctan(Lam / h) - ln(1 + Lam^2/h^2) / Lam^2.
+    """E[1 / L] for the optimal squared distance L, in closed form, over
+    the scheme's span S: arctan(S / h) / (h S) for edge/center, and
+    2/(S h) * arctan(S / h) - ln(1 + S^2/h^2) / S^2 for the diagonal.
     """
     h = geom.height
+    span = scheme.span(geom)
     if scheme is Scheme.DDS:
-        lam = geom.diagonal_half_width
-        return 2.0 / (lam * h) * math.atan(lam / h) - math.log1p(lam**2 / h**2) / lam**2
-    varpi = scheme.line_factor
-    return varpi / (h * geom.d_y) * math.atan(geom.d_y / (varpi * h))
+        return 2.0 / (span * h) * math.atan(span / h) - math.log1p(span**2 / h**2) / span**2
+    return 1.0 / (h * span) * math.atan(span / h)
 
 
 def avg_energy_lm_closed(

@@ -18,14 +18,13 @@ class Scheme(str, Enum):
     CDS = "cds"  # waveguide along y = d_y / 2
     DDS = "dds"  # waveguide along the diagonal y = k x
 
-    @property
-    def line_factor(self) -> int:
-        """The 1-or-2 factor distinguishing edge from center placement."""
+    def span(self, geom: RegionGeometry) -> float:
+        """The offset width S: d_y, d_y / 2 or the diagonal half-width."""
         if self is Scheme.EDS:
-            return 1
+            return geom.d_y
         if self is Scheme.CDS:
-            return 2
-        raise ValueError("line_factor is defined only for EDS/CDS")
+            return geom.d_y / 2.0
+        return geom.diagonal_half_width
 
 
 def optimal_squared_distance(scheme: Scheme, geom: RegionGeometry, x_u, y_u):

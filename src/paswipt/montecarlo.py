@@ -27,6 +27,7 @@ from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 CHUNK_SIZE = 1 << 15  # fixed; changing it changes every stream
+DEFAULT_SAMPLES = 1_000_000  # n where no sample count is given
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,7 +99,7 @@ def estimate(
     metric: str,
     scheme: Scheme,
     configs: Sequence[Config],
-    n: int = 1_000_000,
+    n: int = DEFAULT_SAMPLES,
     seed: int = 0,
     workers: int = 1,
 ) -> list[EstimateWithCI]:

@@ -29,10 +29,8 @@ from paswipt.energy import (
     avg_energy_quadrature,
 )
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import check_mc_inputs, estimate
+from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs, estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
-
-EXPERIMENTS = ("energy", "rate", "region")
 
 METHODS = ("closed", "bound", "quadrature", "mc")
 
@@ -42,24 +40,22 @@ CSV_COLUMNS = {
     "region": ("protocol", "control", "scheme", "model", "energy_w", "rate_bits_s_hz"),
 }
 
-ALL_SCHEMES = (Scheme.EDS, Scheme.CDS, Scheme.DDS)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
     experiment: str
     config: Config
     grid: tuple[float, ...]
-    schemes: tuple[Scheme, ...] = ALL_SCHEMES
-    harvest_models: tuple[HarvestModel, ...] = ()
-    methods: tuple[str, ...] = ("closed", "bound", "quadrature")
-    samples: int = 1_000_000
+    models: tuple[HarvestModel, ...] = ()  # empty: the config's own, set at construction
+    methods: tuple[str, ...] = METHODS[:3]
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        if self.experiment not in CSV_COLUMNS:
+            raise ValueError(f"experiment must be one of {tuple(CSV_COLUMNS)}, "
+                             f"got {self.experiment!r}")
         if len(self.grid) < 2:
             raise ValueError("grid needs at least 2 points")
         if self.experiment == "region":
@@ -72,14 +68,12 @@ class SweepSpec:
                 raise ValueError(f"grid powers must be finite and > 0, got {bad}")
         check_mc_inputs(self.samples, self.seed, self.workers)
         validate(self.config)
-
-    @property
-    def models(self) -> tuple[HarvestModel, ...]:
-        return self.harvest_models or (self.config.harvest,)
+        if not self.models:
+            object.__setattr__(self, "models", (self.config.harvest,))
 
 
 def evaluate(quantity: str, method: str, scheme: Scheme, cfgs: Sequence[Config], *,
-             samples: int = 1_000_000, seed: int = 0, workers: int = 1,
+             samples: int = DEFAULT_SAMPLES, seed: int = 0, workers: int = 1,
              ) -> list[tuple[float, float | None]] | None:
     """The average energy [W] or rate [bits/s/Hz] of one method over a
     series of configs of one harvest model.
@@ -141,7 +135,7 @@ def run_power_sweep(spec: SweepSpec) -> list[dict]:
     for model in models:
         base = spec.config.with_params(harvest=model)
         cfgs = [base.with_params(transmit_power_w=pt_w) for pt_w in spec.grid]
-        for scheme in spec.schemes:
+        for scheme in Scheme:
             for method in spec.methods:
                 results = evaluate(spec.experiment, method, scheme, cfgs, samples=spec.samples,
                                    seed=spec.seed, workers=spec.workers)
@@ -177,7 +171,7 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
     """
     rows = []
     for protocol_tag in ("ts", "ps"):
-        for scheme in spec.schemes:
+        for scheme in Scheme:
             for model in spec.models:
                 base = spec.config.with_params(harvest=model)
                 cfgs = [_tradeoff_config(protocol_tag, control, base) for control in spec.grid]
@@ -231,37 +225,38 @@ def tradeoff_rate_at_energy(
     return evaluate("rate", "closed", scheme, [cfg])[0][0]
 
 
-# name: (experiment, changes to default_config(0.3), methods before any mc)
+# name: (experiment, changes to default_config(0.3))
 PRESETS = {
-    "s1": ("energy", dict(d_x=8.0, d_y=8.0), ("closed", "bound", "quadrature")),
-    "s2": ("energy", dict(d_x=15.0, d_y=8.0), ("closed", "bound", "quadrature")),
-    "c1": ("rate", dict(alpha=0.8, beta=0.8), ("closed", "quadrature")),
-    "c2": ("rate", dict(alpha=0.6, beta=0.6), ("closed", "quadrature")),
-    "fig4": ("region", dict(d_x=8.0, d_y=8.0), ("closed", "bound", "quadrature")),
+    "s1": ("energy", dict(d_x=8.0, d_y=8.0)),
+    "s2": ("energy", dict(d_x=15.0, d_y=8.0)),
+    "c1": ("rate", dict(alpha=0.8, beta=0.8)),
+    "c2": ("rate", dict(alpha=0.6, beta=0.6)),
+    "fig4": ("region", dict(d_x=8.0, d_y=8.0)),
 }
 
 
-def preset(name: str, *, include_mc: bool = False, samples: int = 1_000_000,
+def preset(name: str, *, include_mc: bool = False, samples: int = DEFAULT_SAMPLES,
            seed: int = 0, workers: int = 1) -> SweepSpec:
-    """The SweepSpec of a PRESETS entry.  include_mc appends "mc" to the
-    methods of the power sweeps; the region (fig4) has no MC rows.  Power
-    grids are 50 log-spaced points on [0.01, 1] W (a repo choice; the axis
-    range is otherwise unspecified), region controls 41 points on [0, 1].
-    Energy and region presets run both harvest models."""
+    """The SweepSpec of a PRESETS entry: both harvest models (a rate sweep
+    runs the first) and the closed, bound and quadrature methods, each row
+    where it applies.  include_mc adds "mc" to the power sweeps; the
+    region (fig4) has no MC rows.  Power grids are 50 log-spaced points on
+    [0.01, 1] W (a repo choice; the axis range is otherwise unspecified),
+    region controls 41 points on [0, 1]."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose s1, s2, c1, c2 or fig4")
     import numpy as np
 
-    experiment, changes, methods = PRESETS[name]
+    experiment, changes = PRESETS[name]
     if experiment == "region":
         grid = tuple(np.linspace(0.0, 1.0, 41))
+        include_mc = False
     else:
         grid = tuple(np.logspace(np.log10(0.01), np.log10(1.0), 50))
-        methods += ("mc",) if include_mc else ()
     return SweepSpec(
         experiment, default_config(0.3).with_params(**changes), grid,
-        harvest_models=() if experiment == "rate" else tuple(DEFAULT_HARVEST.values()),
-        methods=methods, samples=samples, seed=seed, workers=workers,
+        models=tuple(DEFAULT_HARVEST.values()), methods=METHODS if include_mc else METHODS[:3],
+        samples=samples, seed=seed, workers=workers,
     )
 
 

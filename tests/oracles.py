@@ -6,6 +6,7 @@ that `src/` holds only what it runs and imports numpy only where it
 builds arrays of its own.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,9 @@ from paswipt.config import SPEED_OF_LIGHT, Config, RegionGeometry, SystemParams
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import _chunk_sizes, _chunk_ue, check_mc_inputs
+
+# The edge/center factor varpi of the paper's forms: the offset spans d_y / varpi.
+VARPI = {Scheme.EDS: 1, Scheme.CDS: 2}
 
 
 def wavelength_m(system: SystemParams) -> float:
@@ -115,7 +119,7 @@ def sample_squared_distance(dist: SquaredDistanceDistribution, u):
         lam = dist.geometry.diagonal_half_width
         s = lam * (1.0 - np.sqrt(1.0 - u))
     else:
-        s = u * dist.geometry.d_y / dist.scheme.line_factor
+        s = u * dist.geometry.d_y / VARPI[dist.scheme]
     out = h2 + s**2
     return out if out.ndim else float(out)
 
@@ -149,8 +153,7 @@ def cdf_numpy(dist: SquaredDistanceDistribution, l):
         s = np.sqrt(np.clip(l - h2, 0.0, None))
         val = (2.0 * lam * s - (l - h2)) / lam**2
     else:
-        varpi = dist.scheme.line_factor
-        val = varpi * np.sqrt(np.clip(l - h2, 0.0, None)) / dist.geometry.d_y
+        val = VARPI[dist.scheme] * np.sqrt(np.clip(l - h2, 0.0, None)) / dist.geometry.d_y
     out = np.where(l < h2, 0.0, np.minimum(val, 1.0))
     return np.where(l >= dist.support[1], 1.0, out)
 
@@ -167,7 +170,7 @@ def pdf_numpy(dist: SquaredDistanceDistribution, l):
             lam = dist.geometry.diagonal_half_width
             val = np.maximum(1.0 / (lam * s) - 1.0 / lam**2, 0.0)
         else:
-            val = dist.scheme.line_factor / (2.0 * dist.geometry.d_y * s)
+            val = VARPI[dist.scheme] / (2.0 * dist.geometry.d_y * s)
     return np.where((l < lo) | (l > hi), 0.0, val)
 
 
@@ -177,3 +180,11 @@ def cdf_table_numpy(dist: SquaredDistanceDistribution, n_points: int):
     lo, hi = dist.support
     grid = np.linspace(lo, hi, n_points + 1)[1:]
     return np.column_stack([grid, cdf_numpy(dist, grid), pdf_numpy(dist, grid)])
+
+
+def mean_inverse_squared_distance_varpi(scheme: Scheme, geom: RegionGeometry) -> float:
+    """E[1 / L] for the edge/center schemes in the paper's varpi form,
+    (varpi / (h d_y)) * arctan(d_y / (varpi h)), as the package computed
+    it before the span moved to Scheme.span."""
+    varpi = VARPI[scheme]
+    return varpi / (geom.height * geom.d_y) * math.atan(geom.d_y / (varpi * geom.height))

@@ -142,7 +142,7 @@ def test_criterion_6_energy_vs_power_shapes():
     """Linear-model energy affine in power; logistic model saturates."""
     spec = SweepSpec(
         "energy", default_config(0.3), tuple(np.linspace(0.05, 10.0, 15)),
-        harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
+        models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
         methods=("closed", "quadrature"),
     )
     rows = run_power_sweep(spec)
@@ -169,7 +169,7 @@ def test_criterion_7_energy_rate_region():
     base = default_config(0.3).with_params(d_x=8.0, d_y=8.0)
     spec = SweepSpec(
         "region", base, tuple(np.linspace(0.0, 1.0, 41)),
-        harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
+        models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
     )
     rows = run_tradeoff(spec)
 
@@ -214,8 +214,7 @@ def test_criterion_8_determinism(tmp_path):
         assert est.mean == ref.mean
         assert est.std_error == ref.std_error
 
-    spec = SweepSpec("energy", cfg, (0.1, 0.2, 0.3), schemes=(Scheme.EDS,),
-                     methods=("closed",))
+    spec = SweepSpec("energy", cfg, (0.1, 0.2, 0.3), methods=("closed",))
     a = emit_outputs(run_power_sweep(spec), tmp_path / "a", "energy")[0]
     b = emit_outputs(run_power_sweep(spec), tmp_path / "b", "energy")[0]
     assert a.read_bytes() == b.read_bytes()

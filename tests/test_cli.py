@@ -273,6 +273,12 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
      "float spacing"),
     # 1e6 dBm overflows the conversion to watts
     (["energy", "--scheme", "eds", "--pt-w", "0.3", "--noise-dbm", "1e6"], "--noise-dbm"),
+    # each field is valid, but the room's support h^2 + d_y^2 overflows
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--height", "1e200"], "room support"),
+    (["dist", "--scheme", "eds", "--emit-cdf", "unused.csv", "--height", "1e160"], "room support"),
+    (["rate", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e200", "--dy", "1e200"],
+     "room support"),
+    (["rate", "--scheme", "eds", "--pt-w", "0.3", "--dy", "1e200"], "room support"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)

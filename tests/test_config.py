@@ -249,3 +249,23 @@ def test_validate_checks_the_link_factor_only_on_valid_fields():
     with pytest.raises(ConfigError) as exc:
         validate(default_config(0.3).with_params(noise_power_w=0.0))
     assert exc.value.errors == ["noise_power_w must be > 0, got 0.0"]
+
+
+@pytest.mark.parametrize("room, got", [
+    (dict(height=1e200), "got inf and 8.320502943378438"),  # h^2 overflows
+    (dict(d_x=1e200, d_y=1e200), "got inf and inf"),
+    (dict(d_x=1e300, d_y=1e10), "got 1e+20 and inf"),  # only d_x d_y in the half-width overflows
+])
+def test_validate_rejects_a_room_whose_support_overflows(room, got):
+    with pytest.raises(ConfigError) as exc:
+        validate(default_config(0.3).with_params(**room))
+    assert exc.value.errors == [f"room support h^2 + d_y^2 (height, d_y) and diagonal_half_width "
+                                f"(d_x, d_y) must be finite, {got}"]
+
+
+def test_validate_checks_the_room_support_only_on_valid_geometry():
+    cfg = default_config(0.3).with_params(d_y=1e150, height=1e150, d_x=1e150)
+    assert validate(cfg) is cfg  # h^2 + d_y^2 = 2e300 is still finite
+    with pytest.raises(ConfigError) as exc:
+        validate(cfg.with_params(d_y=1e200, height=-1.0))
+    assert exc.value.errors == ["height must be > 0, got -1.0"]

@@ -14,7 +14,7 @@ from paswipt.distributions import (
 from paswipt.energy import harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
-from oracles import cdf_table_numpy, ground_projection_cdf, sample_squared_distance
+from oracles import VARPI, cdf_table_numpy, ground_projection_cdf, sample_squared_distance
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
 
@@ -35,7 +35,7 @@ def test_support(dist):
     if dist.scheme is Scheme.DDS:
         assert hi == pytest.approx(lo + GEOM.diagonal_half_width**2, rel=1e-15)
     else:
-        assert hi == pytest.approx(lo + (GEOM.d_y / dist.scheme.line_factor) ** 2, rel=1e-15)
+        assert hi == pytest.approx(lo + (GEOM.d_y / VARPI[dist.scheme]) ** 2, rel=1e-15)
 
 
 def test_cdf_endpoints(dist):

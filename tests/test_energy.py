@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paswipt.config import (
     DEFAULT_HARVEST,
@@ -17,6 +18,8 @@ from paswipt.energy import (
     mean_inverse_squared_distance,
 )
 from paswipt.geometry import Scheme
+
+from oracles import mean_inverse_squared_distance_varpi
 
 NLM = DEFAULT_HARVEST["nlm"]
 
@@ -196,3 +199,19 @@ def test_mean_inverse_distance_kernels():
     lam = g.diagonal_half_width
     expected = 2.0 / (lam * 3.0) * np.arctan(lam / 3.0) - np.log1p(lam**2 / 9.0) / lam**2
     assert mean_inverse_squared_distance(Scheme.DDS, g) == pytest.approx(expected, rel=1e-14)
+
+
+_NORMAL_SIDES = st.floats(min_value=1e-100, max_value=1e100, allow_subnormal=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scheme=st.sampled_from([Scheme.EDS, Scheme.CDS]), d_x=_NORMAL_SIDES, d_y=_NORMAL_SIDES,
+       height=_NORMAL_SIDES)
+@example(scheme=Scheme.CDS, d_x=15.0, d_y=10.0, height=3.0)
+@example(scheme=Scheme.CDS, d_x=1.0, d_y=3e-5, height=0.7)
+def test_mean_inverse_distance_over_the_span_has_the_varpi_bits(scheme, d_x, d_y, height):
+    """arctan(S / h) / (h S) over S = d_y / varpi has the bits of the
+    varpi form: halving a normal float is exact."""
+    g = RegionGeometry(d_x=d_x, d_y=d_y, height=height)
+    assert mean_inverse_squared_distance(scheme, g).hex() == \
+        mean_inverse_squared_distance_varpi(scheme, g).hex()

@@ -9,6 +9,7 @@ from paswipt.montecarlo import _chunk_distance, estimate
 from paswipt.geometry import Scheme
 from paswipt.sweep import (
     METHODS,
+    PRESETS,
     SweepSpec,
     emit_outputs,
     evaluate,
@@ -63,7 +64,7 @@ def energy_rows():
     spec = SweepSpec(
         "energy", default_config(0.3).with_params(d_x=8.0, d_y=8.0),
         tuple(np.linspace(0.05, 10.0, 12)),
-        harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
+        models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
     )
     return run_power_sweep(spec)
 
@@ -73,7 +74,7 @@ def region_spec():
     return SweepSpec(
         "region", default_config(0.3).with_params(d_x=8.0, d_y=8.0),
         tuple(np.linspace(0.0, 1.0, 21)),
-        harvest_models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
+        models=(LinearHarvest(eta=1.0), DEFAULT_NLM),
     )
 
 
@@ -215,8 +216,7 @@ class TestEmitOutputs:
             emit_outputs([], tmp_path, "energy")
 
     def test_csv_columns_and_determinism(self, tmp_path):
-        spec = SweepSpec("energy", default_config(0.3), (0.1, 0.2, 0.3),
-                         schemes=(Scheme.EDS,), methods=("closed",))
+        spec = SweepSpec("energy", default_config(0.3), (0.1, 0.2, 0.3), methods=("closed",))
         rows = run_power_sweep(spec)
         p1 = emit_outputs(rows, tmp_path / "a", "energy")[0]
         p2 = emit_outputs(run_power_sweep(spec), tmp_path / "b", "energy")[0]
@@ -224,8 +224,7 @@ class TestEmitOutputs:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_region_csv_columns(self, tmp_path):
-        spec = SweepSpec("region", default_config(0.3), (0.0, 0.5, 1.0),
-                         schemes=(Scheme.EDS,))
+        spec = SweepSpec("region", default_config(0.3), (0.0, 0.5, 1.0))
         paths = emit_outputs(run_tradeoff(spec), tmp_path, "region")
         header = paths[0].read_text().splitlines()[0]
         assert header == "protocol,control,scheme,model,energy_w,rate_bits_s_hz"
@@ -234,7 +233,7 @@ class TestEmitOutputs:
 
     def test_always_writes_the_plot_script(self, tmp_path):
         rows = run_power_sweep(SweepSpec("rate", default_config(0.3), (0.1, 0.2),
-                                         schemes=(Scheme.EDS,), methods=("closed",)))
+                                         methods=("closed",)))
         paths = emit_outputs(rows, tmp_path, "rate")
         assert [p.name for p in paths] == ["rate.csv", "plot_rate.py"]
         assert all(p.exists() for p in paths)
@@ -262,7 +261,7 @@ def test_shared_stream_rows_match_fresh_estimates(name, n, grid_stride):
     spec = dataclasses.replace(spec, methods=("mc",), grid=spec.grid[::grid_stride])
     rows = run_power_sweep(spec)
     models = {"lm": spec.models[0], "nlm": spec.models[-1]}
-    assert len(rows) == len(spec.schemes) * len(spec.grid) * (2 if name.startswith("s") else 1)
+    assert len(rows) == len(Scheme) * len(spec.grid) * (2 if name.startswith("s") else 1)
     for r in rows:
         assert r["method"] == "mc"
         cfg = spec.config.with_params(transmit_power_w=r["pt_w"])
@@ -297,9 +296,37 @@ def test_preset_include_mc_appends_mc_method():
     assert "include_mc" not in {f.name for f in dataclasses.fields(SweepSpec)}
 
 
+# (model, method) of the rows a power preset makes without MC: each method that applies
+_PRESET_KEYS = {
+    "energy": {("lm", "closed"), ("lm", "quadrature"), ("nlm", "bound"), ("nlm", "quadrature")},
+    "rate": {(None, "closed"), (None, "quadrature")},
+}
+
+
+@pytest.mark.parametrize("include_mc", [False, True])
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_row_keys(name, include_mc):
+    """The (scheme, model, method) keys of each preset's rows, on every
+    tenth grid point: mc rows come with include_mc, and never in fig4."""
+    spec = preset(name, include_mc=include_mc, samples=1000, seed=1)
+    spec = dataclasses.replace(spec, grid=spec.grid[::10])
+    if spec.experiment == "region":
+        keys = {(r["scheme"], r["model"], r["protocol"]) for r in run_tradeoff(spec)}
+        assert keys == {(s.value, model, protocol) for s in Scheme for model in ("lm", "nlm")
+                        for protocol in ("ts", "ps")}
+        return
+    pairs = _PRESET_KEYS[spec.experiment]
+    if include_mc:
+        pairs = pairs | {(model, "mc") for model, _ in pairs}
+    rows = run_power_sweep(spec)
+    assert {(r["scheme"], r.get("model"), r["method"]) for r in rows} == \
+        {(s.value, model, method) for s in Scheme for model, method in pairs}
+    assert len(rows) == len(Scheme) * len(pairs) * len(spec.grid)
+
+
 def test_power_sweep_evaluates_exactly_spec_methods():
-    spec = SweepSpec("energy", default_config(0.3), (0.1, 0.2), schemes=(Scheme.EDS,),
-                     methods=("mc",), samples=1000, seed=4)
+    spec = SweepSpec("energy", default_config(0.3), (0.1, 0.2), methods=("mc",), samples=1000,
+                     seed=4)
     assert {r["method"] for r in run_power_sweep(spec)} == {"mc"}
     spec = dataclasses.replace(spec, methods=("quadrature", "closed"))
     assert {r["method"] for r in run_power_sweep(spec)} == {"quadrature", "closed"}
@@ -360,13 +387,12 @@ def test_evaluate_rejects_mixed_models(lm_config, nlm_config, method):
 
 def test_failed_row_names_scheme_model_method_and_power(nlm_config, monkeypatch):
     def failing(scheme, system, *args):
-        if system.transmit_power_w == 0.2:
+        if scheme is Scheme.CDS and system.transmit_power_w == 0.2:
             raise QuadratureError("no convergence")
         return 0.0
 
     monkeypatch.setattr("paswipt.sweep.avg_energy_quadrature", failing)
-    spec = SweepSpec("energy", nlm_config, (0.1, 0.2, 0.3), schemes=(Scheme.CDS,),
-                     methods=("quadrature",))
+    spec = SweepSpec("energy", nlm_config, (0.1, 0.2, 0.3), methods=("quadrature",))
     with pytest.raises(RuntimeError) as exc:
         run_power_sweep(spec)
     for part in ("scheme=cds", "model=nlm", "method=quadrature", "pt_w=0.2"):
