@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from paswipt.config import FIELDS, Config, default_config, load_config, model_tag, validate
-from paswipt.distributions import SquaredDistanceDistribution, emit_cdf_table
+from paswipt.distributions import QuadratureError, SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs
 from paswipt.sweep import (METHODS, PRESETS, emit_outputs, evaluate, preset, run_power_sweep,
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad input: ConfigError is a ValueError
+    except (ValueError, OSError, QuadratureError) as exc:  # ConfigError is a ValueError
         message = " ".join(str(exc).split())
         parser.exit(2, f"paswipt {args.command}: error: {message}\n")
 

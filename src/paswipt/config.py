@@ -150,14 +150,14 @@ class Config:
         are unique across sections; an unknown one raises TypeError.  The
         copy is not validated."""
         sections: dict[str, dict] = {}
-        for f in FIELDS:
-            if f.name in params:
-                sections.setdefault(f.section, {})[f.name] = params.pop(f.name)
-        unknown = params.keys() - {"harvest"}
+        for name, value in params.items():
+            sections.setdefault(_SECTION_OF.get(name), {})[name] = value
+        top = sections.pop(None, {})
+        unknown = top.keys() - {"harvest"}
         if unknown:
             raise TypeError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-        return replace(self, **params, **{section: replace(getattr(self, section), **own)
-                                          for section, own in sections.items()})
+        return replace(self, **top, **{section: replace(getattr(self, section), **own)
+                                       for section, own in sections.items()})
 
 
 class ConfigError(ValueError):
@@ -203,6 +203,8 @@ FIELDS = (
     Field("geometry", "d_y", "d_y_m", float, "--dy", "room size along y [m]", 10.0),
     Field("geometry", "height", "height_m", float, "--height", "waveguide height [m]", 3.0),
 )
+
+_SECTION_OF = {f.name: f.section for f in FIELDS}  # for Config.with_params
 
 # The harvester class and its file keys, by harvest.model.  No flag sets
 # them, and their defaults are DEFAULT_HARVEST's SI literals.
@@ -255,9 +257,14 @@ def validate(config: Config) -> Config:
         g = config.geometry
         widest = g.height * g.height + g.d_y * g.d_y
         lam = g.diagonal_half_width
+        # and its twin for a tiny height: h^2 and (S / h)^2 for the widest span, S = d_y
+        h2, ratio2 = g.height * g.height, (g.d_y / g.height) * (g.d_y / g.height)
         if not (math.isfinite(widest) and math.isfinite(lam)):
             errors.append(f"room support h^2 + d_y^2 (height, d_y) and diagonal_half_width "
                           f"(d_x, d_y) must be finite, got {widest} and {lam}")
+        elif not (h2 >= 2.2250738585072014e-308 and math.isfinite(ratio2)):  # smallest normal
+            errors.append(f"height^2 must be a normal float and (d_y / height)^2 finite, "
+                          f"got {h2} and {ratio2}")
     if not known:
         errors.append(f"harvest model must be LinearHarvest or LogisticHarvest, got {type(m).__name__}")
     if errors:

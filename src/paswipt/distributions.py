@@ -210,10 +210,11 @@ class SquaredDistanceDistribution:
         1e-7 |value| + 1e-13.
         """
         h2 = self.geometry.height**2
-        span = self.span
+        span = self.scheme.span(self.geometry)  # not the cached_property: it locks on first use
+        peak = 2.0 / span  # the diagonal's triangular weight at t = 0
         if self.scheme is Scheme.DDS:
             def integrand(t):
-                return g(h2 + t * t) * (2.0 / span) * (1.0 - t / span)
+                return g(h2 + t * t) * peak * (1.0 - t / span)
         else:
             def integrand(t):
                 return g(h2 + t * t) / span

@@ -56,10 +56,11 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
     evaluation was 2.5x slower on a partly saturated chunk, and
     expit(..., where=mask) has segfaulted on arrays of 4,096 elements.
     """
-    omega, scale = model.curve_constants
-    a, b = model.slope_per_w, model.turn_on_w
     if not isinstance(p_in, (float, int)):
         import numpy as np
+
+        omega, scale = model.curve_constants
+        a, b = model.slope_per_w, model.turn_on_w
 
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
@@ -67,18 +68,25 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
                 top = scale * (1.0 - omega)
                 return np.full_like(p_in, 0.0 if top <= 0.0 else top)
             return np.maximum(scale * (expit(a * (p_in - b)) - omega), 0.0)
-    x = a * (float(p_in) - b)
-    raw = scale * ((1.0 if x > 40.0 else expit_float(x)) - omega)
-    return 0.0 if raw <= 0.0 else raw  # np.maximum(raw, 0.0): NaN stays, -0.0 -> 0.0
+    return harvest_kernel(model, float(p_in))(1.0)  # p / 1.0 is p: the kernel at l = 1
 
 
-def harvest_power(model: HarvestModel, p_in):
-    """Harvested power for incident power p_in (a float or an array) under
-    either model.  The linear model is one multiply, with no numpy round
-    trip for a float: the quadrature calls this once per node."""
+def harvest_kernel(model: HarvestModel, c: float):
+    """l -> the power harvested from incident power c / l, on floats: the
+    quadrature's integrand, one frame per node.  The float branch of
+    logistic_harvest_power is the logistic kernel at l = 1."""
     if isinstance(model, LinearHarvest):
-        return model.eta * p_in
-    return logistic_harvest_power(model, p_in)
+        eta = model.eta
+        return lambda l: eta * (c / l)
+    omega, scale = model.curve_constants
+    a, b = model.slope_per_w, model.turn_on_w
+
+    def kernel(l: float) -> float:
+        x = a * (c / l - b)
+        raw = scale * ((1.0 if x > 40.0 else expit_float(x)) - omega)
+        return 0.0 if raw <= 0.0 else raw  # np.maximum(raw, 0.0): NaN stays, -0.0 -> 0.0
+
+    return kernel
 
 
 def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float:
@@ -119,6 +127,5 @@ def avg_energy_quadrature(
 ) -> float:
     """Exact expectation alpha * E[harvest(beta P_t / L)] by adaptive
     quadrature against the scheme's distance law."""
-    dist = SquaredDistanceDistribution(scheme, geom)
-    beta_pt = protocol.beta * system.transmit_power_w
-    return protocol.alpha * dist.expect(lambda l: harvest_power(model, beta_pt / l))
+    kernel = harvest_kernel(model, protocol.beta * system.transmit_power_w)
+    return protocol.alpha * SquaredDistanceDistribution(scheme, geom).expect(kernel)

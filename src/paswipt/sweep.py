@@ -9,10 +9,10 @@ hybrid protocol.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from paswipt.config import (
@@ -23,6 +23,7 @@ from paswipt.config import (
     model_tag,
     validate,
 )
+from paswipt.distributions import QuadratureError
 from paswipt.energy import (
     avg_energy_lm_closed,
     avg_energy_nlm_bound,
@@ -39,6 +40,7 @@ CSV_COLUMNS = {
     "rate": ("pt_w", "scheme", "method", "value_bits_s_hz"),
     "region": ("protocol", "control", "scheme", "model", "energy_w", "rate_bits_s_hz"),
 }
+_NAME_COLUMNS = {"scheme", "model", "method", "protocol"}  # written as they are; numbers .17g
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class SweepSpec:
             bad = [p for p in self.grid if not (math.isfinite(p) and p > 0.0)]
             if bad:
                 raise ValueError(f"grid powers must be finite and > 0, got {bad}")
+        # Python floats, not numpy scalars: every quadrature node computes on them
+        object.__setattr__(self, "grid", tuple(map(float, self.grid)))
         check_mc_inputs(self.samples, self.seed, self.workers)
         validate(self.config)
         if not self.models:
@@ -115,9 +119,9 @@ def evaluate(quantity: str, method: str, scheme: Scheme, cfgs: Sequence[Config],
                 value = fn(scheme, s, p, g, cfg.harvest)
             else:
                 value = fn(scheme, s, p, g).value_bits_s_hz
-        except RuntimeError as exc:
-            raise RuntimeError(f"{quantity} row failed: scheme={scheme.value} model={tag} "
-                               f"method={method} pt_w={s.transmit_power_w}") from exc
+        except QuadratureError as exc:
+            raise QuadratureError(f"{quantity} row failed: scheme={scheme.value} model={tag} "
+                                  f"method={method} pt_w={s.transmit_power_w}: {exc}") from exc
         results.append((value, None))
     return results
 
@@ -135,16 +139,15 @@ def run_power_sweep(spec: SweepSpec) -> list[dict]:
     for model in models:
         base = spec.config.with_params(harvest=model)
         cfgs = [base.with_params(transmit_power_w=pt_w) for pt_w in spec.grid]
+        tag = (model_tag(model),) if "model" in columns else ()
         for scheme in Scheme:
             for method in spec.methods:
                 results = evaluate(spec.experiment, method, scheme, cfgs, samples=spec.samples,
                                    seed=spec.seed, workers=spec.workers)
-                for pt_w, (value, _) in zip(spec.grid, results or ()):
-                    row = {"pt_w": pt_w, "scheme": scheme.value, "model": model_tag(model),
-                           "method": method, columns[-1]: value}
-                    rows.append({c: row[c] for c in columns})
-    key = [c for c in ("scheme", "model", "method", "pt_w") if c in columns]
-    rows.sort(key=lambda r: tuple(r[c] for c in key))
+                names = (scheme.value, *tag, method)
+                rows += [dict(zip(columns, (pt_w, *names, value)))
+                         for pt_w, (value, _) in zip(spec.grid, results or ())]
+    rows.sort(key=itemgetter(*columns[1:-1], "pt_w"))
     return rows
 
 
@@ -177,16 +180,11 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
                 cfgs = [_tradeoff_config(protocol_tag, control, base) for control in spec.grid]
                 energies = _region_energy(scheme, cfgs)
                 rates = evaluate("rate", "closed", scheme, cfgs)
-                for control, energy_w, (rate, _) in zip(spec.grid, energies, rates):
-                    rows.append({
-                        "protocol": protocol_tag,
-                        "control": control,
-                        "scheme": scheme.value,
-                        "model": model_tag(model),
-                        "energy_w": energy_w,
-                        "rate_bits_s_hz": rate,
-                    })
-    rows.sort(key=lambda r: (r["protocol"], r["scheme"], r["model"], r["control"]))
+                tag = model_tag(model)
+                rows += [{"protocol": protocol_tag, "control": control, "scheme": scheme.value,
+                          "model": tag, "energy_w": energy_w, "rate_bits_s_hz": rate}
+                         for control, energy_w, (rate, _) in zip(spec.grid, energies, rates)]
+    rows.sort(key=itemgetter("protocol", "scheme", "model", "control"))
     return rows
 
 
@@ -317,15 +315,12 @@ def emit_outputs(rows: list[dict], out_dir: str | Path, experiment: str) -> list
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{experiment}.csv"
+    # one template per table: csv.writer's bytes, as no field needs quoting
+    line = ",".join(f"{{{c}}}" if c in _NAME_COLUMNS else f"{{{c}:.17g}}" for c in columns)
+    text = "".join([",".join(columns), "\n", *map((line + "\n").format_map, rows)])
     try:
         with open(csv_path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(
-                    f"{row[c]:.17g}" if isinstance(row[c], float) else row[c]
-                    for c in columns
-                )
+            f.write(text)
     except OSError as exc:
         raise OSError(f"failed writing {csv_path}: {exc}") from exc
     script_path = out_dir / f"plot_{experiment}.py"

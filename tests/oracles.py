@@ -11,13 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paswipt.config import SPEED_OF_LIGHT, Config, RegionGeometry, SystemParams
+from paswipt.config import (SPEED_OF_LIGHT, Config, HarvestModel, LinearHarvest, RegionGeometry,
+                            SystemParams)
 from paswipt.distributions import SquaredDistanceDistribution
+from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import _chunk_sizes, _chunk_ue, check_mc_inputs
 
 # The edge/center factor varpi of the paper's forms: the offset spans d_y / varpi.
 VARPI = {Scheme.EDS: 1, Scheme.CDS: 2}
+
+
+def harvest_power(model: HarvestModel, p_in):
+    """Harvested power for incident power p_in (a float or an array) under
+    either model, dispatched per call: the quadrature's kernel
+    (energy.harvest_kernel) must give the same bits at p_in = c / l."""
+    if isinstance(model, LinearHarvest):
+        return model.eta * p_in
+    return logistic_harvest_power(model, p_in)
 
 
 def wavelength_m(system: SystemParams) -> float:

@@ -288,6 +288,25 @@ def test_bad_flag_fails_with_one_line(argv, field, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("scheme, height, message", [
+    # h^2 underflows to 0: the diagonal closed form divided by it, the edge quadrature failed
+    ("dds", "1e-200", "height^2 must be a normal float"),
+    ("eds", "1e-200", "height^2 must be a normal float"),
+    # a valid room whose energy integrand is a spike the quadrature cannot resolve
+    ("eds", "1e-100", "energy row failed: scheme=eds model=lm method=quadrature"),
+])
+def test_tiny_height_fails_with_one_line(tmp_path, scheme, height, message):
+    """A fresh `python -m paswipt.cli` process: exit 2, one stderr line, no traceback."""
+    src = str(Path(paswipt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "paswipt.cli", "energy", "--scheme", scheme,
+                          "--pt-w", "0.3", "--height", height], cwd=tmp_path,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+    assert run.stderr.startswith("paswipt energy: error: ") and message in run.stderr
+
+
 @pytest.mark.parametrize("method", ["closed", "quad"])
 def test_infinite_link_factor_fails_with_one_line(method, capsys):
     # 1e300 W over 1e-33 W of noise: mu P_t / sigma^2 overflows, every field is valid

@@ -263,6 +263,25 @@ def test_validate_rejects_a_room_whose_support_overflows(room, got):
                                 f"(d_x, d_y) must be finite, {got}"]
 
 
+@pytest.mark.parametrize("room, got", [
+    (dict(height=1e-200), "got 0.0 and inf"),  # h^2 underflows to zero
+    (dict(height=1e-160, d_y=1e-10), "got 1e-320 and 9.999999999999999e+299"),  # subnormal h^2
+    (dict(height=0.1, d_y=1e154), "got 0.010000000000000002 and inf"),  # (d_y / h)^2 overflows
+])
+def test_validate_rejects_a_height_too_small_for_the_room(room, got):
+    with pytest.raises(ConfigError) as exc:
+        validate(default_config(0.3).with_params(**room))
+    assert exc.value.errors == [f"height^2 must be a normal float and (d_y / height)^2 finite, "
+                                f"{got}"]
+
+
+def test_validate_accepts_the_smallest_heights_that_fit():
+    cfg = default_config(0.3).with_params(height=1e-150)  # (10 / h)^2 = 1e302
+    assert validate(cfg) is cfg
+    cfg = default_config(0.3).with_params(height=1.5e-154, d_y=1e-10)  # h^2 is normal
+    assert validate(cfg) is cfg
+
+
 def test_validate_checks_the_room_support_only_on_valid_geometry():
     cfg = default_config(0.3).with_params(d_y=1e150, height=1e150, d_x=1e150)
     assert validate(cfg) is cfg  # h^2 + d_y^2 = 2e300 is still finite

@@ -11,10 +11,10 @@ from paswipt.distributions import (
     SquaredDistanceDistribution,
     emit_cdf_table,
 )
-from paswipt.energy import harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
-from oracles import VARPI, cdf_table_numpy, ground_projection_cdf, sample_squared_distance
+from oracles import (VARPI, cdf_table_numpy, ground_projection_cdf, harvest_power,
+                     sample_squared_distance)
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
 

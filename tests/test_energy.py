@@ -13,13 +13,13 @@ from paswipt.energy import (
     avg_energy_lm_closed,
     avg_energy_nlm_bound,
     avg_energy_quadrature,
-    harvest_power,
+    harvest_kernel,
     logistic_harvest_power,
     mean_inverse_squared_distance,
 )
 from paswipt.geometry import Scheme
 
-from oracles import mean_inverse_squared_distance_varpi
+from oracles import harvest_power, mean_inverse_squared_distance_varpi
 
 NLM = DEFAULT_HARVEST["nlm"]
 
@@ -215,3 +215,32 @@ def test_mean_inverse_distance_over_the_span_has_the_varpi_bits(scheme, d_x, d_y
     g = RegionGeometry(d_x=d_x, d_y=d_y, height=height)
     assert mean_inverse_squared_distance(scheme, g).hex() == \
         mean_inverse_squared_distance_varpi(scheme, g).hex()
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
+
+
+# incident powers: zero, below the 2.9 uW turn-on, across the knee
+# (|a (p - b)| <= 40 within 0.4 uW of it), and saturated
+_INCIDENT_W = st.one_of(st.just(0.0), _log_uniform(-12, -5.6), st.floats(2.4e-6, 3.4e-6),
+                        _log_uniform(-5.4, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tag=st.sampled_from(["lm", "nlm"]), p_in=_INCIDENT_W, l=_log_uniform(-3, 4))
+@example(tag="nlm", p_in=0.0, l=9.0)
+@example(tag="nlm", p_in=1e-6, l=9.0)
+@example(tag="nlm", p_in=2.9e-6, l=9.0)
+@example(tag="nlm", p_in=3.3e-6, l=9.0)  # x = 40.0: expit still runs
+@example(tag="nlm", p_in=1e-3, l=9.0)
+def test_quadrature_kernel_has_the_bits_of_harvest_power(tag, p_in, l):
+    """harvest_kernel(model, c)(l), the per-node integrand of
+    avg_energy_quadrature, is harvest_power(model, c / l) bit for bit,
+    and so is the array path (scipy's expit for the logistic model)."""
+    model = DEFAULT_HARVEST[tag]
+    c = p_in * l
+    got = harvest_kernel(model, c)(l)
+    assert type(got) is float
+    assert got.hex() == harvest_power(model, c / l).hex()
+    assert got.hex() == float(harvest_power(model, np.array([c / l]))[0]).hex()

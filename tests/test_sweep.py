@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -239,6 +240,30 @@ class TestEmitOutputs:
         assert all(p.exists() for p in paths)
         with pytest.raises(TypeError):
             emit_outputs(rows, tmp_path, "rate", write_plot_script=False)
+
+
+# sha256 of each preset's CSV as emit_outputs writes it, recorded before the
+# analytic path and the CSV writer were last optimized: any change to a
+# value, its formatting or the row order shows here.
+PRESET_CSV_SHA256 = {
+    ("s1", False): "58d46f90df88f774e5dd6e50a6e62c9227e0b68fc105abbbb223e36fe79f617f",
+    ("s2", False): "320b98a819baea899feb817c2dc448481181ab43e00ef80e5a5c28ff7a19a24c",
+    ("c1", False): "fb6e356d27e4b813831843ae0b878249332d250065fbcfb09ba0b3ea1f9113b9",
+    ("c2", False): "b0d7b48fff0073dce3e6d478969bc37f5bfb6939985e61fb954a4bf4873dd7ad",
+    ("fig4", False): "5817508a5a3ec5249ed9e2e26b70b4ef7ae5ed1a6876b5da85ac37581fa82e12",
+    ("s1", True): "a6a709c21b5609d37cbe705f1dfdccada683c5cd55fb92a3d9df0cd026bb7f58",
+    ("c1", True): "4ed00f4ed5b30040c179fe8d4902043c7369a7ef47c47d64b0282cbb273d0ded",
+}
+
+
+@pytest.mark.parametrize("name,include_mc", list(PRESET_CSV_SHA256))
+def test_preset_csv_golden_bytes(name, include_mc, tmp_path):
+    """Each preset's CSV, byte for byte; the MC ones at 2^14 samples, seed 0."""
+    spec = preset(name, include_mc=include_mc, samples=1 << 14, seed=0)
+    rows = run_tradeoff(spec) if spec.experiment == "region" else run_power_sweep(spec)
+    csv_path = emit_outputs(rows, tmp_path, spec.experiment)[0]
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+        PRESET_CSV_SHA256[name, include_mc]
 
 
 @pytest.mark.parametrize("name,experiment", [
