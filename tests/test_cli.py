@@ -288,6 +288,13 @@ def test_bad_flag_fails_with_one_line(argv, field, capsys):
     assert "Traceback" not in err
 
 
+def _package_env() -> dict:
+    """The environment for a fresh interpreter that imports this paswipt."""
+    src = str(Path(paswipt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.mark.parametrize("scheme, height, message", [
     # h^2 underflows to 0: the diagonal closed form divided by it, the edge quadrature failed
     ("dds", "1e-200", "height^2 must be a normal float"),
@@ -297,11 +304,9 @@ def test_bad_flag_fails_with_one_line(argv, field, capsys):
 ])
 def test_tiny_height_fails_with_one_line(tmp_path, scheme, height, message):
     """A fresh `python -m paswipt.cli` process: exit 2, one stderr line, no traceback."""
-    src = str(Path(paswipt.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-m", "paswipt.cli", "energy", "--scheme", scheme,
                           "--pt-w", "0.3", "--height", height], cwd=tmp_path,
-                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                         capture_output=True, text=True, env=_package_env())
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
     assert run.stderr.startswith("paswipt energy: error: ") and message in run.stderr
@@ -358,10 +363,8 @@ def _loaded_after(tmp_path, *argvs, roots=("numpy", "scipy", "yaml", "concurrent
         "    main(argv)\n"
         f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))\n"
     )
-    src = str(Path(paswipt.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+                         text=True, env=_package_env())
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 
