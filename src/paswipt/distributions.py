@@ -12,8 +12,7 @@ rule (``qk21`` inside the ``qag`` bisection loop; Piessens et al.,
 *QUADPACK*, 1983), written out here on Python floats.  The rule sums its
 nodes in ``qk21``'s own order, so a single-interval integral has
 QUADPACK's bits.  Settings: absolute tolerance 1e-14, relative tolerance
-1e-11, at most 200 subintervals; a result whose error estimate exceeds
-1e-7 |value| + 1e-13, or that is not finite, raises ``QuadratureError``.
+1e-11, at most 200 subintervals; ``expect`` says which results raise.
 
 The module runs on ``math`` alone: the laws, their CDF/PDF table and the
 expectations load neither numpy nor scipy.
@@ -200,14 +199,12 @@ class SquaredDistanceDistribution:
         Edge/center: the offset t is uniform on [0, span].  Diagonal: t
         carries the triangular weight (2/span) (1 - t/span).
 
-        ``g`` is called with one float per node.  The rule is QUADPACK's
-        21-point Gauss-Kronrod inside the ``qag`` bisection loop, with
-        absolute tolerance 1e-14, relative tolerance 1e-11 and at most
-        200 subintervals.  Raises ``QuadratureError`` (naming the
-        scheme, the room, the value, its error estimate, the number of
-        integrand calls and of subintervals) when the value or its error
-        estimate is not finite, or the error estimate exceeds
-        1e-7 |value| + 1e-13.
+        ``g`` is called with one float per node, under the rule and the
+        tolerances of the module docstring.  Raises ``QuadratureError``,
+        naming the room and the rule's state, when the value or its error
+        estimate is not finite, the error estimate exceeds
+        1e-7 |value| + 1e-13, or both are exactly 0 while g(h^2) is not:
+        every node's weighted integrand underflowed.
         """
         h2 = self.geometry.height**2
         span = self.scheme.span(self.geometry)  # not the cached_property: it locks on first use
@@ -221,39 +218,43 @@ class SquaredDistanceDistribution:
 
         val, abserr, neval, parts = _qag(integrand, 0.0, span, epsabs=1e-14, epsrel=1e-11,
                                          limit=200)
-        if not (math.isfinite(val) and math.isfinite(abserr)) or abserr > 1e-7 * abs(val) + 1e-13:
+        if (not (math.isfinite(val) and math.isfinite(abserr)) or abserr > 1e-7 * abs(val) + 1e-13
+                or val == abserr == 0.0 and g(h2) != 0.0):
             geom = self.geometry
             raise QuadratureError(
-                f"quadrature did not converge for {self.scheme.value} in the "
-                f"{geom.d_x:g} x {geom.d_y:g} x {geom.height:g} m room (d_x, d_y, h): "
+                f"quadrature {'underflowed' if val == abserr == 0.0 else 'did not converge'} "
+                f"for {self.scheme.value} in the {geom.d_x:g} x {geom.d_y:g} x {geom.height:g} m "
+                f"room (d_x, d_y, h): "
                 f"value={val:.17g}, abserr={abserr:.3g}, neval={neval}, subintervals={parts}"
             )
         return val
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """np.linspace(lo, hi, num)'s floats, num >= 2, where its step is not 0."""
+    step = (hi - lo) / (num - 1)
+    return [i * step + lo for i in range(num - 1)] + [hi]
 
 
 def emit_cdf_table(dist: SquaredDistanceDistribution,
                    n_points: int = 1000) -> list[tuple[float, float, float]]:
     """(l, cdf, pdf) rows on a uniform grid over the support interior.
 
-    The grid has the floats of np.linspace(lo, hi, n_points + 1)[1:]:
-    point i is i * step + lo with step = (hi - lo) / n_points, and the
-    last point is hi itself.  The exact lower endpoint is excluded because
-    the density diverges there, so a step too small to move off it raises
-    ValueError.  (np.linspace computes a step that is 0 differently; its
-    first point is then on lo as well.)
+    The grid is _linspace(lo, hi, n_points + 1) without its first point.
+    The exact lower endpoint is excluded because the density diverges
+    there, so a step too small to move off it raises ValueError.
     """
     if n_points < 1:
         raise ValueError(f"points must be >= 1, got {n_points}")
     lo, hi = dist.support
-    step = (hi - lo) / n_points
-    grid = [i * step + lo for i in range(1, n_points)] + [hi]
+    grid = _linspace(lo, hi, n_points + 1)[1:]
     if grid[0] == lo:
         geom = dist.geometry
         raise ValueError(
             f"the {dist.scheme.value} support in the {geom.d_x:g} x {geom.d_y:g} x "
             f"{geom.height:g} m room (d_x, d_y, h) is [h^2, h^2 + {hi - lo:.3g}] m^2, too "
-            f"narrow for {n_points} points: a grid step of {step:.3g} m^2 is below the float "
-            f"spacing {math.ulp(lo):.3g} m^2 at h^2 = {lo:.6g} m^2, so the first point rounds "
-            f"onto h^2, where the pdf is undefined"
+            f"narrow for {n_points} points: a grid step of {(hi - lo) / n_points:.3g} m^2 is "
+            f"below the float spacing {math.ulp(lo):.3g} m^2 at h^2 = {lo:.6g} m^2, so the "
+            f"first point rounds onto h^2, where the pdf is undefined"
         )
     return [(l, dist.cdf(l), dist.pdf(l)) for l in grid]

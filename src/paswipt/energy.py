@@ -1,4 +1,4 @@
-"""Average harvested energy: closed forms, Jensen bound, and quadrature.
+"""Average harvested energy: closed forms, a Jensen approximation, and quadrature.
 
 Harvested "energy" is reported in watts, i.e. average power over the
 unit-normalized protocol period.
@@ -19,16 +19,6 @@ from paswipt.config import (
 )
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
-
-
-def expit(x):
-    """scipy.special.expit, imported on first use so that scipy loads only
-    for an array the saturation shortcut does not cover (floats use
-    config.expit_float).  The first call rebinds this module name to the
-    ufunc itself, so later calls cost nothing extra."""
-    global expit
-    from scipy.special import expit
-    return expit(x)
 
 
 def logistic_harvest_power(model: LogisticHarvest, p_in):
@@ -67,6 +57,8 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
             if p_in.size and a > 0.0 and a * (p_in.min() - b) > 40.0:
                 top = scale * (1.0 - omega)
                 return np.full_like(p_in, 0.0 if top <= 0.0 else top)
+            from scipy.special import expit
+
             return np.maximum(scale * (expit(a * (p_in - b)) - omega), 0.0)
     return harvest_kernel(model, float(p_in))(1.0)  # p / 1.0 is p: the kernel at l = 1
 
@@ -116,7 +108,9 @@ def avg_energy_nlm_bound(
     scheme: Scheme, system: SystemParams, protocol: ProtocolParams,
     geom: RegionGeometry, nlm: LogisticHarvest,
 ) -> float:
-    """Jensen upper bound: alpha * Phi(beta P_t E[1/L])."""
+    """Jensen's alpha * Phi(beta P_t E[1/L]): an upper bound on the average
+    where every UE's beta P_t / L is at or past the turn-on b (Phi is
+    concave there), a lower bound where every one is below b (convex)."""
     p_in = protocol.beta * system.transmit_power_w * mean_inverse_squared_distance(scheme, geom)
     return protocol.alpha * logistic_harvest_power(nlm, p_in)
 

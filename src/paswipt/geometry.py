@@ -32,13 +32,9 @@ def optimal_squared_distance(scheme: Scheme, geom: RegionGeometry, x_u, y_u):
 
     EDS: y_u^2 + h^2; CDS: (y_u - d_y/2)^2 + h^2; DDS: perpendicular
     distance to the diagonal squared, (k x_u - y_u)^2 / (1 + k^2), plus
-    h^2.  Accepts scalars or numpy arrays.
+    h^2.  Takes floats or float64 arrays, as given.
     """
-    import numpy as np
-
     h2 = geom.height**2
-    x_u = np.asarray(x_u, dtype=float)
-    y_u = np.asarray(y_u, dtype=float)
     if scheme is Scheme.EDS:
         return y_u**2 + h2
     if scheme is Scheme.CDS:

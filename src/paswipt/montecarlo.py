@@ -68,30 +68,24 @@ def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int):
     return x_u, y_u
 
 
-def _chunk_distance(scheme: Scheme, config: Config, seed: int, chunk_index: int, size: int):
-    """Squared distances at the optimal placement for chunk j of the stream."""
-    x_u, y_u = _chunk_ue(config, seed, chunk_index, size)
-    return optimal_squared_distance(scheme, config.geometry, x_u, y_u)
-
-
-def _metric_values(metric: str, config: Config, l):
-    p = config.protocol
-    s = config.system
+def _chunk_kernel(metric: str, config: Config):
+    """l -> one config's metric on a chunk's squared distances, in the formula's IEEE order."""
+    p, s, model = config.protocol, config.system, config.harvest
     if metric == "energy-lm":
-        model = config.harvest
         if not isinstance(model, LinearHarvest):
             raise ValueError("energy-lm requires a LinearHarvest config")
-        return p.alpha * p.beta * model.eta * s.transmit_power_w / l
+        c = p.alpha * p.beta * model.eta * s.transmit_power_w
+        return lambda l: c / l
     if metric == "energy-nlm":
-        model = config.harvest
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
-        return p.alpha * logistic_harvest_power(model, p.beta * s.transmit_power_w / l)
+        c = p.beta * s.transmit_power_w
+        return lambda l: p.alpha * logistic_harvest_power(model, c / l)
     if metric == "rate":
         import numpy as np
 
-        mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
-        return (1.0 - p.alpha * p.beta) * np.log1p(mu_gamma / l) / math.log(2.0)
+        scale, mu_gamma = 1.0 - p.alpha * p.beta, s.path_loss_factor_m2 * s.transmit_snr
+        return lambda l: scale * np.log1p(mu_gamma / l) / math.log(2.0)
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
@@ -118,13 +112,15 @@ def estimate(
     check_mc_inputs(n, seed, workers)
     if len({cfg.geometry for cfg in configs}) != 1:
         raise ValueError("estimate needs a non-empty series of configs sharing one geometry")
+    kernels = [_chunk_kernel(metric, cfg) for cfg in configs]
+    geom = configs[0].geometry
     sizes = _chunk_sizes(n)
 
     def chunk_stats(j: int):
-        l = _chunk_distance(scheme, configs[0], seed, j, sizes[j])
+        l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j]))
         stats = []
-        for cfg in configs:
-            v = _metric_values(metric, cfg, l)
+        for kernel in kernels:
+            v = kernel(l)
             stats.append((np.sum(v), np.sum(v * v)))
         return stats
 

@@ -23,7 +23,7 @@ from paswipt.config import (
     model_tag,
     validate,
 )
-from paswipt.distributions import QuadratureError
+from paswipt.distributions import QuadratureError, _linspace
 from paswipt.energy import (
     avg_energy_lm_closed,
     avg_energy_nlm_bound,
@@ -239,18 +239,16 @@ def preset(name: str, *, include_mc: bool = False, samples: int = DEFAULT_SAMPLE
     runs the first) and the closed, bound and quadrature methods, each row
     where it applies.  include_mc adds "mc" to the power sweeps; the
     region (fig4) has no MC rows.  Power grids are 50 log-spaced points on
-    [0.01, 1] W (a repo choice; the axis range is otherwise unspecified),
-    region controls 41 points on [0, 1]."""
+    [0.01, 1] W, libm's correctly rounded 10**x (a repo choice; the axis
+    range is otherwise unspecified), region controls 41 points on [0, 1]."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose s1, s2, c1, c2 or fig4")
-    import numpy as np
-
     experiment, changes = PRESETS[name]
     if experiment == "region":
-        grid = tuple(np.linspace(0.0, 1.0, 41))
+        grid = tuple(_linspace(0.0, 1.0, 41))
         include_mc = False
     else:
-        grid = tuple(np.logspace(np.log10(0.01), np.log10(1.0), 50))
+        grid = tuple(10.0 ** x for x in _linspace(math.log10(0.01), 0.0, 50))
     return SweepSpec(
         experiment, default_config(0.3).with_params(**changes), grid,
         models=tuple(DEFAULT_HARVEST.values()), methods=METHODS if include_mc else METHODS[:3],

@@ -279,6 +279,11 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
     (["rate", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e200", "--dy", "1e200"],
      "room support"),
     (["rate", "--scheme", "eds", "--pt-w", "0.3", "--dy", "1e200"], "room support"),
+    # a finite room so wide that every quadrature node's weighted integrand underflows to 0
+    (["rate", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e150", "--dy", "1e150"],
+     "quadrature underflowed"),
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--dx", "1e120", "--dy", "1e120"],
+     "quadrature underflowed"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)
@@ -388,10 +393,14 @@ def test_cold_cli_loads_no_scipy(tmp_path):
     ["energy", "--scheme", "eds", "--model", "nlm", "--pt-w", "1e-5"],
     ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
     ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
-], ids=["import-only", "lm", "nlm-saturated", "nlm-knee", "nlm-below-turn-on", "rate", "dist"])
+    ["sweep", "--preset", "s1", "--out", "s1"],
+    ["sweep", "--preset", "c1", "--out", "c1"],
+    ["sweep", "--preset", "fig4", "--out", "fig4"],
+], ids=["import-only", "lm", "nlm-saturated", "nlm-knee", "nlm-below-turn-on", "rate", "dist",
+        "sweep-s1", "sweep-c1", "sweep-fig4"])
 def test_scalar_calls_load_no_numpy_scipy_or_yaml(tmp_path, argv):
-    # closed forms, the Jensen bound, the quadrature and the distance-law
-    # table run on floats alone, and no thread pool is loaded
+    # closed forms, the Jensen bound, the quadrature, the distance-law table
+    # and the preset grids run on floats alone, and no thread pool is loaded
     assert _loaded_after(tmp_path, *([argv] if argv else [])) == set()
 
 
@@ -404,7 +413,8 @@ def test_config_file_loads_yaml(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3", "--mc", "--samples", "2000"],
     ["rate", "--scheme", "dds", "--pt-w", "0.3", "--method", "mc", "--samples", "2000"],
-], ids=["energy-mc", "rate-mc"])
+    ["sweep", "--preset", "s1", "--out", "s1", "--mc", "--samples", "2000"],
+], ids=["energy-mc", "rate-mc", "sweep-s1-mc"])
 def test_array_calls_load_numpy(tmp_path, argv):
     assert "numpy" in _loaded_after(tmp_path, argv)
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -6,10 +7,10 @@ from scipy import stats
 
 from paswipt.config import LinearHarvest, ProtocolParams, default_config
 from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound
-from paswipt.geometry import Scheme
+from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import (
     CHUNK_SIZE,
-    _chunk_distance,
+    _chunk_ue,
     estimate,
 )
 from paswipt.rate import avg_rate_closed
@@ -47,6 +48,21 @@ def test_metric_model_mismatch(lm_config, nlm_config):
         estimate("energy-nlm", Scheme.EDS, [lm_config], n=100)
     with pytest.raises(ValueError, match="LinearHarvest"):
         estimate("energy-lm", Scheme.EDS, [nlm_config], n=100)
+
+
+@pytest.mark.parametrize("metric, match", [("energy-nlm", "LogisticHarvest"),
+                                           ("outage", "unknown metric")])
+def test_bad_metric_raises_before_any_draw(lm_config, metric, match, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _chunk_ue(*args)
+
+    monkeypatch.setattr("paswipt.montecarlo._chunk_ue", counted)
+    with pytest.raises(ValueError, match=match):
+        estimate(metric, Scheme.EDS, [lm_config], n=3 * CHUNK_SIZE, workers=2)
+    assert calls == []
 
 
 def test_zero_prefactor_rate(lm_config):
@@ -124,10 +140,10 @@ def test_batch_draws_each_chunk_once(lm_config, monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[3])  # the chunk index
-        return _chunk_distance(*args)
+        calls.append(args[2])  # the chunk index
+        return _chunk_ue(*args)
 
-    monkeypatch.setattr("paswipt.montecarlo._chunk_distance", counted)
+    monkeypatch.setattr("paswipt.montecarlo._chunk_ue", counted)
     configs = [lm_config.with_params(transmit_power_w=p) for p in (0.1, 0.2, 0.3, 0.4)]
     estimate("rate", Scheme.EDS, configs, n=3 * CHUNK_SIZE, seed=1, workers=2)
     assert sorted(calls) == [0, 1, 2]
@@ -204,6 +220,43 @@ GOLDEN = {
     ("rate", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.3a1c3fb034348p+2", "0x1.2e2f288858f8cp-9"),
     ("rate", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.3a0021c363175p+2", "0x1.e9e8af94483e6p-11"),
 }
+
+
+# sha256 of chunk j's UE x then y bytes ("ue"), and of each scheme's
+# optimal squared distances on them, in the default 15 x 10 x 3 m room.
+# These pin the draws under every metric: a metric change may move the
+# GOLDEN digits above, never these.
+GOLDEN_DRAWS = {
+    (0, 0): {"ue": "517de60bb37ab569e8d42580d4e06ab91bb6463aa4b1eb56a41e2c7e6c495b90",
+             "eds": "5b60ea78c6427808dbde22f87c5b52b9e2fc033597d21f99058189f457403d22",
+             "cds": "4e7208f191b19826e367318c0aea6f866ceaf5a6670958e1e2d919e6efba2d8c",
+             "dds": "70b00edcf383e1c24f6706dd57249d22e86d2413d36dbacb0429b2e3da12cd47"},
+    (0, 1): {"ue": "27bd814c69069f00803bc172abbbf473d8c674a00fa8c7c63be94a1829ec2405",
+             "eds": "8ba400a9e501d5123a1105bd1eb5a78c6f0fa06e61482fabbd50936658e236db",
+             "cds": "87b8c6f53ac026dab90580f28e65e3f5648fda575f2916c19b6a2dfe200449d8",
+             "dds": "93f1f6df168c30ec9a8829c1208f438ecc31b23bf6d691773fec3d04be369151"},
+    (GOLDEN_SEED_BIG, 0): {
+        "ue": "b47e12ae9f00a3544c86d10435e2a9f260d2d016c99c3e0b4dcf1d20f95c70f8",
+        "eds": "a9fd2bb2c6281fcdf0b3854b1dcf91050411599dfc8e0a018053215442446f4d",
+        "cds": "c665a3099f16d3552e2dd704d86a5e0172c12c25c82f1e39c912843ed1e7e084",
+        "dds": "c3ab80718ce88346f281db8ce054274e55c4b5584f5936dba9ab8b4d5c8556c6"},
+    (GOLDEN_SEED_BIG, 1): {
+        "ue": "12aaf5ea267e71ad28fffd8d3d4154a4b6634bb675b9d92935ba149912459a47",
+        "eds": "423a0efe1ccdc7e498cdc24c2eca327873dae2170631d60304f64809c3b67004",
+        "cds": "fca64f4b3e693f43cadaf94f8acd3dbf0313f028e4740e46a4935847da456e2e",
+        "dds": "b560d1d0382f7eeabbe15eb09dd3fb9903d89e1baf78a658fd149dfe51020b9e"},
+}
+
+
+@pytest.mark.parametrize("seed, chunk", list(GOLDEN_DRAWS))
+def test_draw_golden_digests(seed, chunk):
+    cfg = default_config(0.3)
+    x_u, y_u = _chunk_ue(cfg, seed, chunk, CHUNK_SIZE)
+    got = {"ue": hashlib.sha256(x_u.tobytes() + y_u.tobytes()).hexdigest()}
+    for scheme in Scheme:
+        l = optimal_squared_distance(scheme, cfg.geometry, x_u, y_u)
+        got[scheme.value] = hashlib.sha256(l.tobytes()).hexdigest()
+    assert got == GOLDEN_DRAWS[seed, chunk]
 
 
 def _golden_config(metric):

@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from paswipt.config import DEFAULT_HARVEST, LinearHarvest, default_config
 from paswipt.distributions import QuadratureError
-from paswipt.montecarlo import _chunk_distance, estimate
-from paswipt.geometry import Scheme
+from paswipt.montecarlo import estimate
+from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.sweep import (
     METHODS,
     PRESETS,
@@ -242,26 +245,49 @@ class TestEmitOutputs:
             emit_outputs(rows, tmp_path, "rate", write_plot_script=False)
 
 
-# sha256 of each preset's CSV as emit_outputs writes it, recorded before the
-# analytic path and the CSV writer were last optimized: any change to a
-# value, its formatting or the row order shows here.
+# sha256 of each preset's CSV as emit_outputs writes it: any change to a
+# value, its formatting or the row order shows here.  The power grids are
+# libm's correctly rounded 10**x, so every case but c1 with MC has these
+# bytes at every numpy SIMD level.  c1's MC rows run np.log1p, whose
+# AVX-512 loop rounds differently from libm's, so that case runs in a fresh
+# interpreter with every dispatched numpy feature disabled.
 PRESET_CSV_SHA256 = {
-    ("s1", False): "58d46f90df88f774e5dd6e50a6e62c9227e0b68fc105abbbb223e36fe79f617f",
-    ("s2", False): "320b98a819baea899feb817c2dc448481181ab43e00ef80e5a5c28ff7a19a24c",
-    ("c1", False): "fb6e356d27e4b813831843ae0b878249332d250065fbcfb09ba0b3ea1f9113b9",
-    ("c2", False): "b0d7b48fff0073dce3e6d478969bc37f5bfb6939985e61fb954a4bf4873dd7ad",
+    ("s1", False): "d5f9f5c5e79e77332170be9ec4bf3006ced8f57b28bfe977dbe15428d256ecfd",
+    ("s2", False): "f163061291c8d081d70f5ce98fc8e5ff6466aa1fde1299636d8bb61d80eac7cc",
+    ("c1", False): "26fc62a3b0dc0a1ece7deb4eee7f400f5dd8ce28dbe384c0d76e712a282875bd",
+    ("c2", False): "3bb9d5c83fde21577ac8e7279af7cf67ee90af539bd235bb01f8b8b865e613a6",
     ("fig4", False): "5817508a5a3ec5249ed9e2e26b70b4ef7ae5ed1a6876b5da85ac37581fa82e12",
-    ("s1", True): "a6a709c21b5609d37cbe705f1dfdccada683c5cd55fb92a3d9df0cd026bb7f58",
-    ("c1", True): "4ed00f4ed5b30040c179fe8d4902043c7369a7ef47c47d64b0282cbb273d0ded",
+    ("s1", True): "ecab1f9740b5c24abfc3dd86c9ac2d708b415fe3b689b25480a7d1724e3c8c84",
+    ("c1", True): "9ce62bf0af283838bc09c4805924481f962858b73c5fe06b845a65119eca20f2",
 }
+_BASELINE_SIMD_ONLY = {("c1", True)}
+
+
+def _without_simd_dispatch() -> dict:
+    """An environment whose numpy dispatches no CPU feature at run time.
+    The list comes from numpy itself: a name it does not dispatch aborts
+    its import."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+            "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
 
 
 @pytest.mark.parametrize("name,include_mc", list(PRESET_CSV_SHA256))
 def test_preset_csv_golden_bytes(name, include_mc, tmp_path):
     """Each preset's CSV, byte for byte; the MC ones at 2^14 samples, seed 0."""
     spec = preset(name, include_mc=include_mc, samples=1 << 14, seed=0)
-    rows = run_tradeoff(spec) if spec.experiment == "region" else run_power_sweep(spec)
-    csv_path = emit_outputs(rows, tmp_path, spec.experiment)[0]
+    if (name, include_mc) in _BASELINE_SIMD_ONLY:
+        run = subprocess.run([sys.executable, "-m", "paswipt.cli", "sweep", "--preset", name,
+                              "--mc", "--samples", str(spec.samples), "--out", str(tmp_path)],
+                             env=_without_simd_dispatch(), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        csv_path = tmp_path / f"{spec.experiment}.csv"
+    else:
+        rows = run_tradeoff(spec) if spec.experiment == "region" else run_power_sweep(spec)
+        csv_path = emit_outputs(rows, tmp_path, spec.experiment)[0]
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         PRESET_CSV_SHA256[name, include_mc]
 
@@ -303,9 +329,9 @@ def test_mc_sweep_draws_each_chunk_once_per_series(monkeypatch):
 
     def counted(scheme, *args):
         calls.append(scheme)
-        return _chunk_distance(scheme, *args)
+        return optimal_squared_distance(scheme, *args)
 
-    monkeypatch.setattr("paswipt.montecarlo._chunk_distance", counted)
+    monkeypatch.setattr("paswipt.montecarlo.optimal_squared_distance", counted)
     spec = preset("s1", include_mc=True, samples=1 << 14, seed=2)
     rows = run_power_sweep(spec)
     assert sum(r["method"] == "mc" for r in rows) == 3 * 2 * len(spec.grid)
