@@ -25,13 +25,8 @@ def watts_to_dbm(p_w: float) -> float:
 
 
 def expit_float(x: float) -> float:
-    """The logistic sigmoid 1 / (1 + e^{-x}) of one float, on libm's exp.
-
-    This is scipy.special.expit's formula, so it gives scipy's bits
-    without loading numpy or scipy; where e^{-x} overflows (x below about
-    -709.78) the value is 0.0, scipy's 1 / (1 + inf).
-    tests/test_logistic_kernel.py pins it against scipy bit for bit.
-    """
+    """The logistic sigmoid 1 / (1 + e^{-x}) of one float, on libm's exp;
+    0.0 where e^{-x} overflows (x below about -709.78), as 1 / (1 + inf)."""
     try:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
@@ -111,9 +106,8 @@ class LogisticHarvest:
         input, Omega = expit(-a b), and saturation_w / (1 - Omega).
 
         Computed on first use and kept on the instance, so the curve's
-        kernel reads them per call without hashing the model.  expit
-        keeps a*b of several hundred from overflowing e^{a b}; it is the
-        float form, expit_float, so no scipy is loaded here.
+        kernel reads them per call without hashing the model.  The
+        sigmoid keeps a*b of several hundred from overflowing e^{a b}.
         """
         omega = expit_float(-self.slope_per_w * self.turn_on_w)
         return omega, self.saturation_w / (1.0 - omega)
@@ -224,6 +218,7 @@ _RANGES = {
     "eta": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
 }
 _POSITIVE = ("> 0", lambda v: math.isfinite(v) and v > 0)
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def validate(config: Config) -> Config:
@@ -259,12 +254,17 @@ def validate(config: Config) -> Config:
         lam = g.diagonal_half_width
         # and its twin for a tiny height: h^2 and (S / h)^2 for the widest span, S = d_y
         h2, ratio2 = g.height * g.height, (g.d_y / g.height) * (g.d_y / g.height)
+        # and for a narrow room: the diagonal span Lambda squared, and (Lambda / h)^2
+        lam2, lam_ratio2 = lam * lam, (lam / g.height) * (lam / g.height)
         if not (math.isfinite(widest) and math.isfinite(lam)):
             errors.append(f"room support h^2 + d_y^2 (height, d_y) and diagonal_half_width "
                           f"(d_x, d_y) must be finite, got {widest} and {lam}")
-        elif not (h2 >= 2.2250738585072014e-308 and math.isfinite(ratio2)):  # smallest normal
+        elif not (h2 >= _SMALLEST_NORMAL and math.isfinite(ratio2)):
             errors.append(f"height^2 must be a normal float and (d_y / height)^2 finite, "
                           f"got {h2} and {ratio2}")
+        elif not (lam2 >= _SMALLEST_NORMAL and lam_ratio2 >= _SMALLEST_NORMAL):
+            errors.append(f"diagonal_half_width^2 and (diagonal_half_width / height)^2 "
+                          f"must be normal floats, got {lam2} and {lam_ratio2}")
     if not known:
         errors.append(f"harvest model must be LinearHarvest or LogisticHarvest, got {type(m).__name__}")
     if errors:

@@ -27,24 +27,24 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
     int gives a Python float and imports nothing; an array (or a 0-d
     array, which gives a float) goes through numpy.
 
-    Uses expit throughout so a*(p_in - b) in the hundreds neither
-    overflows nor loses the zero-input cancellation (the offset Omega is
-    the same expit evaluation at -a*b, kept per model with the scale
-    phi/(1-Omega) in `LogisticHarvest.curve_constants`).  A float runs
-    `config.expit_float`, scipy's formula on libm's exp with scipy's
-    bits, so the scalar path loads neither numpy nor scipy; an array runs
-    the scipy.special.expit ufunc.
+    The sigmoid is 1 / (1 + e^{-x}) throughout, as `config.expit_float`
+    writes it, so a*(p_in - b) in the hundreds neither overflows nor
+    loses the zero-input cancellation (the offset Omega is the same
+    sigmoid at -a*b, kept per model with the scale phi/(1-Omega) in
+    `LogisticHarvest.curve_constants`).  A float runs it on libm's exp
+    and an array on np.exp, where an overflowing e^{-x} gives 0.0 like
+    the float's.  np.exp is libm's bit for bit without numpy's SIMD
+    dispatch and within one ulp of it under AVX-512, so only without
+    dispatch do the two paths share every digit.
 
-    Saturation shortcut, bit for bit: where x = a*(p_in - b) > 40,
-    expit(x) = 1/(1 + exp(-x)) is exactly 1.0, because exp(-40) < 2**-54
-    rounds away against 1 (the first such x is near 36.74).  x is
-    monotone in p_in under IEEE rounding (a > 0), so an array whose
-    smallest x passes 40 is one constant, phi/(1-Omega) * (1 - Omega),
-    and costs one min instead of the ufunc chain (and never loads scipy);
-    any other array runs the whole chain.  A float skips its expit the
-    same way.  The test is on the minimum, not per element: a masked
-    evaluation was 2.5x slower on a partly saturated chunk, and
-    expit(..., where=mask) has segfaulted on arrays of 4,096 elements.
+    Saturation shortcut, bit for bit: where x = a*(p_in - b) > 40, the
+    sigmoid is exactly 1.0, because exp(-40) < 2**-54 rounds away against
+    1 (the first such x is near 36.74).  x is monotone in p_in under IEEE
+    rounding (a > 0), so an array whose smallest x passes 40 is one
+    constant, phi/(1-Omega) * (1 - Omega), and costs one min instead of
+    the exp chain; any other array runs the whole chain.  A float skips
+    its exp the same way.  The test is on the minimum, not per element:
+    a masked evaluation was 2.5x slower on a partly saturated chunk.
     """
     if not isinstance(p_in, (float, int)):
         import numpy as np
@@ -57,9 +57,9 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
             if p_in.size and a > 0.0 and a * (p_in.min() - b) > 40.0:
                 top = scale * (1.0 - omega)
                 return np.full_like(p_in, 0.0 if top <= 0.0 else top)
-            from scipy.special import expit
-
-            return np.maximum(scale * (expit(a * (p_in - b)) - omega), 0.0)
+            with np.errstate(over="ignore"):
+                sigma = 1.0 / (1.0 + np.exp(-(a * (p_in - b))))
+            return np.maximum(scale * (sigma - omega), 0.0)
     return harvest_kernel(model, float(p_in))(1.0)  # p / 1.0 is p: the kernel at l = 1
 
 

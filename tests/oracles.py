@@ -7,6 +7,8 @@ builds arrays of its own.
 """
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,11 @@ from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import _chunk_sizes, _chunk_ue, check_mc_inputs
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 # The edge/center factor varpi of the paper's forms: the offset spans d_y / varpi.
 VARPI = {Scheme.EDS: 1, Scheme.CDS: 2}
@@ -199,3 +206,56 @@ def mean_inverse_squared_distance_varpi(scheme: Scheme, geom: RegionGeometry) ->
     it before the span moved to Scheme.span."""
     varpi = VARPI[scheme]
     return varpi / (geom.height * geom.d_y) * math.atan(geom.d_y / (varpi * geom.height))
+
+
+# --- numpy's run-time SIMD dispatch ---
+#
+# Without it, np.exp and np.log1p are libm's bit for bit.  Under AVX-512,
+# np.exp is within one ulp of libm's exp and np.log1p rounds differently
+# on about 1% of the elements, so array digits that pass through them
+# are pinned at the baseline level, in a fresh interpreter.
+
+# whether this numpy runs any CPU feature that it dispatches at run time
+SIMD_DISPATCH = any(__cpu_features__.get(name, False) for name in __cpu_dispatch__)
+
+
+def without_simd_dispatch() -> dict:
+    """An environment whose numpy dispatches no CPU feature at run time.
+    The list comes from numpy itself: a name it does not dispatch aborts
+    its import."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+            "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+
+
+def _libm_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def assert_curve_bits(model, p_in, got, want):
+    """`got`, the logistic curve's array path at `p_in`, against `want`,
+    the same curve on libm's exp.  Without SIMD dispatch np.exp is libm's,
+    so every byte must match.  Under dispatch every element must have
+    want's bits or lie between the curve at libm's e^{-x} moved one ulp
+    up and one ulp down, through the same 1 / (1 + e) and
+    scale * (sigma - Omega): each step is monotone under IEEE rounding,
+    so one ulp of np.exp can move the output no further."""
+    assert isinstance(got, np.ndarray)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if not SIMD_DISPATCH:
+        assert got.tobytes() == want.tobytes()
+        return
+    omega, scale = model.curve_constants
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = model.slope_per_w * (np.asarray(p_in, dtype=float) - model.turn_on_w)
+        e = np.array([_libm_exp(-v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+        def curve(e):
+            return np.maximum(scale * (1.0 / (1.0 + e) - omega), 0.0)
+
+        lo, hi = curve(np.nextafter(e, np.inf)), curve(np.nextafter(e, -np.inf))
+    ok = (got.view(np.int64) == want.view(np.int64)) | ((lo <= got) & (got <= hi))
+    assert ok.all(), [(float(p).hex(), float(g).hex(), float(w).hex())
+                      for p, g, w in zip(np.ravel(p_in)[~ok.ravel()], got[~ok], want[~ok])][:10]

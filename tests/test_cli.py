@@ -284,6 +284,16 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
      "quadrature underflowed"),
     (["energy", "--scheme", "eds", "--pt-w", "0.3", "--dx", "1e120", "--dy", "1e120"],
      "quadrature underflowed"),
+    # the diagonal half-width squared underflows: both closed forms divide by it
+    (["energy", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e-200", "--dy", "1"],
+     "diagonal_half_width"),
+    (["rate", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e-200", "--dy", "1"],
+     "diagonal_half_width"),
+    (["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3", "--dx", "1e-200",
+      "--dy", "1"], "diagonal_half_width"),
+    # a normal half-width whose ratio to the height squares to a subnormal float
+    (["energy", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e-150", "--dy", "1",
+      "--height", "1e10"], "diagonal_half_width"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)
@@ -428,16 +438,15 @@ def test_thread_pool_loads_only_when_a_pool_runs(tmp_path, workers, pool):
     assert ("concurrent.futures" in loaded) is pool
 
 
-def test_logistic_curve_loads_only_scipy_special(tmp_path):
-    # at 1e-4 W the MC chunk straddles the knee, so the array kernel calls expit
+def test_knee_mc_call_loads_numpy_and_no_scipy(tmp_path):
+    # at 1e-4 W the MC chunk straddles the knee, so the array kernel runs np.exp
     loaded = _loaded_after(
         tmp_path,
         ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4",
          "--mc", "--samples", "20000"],
-        roots=("scipy",),
     )
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+    assert "numpy" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 def test_saturated_logistic_chunks_load_no_scipy(tmp_path):

@@ -275,6 +275,25 @@ def test_validate_rejects_a_height_too_small_for_the_room(room, got):
                                 f"{got}"]
 
 
+@pytest.mark.parametrize("room, got", [
+    (dict(d_x=1e-200, d_y=1.0), "got 0.0 and 0.0"),  # Lambda^2 underflows to zero
+    (dict(d_x=1e-150, d_y=1.0, height=1e10), "got 1e-300 and 1e-320"),  # subnormal (Lambda / h)^2
+    (dict(d_x=1.0, d_y=1e-155), "got 1e-310 and 1.111111111111e-311"),  # subnormal Lambda^2
+])
+def test_validate_rejects_a_room_too_narrow_for_its_squares(room, got):
+    with pytest.raises(ConfigError) as exc:
+        validate(default_config(0.3).with_params(**room))
+    assert exc.value.errors == ["diagonal_half_width^2 and (diagonal_half_width / height)^2 "
+                                f"must be normal floats, {got}"]
+
+
+def test_validate_accepts_the_narrowest_rooms_that_fit():
+    cfg = default_config(0.3).with_params(d_x=1e-150, d_y=1.0)  # (Lambda / 3)^2 = 1.1e-301
+    assert validate(cfg) is cfg
+    cfg = default_config(0.3).with_params(d_x=1e-153, d_y=1.0, height=1e-3)  # Lambda^2 = 1e-306
+    assert validate(cfg) is cfg
+
+
 def test_validate_accepts_the_smallest_heights_that_fit():
     cfg = default_config(0.3).with_params(height=1e-150)  # (10 / h)^2 = 1e302
     assert validate(cfg) is cfg

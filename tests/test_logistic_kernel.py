@@ -1,12 +1,20 @@
 """The logistic harvester's kernel against the plain ufunc formula, bit for bit.
 
-`logistic_harvest_power` skips `expit` where it is exactly 1.0 and keeps
-the curve's constants on the model.  `_reference` is the formula it
-replaced, written out once more; every case compares float.hex digits (or
-raw bytes for arrays), so a changed last bit fails.
+`logistic_harvest_power` skips its sigmoid where it is exactly 1.0, keeps
+the curve's constants on the model and runs the sigmoid on np.exp for an
+array.  `_reference` is the scipy.special.expit formula it replaced,
+written out once more; every case compares float.hex digits (or raw bytes
+for arrays), so a changed last bit fails.  np.exp equals libm's exp, and
+so scipy's expit, only without numpy's SIMD dispatch: in this process an
+array element may instead sit one ulp of np.exp away
+(`oracles.assert_curve_bits`), and `test_array_bits_without_simd_dispatch`
+runs every bitwise case again in a fresh interpreter with dispatch off.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +25,8 @@ from scipy.special import expit
 
 from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, expit_float
 from paswipt.energy import logistic_harvest_power
+
+from oracles import assert_curve_bits, without_simd_dispatch
 
 NLM = DEFAULT_HARVEST["nlm"]
 # slope 1, turn-on 0: the exponent a (p - b) is p itself, so a case can
@@ -44,9 +54,7 @@ def assert_same_bits(model, p_in):
         assert type(got) is float
         assert got.hex() == want.hex()
     else:
-        assert isinstance(got, np.ndarray)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+        assert_curve_bits(model, p_in, got, want)
 
 
 def _x_at(model, x):
@@ -139,17 +147,20 @@ def test_chunk_near_threshold_matches_reference(model, scale, lo, n):
 
 
 def test_expit_is_one_past_threshold():
-    """The shortcut's premise: expit(x) == 1.0 exactly for every x > 40.
+    """The shortcut's premise: the sigmoid is 1.0 exactly for every x > 40.
 
-    scipy's expit is 1 / (1 + exp(-x)), and exp(-40) < 2**-54, so
-    1 + exp(-x) rounds to 1.0.  A library change that broke this would
-    fail here before it changed a digit.
+    scipy's expit and the array path's 1 / (1 + np.exp(-x)) are that
+    formula, and exp(-40) < 2**-54, so 1 + exp(-x) rounds to 1.0; the
+    numpy form is checked at this process's SIMD level.  A library change
+    that broke this would fail here before it changed a digit.
     """
     first = np.nextafter(40.0, np.inf)
     next_floats = (np.array(first).view(np.int64) + np.arange(10_000)).view(np.float64)
-    for x in (next_floats, np.geomspace(first, 1e6, 200_000), np.linspace(first, 1e6, 200_000)):
+    for x in (next_floats, np.geomspace(first, 1e6, 200_000), np.linspace(first, 1e6, 200_000),
+              np.array([first, 1e6, 1e300, np.inf])):
         assert np.all(x > 40.0)
         assert np.all(expit(x) == 1.0)
+        assert np.all(1.0 / (1.0 + np.exp(-x)) == 1.0)
     assert expit(np.inf) == 1.0
     assert expit(first) == 1.0 and expit(1e6) == 1.0
 
@@ -204,5 +215,22 @@ KNEE = np.concatenate([
 def test_scalar_and_array_kernels_agree_on_the_knee():
     array = logistic_harvest_power(NLM, KNEE)
     scalar = np.array([logistic_harvest_power(NLM, p) for p in KNEE.tolist()])
-    assert array.tobytes() == scalar.tobytes()
+    assert_curve_bits(NLM, KNEE, array, scalar)
+
+
+def test_array_bits_without_simd_dispatch():
+    """Every bitwise case of this file, and the quadrature kernel's array
+    check, in a fresh interpreter whose numpy dispatches no CPU feature:
+    np.exp is libm's there, so each array must match to the last byte."""
+    tests = Path(__file__).parent
+    args = [str(tests / "test_logistic_kernel.py"), "-k",
+            "not (without_simd_dispatch or expit_float or curve_constants)",
+            str(tests / "test_energy.py") + "::test_quadrature_kernel_has_the_bits_of_harvest_power",
+            "-q", "-p", "no:cacheprovider"]
+    code = ("import sys, pytest, oracles\n"
+            "assert not oracles.SIMD_DISPATCH\n"
+            f"sys.exit(pytest.main({args!r}))\n")
+    run = subprocess.run([sys.executable, "-c", code], cwd=tests.parent,
+                         env=without_simd_dispatch(), capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 

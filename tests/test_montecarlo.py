@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from paswipt.config import LinearHarvest, ProtocolParams, default_config
-from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound
+from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound, avg_energy_quadrature
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import (
     CHUNK_SIZE,
@@ -292,3 +292,18 @@ def test_saturated_logistic_golden_digits(case, workers):
     (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n,
                       seed=seed, workers=workers)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_std_error_covers_the_quadrature_at_the_knee(scheme):
+    """The interval mean +- 1.96 std_error holds the quadrature value in
+    95% of seeded runs, within binomial 3-sigma limits: 400 seeds of 4096
+    samples on the default logistic config at 1e-4 W, where its chunks
+    straddle the knee."""
+    cfg = default_config(1e-4, model="nlm")
+    exact = avg_energy_quadrature(scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
+    runs = 400
+    covered = sum(abs(est.mean - exact) <= 1.96 * est.std_error
+                  for seed in range(runs)
+                  for est in estimate("energy-nlm", scheme, [cfg], n=4096, seed=seed))
+    assert abs(covered / runs - 0.95) <= 3.0 * (0.95 * 0.05 / runs) ** 0.5

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import os
 import subprocess
 import sys
 
@@ -22,6 +21,8 @@ from paswipt.sweep import (
     run_tradeoff,
     tradeoff_rate_at_energy,
 )
+
+from oracles import without_simd_dispatch
 
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
@@ -263,18 +264,6 @@ PRESET_CSV_SHA256 = {
 _BASELINE_SIMD_ONLY = {("c1", True)}
 
 
-def _without_simd_dispatch() -> dict:
-    """An environment whose numpy dispatches no CPU feature at run time.
-    The list comes from numpy itself: a name it does not dispatch aborts
-    its import."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_dispatch__
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
-            "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
-
-
 @pytest.mark.parametrize("name,include_mc", list(PRESET_CSV_SHA256))
 def test_preset_csv_golden_bytes(name, include_mc, tmp_path):
     """Each preset's CSV, byte for byte; the MC ones at 2^14 samples, seed 0."""
@@ -282,7 +271,7 @@ def test_preset_csv_golden_bytes(name, include_mc, tmp_path):
     if (name, include_mc) in _BASELINE_SIMD_ONLY:
         run = subprocess.run([sys.executable, "-m", "paswipt.cli", "sweep", "--preset", name,
                               "--mc", "--samples", str(spec.samples), "--out", str(tmp_path)],
-                             env=_without_simd_dispatch(), capture_output=True, text=True)
+                             env=without_simd_dispatch(), capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         csv_path = tmp_path / f"{spec.experiment}.csv"
     else:
