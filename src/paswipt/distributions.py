@@ -154,14 +154,9 @@ class SquaredDistanceDistribution:
     geometry: RegionGeometry
 
     @cached_property
-    def span(self) -> float:
-        """The scheme's span S (see Scheme.span)."""
-        return self.scheme.span(self.geometry)
-
-    @cached_property
     def support(self) -> tuple[float, float]:
         h2 = self.geometry.height**2
-        return h2, h2 + self.span**2
+        return h2, h2 + self.scheme.span(self.geometry)**2
 
     def cdf(self, l: float) -> float:
         """P(L <= l): 0 below h^2, 1 from the top of the support on, <= 1."""
@@ -170,7 +165,7 @@ class SquaredDistanceDistribution:
             return 0.0
         if l >= hi:
             return 1.0
-        span = self.span
+        span = self.scheme.span(self.geometry)
         if self.scheme is Scheme.DDS:
             val = (2.0 * span * math.sqrt(l - h2) - (l - h2)) / span**2
         else:
@@ -186,7 +181,7 @@ class SquaredDistanceDistribution:
         if l < lo or l > hi:
             return 0.0
         s = math.sqrt(l - lo)
-        span = self.span
+        span = self.scheme.span(self.geometry)
         if self.scheme is Scheme.DDS:
             # s, the rounded width of a support a few ulps wide, can exceed the span
             return max(1.0 / (span * s) - 1.0 / span**2, 0.0)  # a NaN stays NaN
@@ -207,7 +202,7 @@ class SquaredDistanceDistribution:
         every node's weighted integrand underflowed.
         """
         h2 = self.geometry.height**2
-        span = self.scheme.span(self.geometry)  # not the cached_property: it locks on first use
+        span = self.scheme.span(self.geometry)
         peak = 2.0 / span  # the diagonal's triangular weight at t = 0
         if self.scheme is Scheme.DDS:
             def integrand(t):

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from paswipt.config import Config, LinearHarvest, LogisticHarvest
-from paswipt.energy import logistic_harvest_power
+from paswipt.energy import harvest_kernel, logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 CHUNK_SIZE = 1 << 15  # fixed; changing it changes every stream
@@ -31,15 +31,10 @@ DEFAULT_SAMPLES = 1_000_000  # n where no sample count is given
 
 _MASK64 = (1 << 64) - 1
 
-METRICS = ("energy-lm", "energy-nlm", "rate")
 
-
-@dataclass(frozen=True)
-class EstimateWithCI:
+class EstimateWithCI(NamedTuple):
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 def _chunk_sizes(n: int) -> list[int]:
@@ -64,29 +59,40 @@ def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int):
     rng = np.random.Generator(np.random.Philox(key=seed | (chunk_index << 64)))
     x_u = rng.random(size) * g.d_x
     y_u = rng.random(size) * g.d_y
-    assert np.all((x_u >= 0) & (x_u <= g.d_x) & (y_u >= 0) & (y_u <= g.d_y))
     return x_u, y_u
 
 
+def _scaled(const: float, top: float) -> tuple[int, float]:
+    """(k, const * 2**-k), k = 0 where top, a kernel's value at l = h^2, is in [2**-480, 2**480],
+    else 2**-k top is in [0.5, 1): no square over- or underflows (k >= -960 keeps const finite)."""
+    k = 0 if 2.0**-480 <= top <= 2.0**480 else max(math.frexp(top)[1], -960)
+    return k, math.ldexp(const, -k)
+
+
 def _chunk_kernel(metric: str, config: Config):
-    """l -> one config's metric on a chunk's squared distances, in the formula's IEEE order."""
+    """(k, l -> 2**-k times one config's metric on a chunk's squared distances, in the formula's
+    IEEE order): 2**-k is exact, folded into the leading constant by _scaled."""
     p, s, model = config.protocol, config.system, config.harvest
+    h2 = config.geometry.height**2
     if metric == "energy-lm":
         if not isinstance(model, LinearHarvest):
             raise ValueError("energy-lm requires a LinearHarvest config")
         c = p.alpha * p.beta * model.eta * s.transmit_power_w
-        return lambda l: c / l
+        k, c = _scaled(c, c / h2)
+        return k, lambda l: c / l
     if metric == "energy-nlm":
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
         c = p.beta * s.transmit_power_w
-        return lambda l: p.alpha * logistic_harvest_power(model, c / l)
+        k, alpha = _scaled(p.alpha, p.alpha * harvest_kernel(model, c)(h2))
+        return k, lambda l: alpha * logistic_harvest_power(model, c / l)
     if metric == "rate":
         import numpy as np
 
         scale, mu_gamma = 1.0 - p.alpha * p.beta, s.path_loss_factor_m2 * s.transmit_snr
-        return lambda l: scale * np.log1p(mu_gamma / l) / math.log(2.0)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        k, scale = _scaled(scale, scale * math.log1p(mu_gamma / h2) / math.log(2.0))
+        return k, lambda l: scale * np.log1p(mu_gamma / l) / math.log(2.0)
+    raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
 
 
 def estimate(
@@ -119,7 +125,7 @@ def estimate(
     def chunk_stats(j: int):
         l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j]))
         stats = []
-        for kernel in kernels:
+        for _, kernel in kernels:
             v = kernel(l)
             stats.append((np.sum(v), np.sum(v * v)))
         return stats
@@ -133,15 +139,10 @@ def estimate(
         chunks = [chunk_stats(j) for j in range(len(sizes))]
 
     results = []
-    for per_chunk in zip(*chunks):  # one config's (sum, sum of squares) in chunk order
+    for (k, _), per_chunk in zip(kernels, zip(*chunks)):  # (sum, sum of squares) in chunk order
         total = np.sum(np.array([s for s, _ in per_chunk]))
         total_sq = np.sum(np.array([q for _, q in per_chunk]))
         mean = total / n
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        results.append(EstimateWithCI(
-            mean=float(mean),
-            std_error=float(math.sqrt(var / n)),
-            n_samples=n,
-            seed=seed,
-        ))
+        results.append(EstimateWithCI(math.ldexp(mean, k), math.ldexp(math.sqrt(var / n), k)))
     return results

@@ -74,6 +74,9 @@ class SweepSpec:
         validate(self.config)
         if not self.models:
             object.__setattr__(self, "models", (self.config.harvest,))
+        if self.experiment == "rate" and len(self.models) > 1:
+            raise ValueError(f"a rate sweep takes one harvest model, as its rows carry no model "
+                             f"tag, got {len(self.models)}")
 
 
 def evaluate(quantity: str, method: str, scheme: Scheme, cfgs: Sequence[Config], *,
@@ -104,8 +107,7 @@ def evaluate(quantity: str, method: str, scheme: Scheme, cfgs: Sequence[Config],
     else:
         raise ValueError(f"unknown quantity {quantity!r}; expected energy or rate")
     if method == "mc":
-        estimates = estimate(metric, scheme, cfgs, samples, seed, workers)
-        return [(e.mean, e.std_error) for e in estimates]
+        return estimate(metric, scheme, cfgs, samples, seed, workers)
     if method not in functions:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     fn = functions[method]
@@ -133,10 +135,8 @@ def run_power_sweep(spec: SweepSpec) -> list[dict]:
     so the MC rows of a series share their draws.
     """
     columns = CSV_COLUMNS[spec.experiment]
-    # rate rows carry no model tag, so a rate sweep runs the first model only
-    models = spec.models if "model" in columns else spec.models[:1]
     rows = []
-    for model in models:
+    for model in spec.models:
         base = spec.config.with_params(harvest=model)
         cfgs = [base.with_params(transmit_power_w=pt_w) for pt_w in spec.grid]
         tag = (model_tag(model),) if "model" in columns else ()
@@ -188,41 +188,6 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def tradeoff_rate_at_energy(
-    scheme: Scheme, protocol_tag: str, model: HarvestModel, base: Config, energy_w: float
-) -> float:
-    """Rate on a scheme's trade-off boundary at a given energy level.
-
-    Inverts the monotone energy(control) map exactly (bisection on the
-    closed forms / quadrature, not grid interpolation) and evaluates the
-    closed-form rate there.  Saturating harvesters make energy(control)
-    flat over much of the range, so the boundary point is the SMALLEST
-    control reaching the requested energy (leftmost crossing).
-    """
-    if math.isnan(energy_w):
-        raise ValueError(f"energy level must be a number, got {energy_w}")
-    base = base.with_params(harvest=model)
-
-    def energy_at(control: float) -> float:
-        return _region_energy(scheme, [_tradeoff_config(protocol_tag, control, base)])[0]
-
-    if energy_w <= 0.0:
-        control = 0.0
-    elif energy_w > energy_at(1.0):
-        control = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if energy_at(mid) >= energy_w:
-                hi = mid
-            else:
-                lo = mid
-        control = hi
-    cfg = _tradeoff_config(protocol_tag, control, base)
-    return evaluate("rate", "closed", scheme, [cfg])[0][0]
-
-
 # name: (experiment, changes to default_config(0.3))
 PRESETS = {
     "s1": ("energy", dict(d_x=8.0, d_y=8.0)),
@@ -236,11 +201,12 @@ PRESETS = {
 def preset(name: str, *, include_mc: bool = False, samples: int = DEFAULT_SAMPLES,
            seed: int = 0, workers: int = 1) -> SweepSpec:
     """The SweepSpec of a PRESETS entry: both harvest models (a rate sweep
-    runs the first) and the closed, bound and quadrature methods, each row
-    where it applies.  include_mc adds "mc" to the power sweeps; the
-    region (fig4) has no MC rows.  Power grids are 50 log-spaced points on
-    [0.01, 1] W, libm's correctly rounded 10**x (a repo choice; the axis
-    range is otherwise unspecified), region controls 41 points on [0, 1]."""
+    takes its config's own, as rate rows carry no model) and the closed,
+    bound and quadrature methods, each row where it applies.  include_mc
+    adds "mc" to the power sweeps; the region (fig4) has no MC rows.  Power
+    grids are 50 log-spaced points on [0.01, 1] W, libm's correctly rounded
+    10**x (a repo choice; the axis range is otherwise unspecified), region
+    controls 41 points on [0, 1]."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose s1, s2, c1, c2 or fig4")
     experiment, changes = PRESETS[name]
@@ -251,7 +217,8 @@ def preset(name: str, *, include_mc: bool = False, samples: int = DEFAULT_SAMPLE
         grid = tuple(10.0 ** x for x in _linspace(math.log10(0.01), 0.0, 50))
     return SweepSpec(
         experiment, default_config(0.3).with_params(**changes), grid,
-        models=tuple(DEFAULT_HARVEST.values()), methods=METHODS if include_mc else METHODS[:3],
+        models=() if experiment == "rate" else tuple(DEFAULT_HARVEST.values()),
+        methods=METHODS if include_mc else METHODS[:3],
         samples=samples, seed=seed, workers=workers,
     )
 

@@ -1,9 +1,9 @@
 """Test-only oracles.
 
-Point-geometry, brute-force, inverse-transform and array references that
-check the package but that the package itself never calls, kept here so
-that `src/` holds only what it runs and imports numpy only where it
-builds arrays of its own.
+Point-geometry, brute-force, inverse-transform, array and trade-off
+bisection references that check the package but that the package itself
+never calls, kept here so that `src/` holds only what it runs and imports
+numpy only where it builds arrays of its own.
 """
 
 import math
@@ -19,6 +19,7 @@ from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import _chunk_sizes, _chunk_ue, check_mc_inputs
+from paswipt.sweep import _region_energy, _tradeoff_config, evaluate
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -206,6 +207,41 @@ def mean_inverse_squared_distance_varpi(scheme: Scheme, geom: RegionGeometry) ->
     it before the span moved to Scheme.span."""
     varpi = VARPI[scheme]
     return varpi / (geom.height * geom.d_y) * math.atan(geom.d_y / (varpi * geom.height))
+
+
+def tradeoff_rate_at_energy(
+    scheme: Scheme, protocol_tag: str, model: HarvestModel, base: Config, energy_w: float
+) -> float:
+    """Rate on a scheme's trade-off boundary at a given energy level.
+
+    Inverts the monotone energy(control) map exactly (bisection on the
+    closed forms / quadrature, not grid interpolation) and evaluates the
+    closed-form rate there.  Saturating harvesters make energy(control)
+    flat over much of the range, so the boundary point is the SMALLEST
+    control reaching the requested energy (leftmost crossing).
+    """
+    if math.isnan(energy_w):
+        raise ValueError(f"energy level must be a number, got {energy_w}")
+    base = base.with_params(harvest=model)
+
+    def energy_at(control: float) -> float:
+        return _region_energy(scheme, [_tradeoff_config(protocol_tag, control, base)])[0]
+
+    if energy_w <= 0.0:
+        control = 0.0
+    elif energy_w > energy_at(1.0):
+        control = 1.0
+    else:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if energy_at(mid) >= energy_w:
+                hi = mid
+            else:
+                lo = mid
+        control = hi
+    cfg = _tradeoff_config(protocol_tag, control, base)
+    return evaluate("rate", "closed", scheme, [cfg])[0][0]
 
 
 # --- numpy's run-time SIMD dispatch ---

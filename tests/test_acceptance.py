@@ -34,13 +34,13 @@ from oracles import (
     optimal_antenna_position,
     sample_squared_distance,
     squared_distance,
+    tradeoff_rate_at_energy,
 )
 from paswipt.sweep import (
     SweepSpec,
     emit_outputs,
     run_power_sweep,
     run_tradeoff,
-    tradeoff_rate_at_energy,
 )
 
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]

@@ -367,8 +367,8 @@ def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, m
     assert message in err
 
 
-def _loaded_after(tmp_path, *argvs, roots=("numpy", "scipy", "yaml", "concurrent")):
-    """The modules under the given top-level packages that are in
+def _loaded_after(tmp_path, *argvs):
+    """The modules under numpy, scipy, yaml and concurrent that are in
     sys.modules after a fresh interpreter imports paswipt.cli and runs
     main() on each argv in turn."""
     code = (
@@ -376,23 +376,13 @@ def _loaded_after(tmp_path, *argvs, roots=("numpy", "scipy", "yaml", "concurrent
         "from paswipt.cli import main\n"
         f"for argv in {list(argvs)!r}:\n"
         "    main(argv)\n"
-        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))\n"
+        "roots = ('numpy', 'scipy', 'yaml', 'concurrent')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                          text=True, env=_package_env())
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
-
-
-def test_cold_cli_loads_no_scipy(tmp_path):
-    loaded = _loaded_after(
-        tmp_path,
-        ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
-        ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"],
-        ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
-        roots=("scipy",),
-    )
-    assert loaded == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,23 +428,13 @@ def test_thread_pool_loads_only_when_a_pool_runs(tmp_path, workers, pool):
     assert ("concurrent.futures" in loaded) is pool
 
 
-def test_knee_mc_call_loads_numpy_and_no_scipy(tmp_path):
-    # at 1e-4 W the MC chunk straddles the knee, so the array kernel runs np.exp
+@pytest.mark.parametrize("pt_w", ["1e-4", "0.3"], ids=["knee", "saturated"])
+def test_logistic_mc_call_loads_numpy_alone(tmp_path, pt_w):
+    # at 1e-4 W the MC chunk straddles the knee, so the array kernel runs np.exp;
+    # at 0.3 W every chunk passes the saturation shortcut
     loaded = _loaded_after(
         tmp_path,
-        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4",
+        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", pt_w,
          "--mc", "--samples", "20000"],
     )
-    assert "numpy" in loaded
-    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
-
-
-def test_saturated_logistic_chunks_load_no_scipy(tmp_path):
-    # at 0.3 W every chunk passes the saturation shortcut: no expit call
-    loaded = _loaded_after(
-        tmp_path,
-        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3",
-         "--mc", "--samples", "20000"],
-    )
-    assert "numpy" in loaded
-    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert {m.split(".")[0] for m in loaded} == {"numpy"}  # no scipy, yaml or thread pool

@@ -200,7 +200,7 @@ def _quadpack_expect(dist, g, rel_tol=1e-11):
     """expect()'s integral through scipy's QUADPACK (qagse), the routine
     the package used to call: (value, number of subintervals).  The
     integrand repeats expect()'s float operations."""
-    h2, span = dist.geometry.height**2, dist.span
+    h2, span = dist.geometry.height**2, dist.scheme.span(dist.geometry)
     if dist.scheme is Scheme.DDS:
         def integrand(t):
             return g(h2 + t * t) * (2.0 / span) * (1.0 - t / span)
@@ -259,7 +259,8 @@ def test_expect_matches_mpmath(mu_gamma, height):
         dist = SquaredDistanceDistribution(scheme, geom)
         ours = dist.expect(lambda l: math.log1p(mu_gamma / l))
         with mpmath.workdps(40):
-            h2, span, mu = mpmath.mpf(height) ** 2, mpmath.mpf(dist.span), mpmath.mpf(mu_gamma)
+            h2, mu = mpmath.mpf(height) ** 2, mpmath.mpf(mu_gamma)
+            span = mpmath.mpf(scheme.span(geom))
             if scheme is Scheme.DDS:
                 def f(t):
                     return mpmath.log1p(mu / (h2 + t * t)) * 2 / span * (1 - t / span)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -181,13 +182,6 @@ def test_nlm_estimate_below_jensen_bound(scheme, nlm_config):
     assert est.mean <= bound + 4 * est.std_error + 1e-12
 
 
-def test_estimate_records_inputs(lm_config):
-    (est,) = estimate("rate", Scheme.EDS, [lm_config], n=5000, seed=77)
-    assert est.n_samples == 5000
-    assert est.seed == 77
-    assert est.std_error > 0
-
-
 # float.hex of (mean, std_error) for a fixed set of (metric, scheme, seed,
 # n).  The stream is a public contract: the same seed gives the same
 # digits, so any change here changes every published MC figure.  The
@@ -292,6 +286,37 @@ def test_saturated_logistic_golden_digits(case, workers):
     (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n,
                       seed=seed, workers=workers)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
+
+
+@pytest.mark.parametrize("exponent", [520, -520])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_energy_scales_exactly_where_squares_leave_the_float_range(scheme, exponent):
+    """Each sample is c / l with c linear in P_t, so at 2**±520 W, where the
+    squares of the raw values over- or underflow, the estimate is the 1 W
+    one times 2**±520, bit for bit: mean and standard error."""
+    (ref,) = estimate("energy-lm", scheme, [default_config(1.0)], n=100_003)
+    (est,) = estimate("energy-lm", scheme, [default_config(2.0**exponent)], n=100_003)
+    assert (est.mean, est.std_error) == (math.ldexp(ref.mean, exponent),
+                                         math.ldexp(ref.std_error, exponent))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_rate_scales_exactly_where_squares_underflow(scheme):
+    """log1p(x) is x below 2**-54, so every sample is linear in P_t at both
+    2**-80 and 2**-1000 W: the estimate at 2**-1000 W, whose raw squares
+    underflow, is the 2**-80 W one times 2**-920, bit for bit."""
+    (ref,) = estimate("rate", scheme, [default_config(2.0**-80)], n=100_003)
+    (est,) = estimate("rate", scheme, [default_config(2.0**-1000)], n=100_003)
+    assert ref.std_error > 0.0
+    assert (est.mean, est.std_error) == (math.ldexp(ref.mean, -920),
+                                         math.ldexp(ref.std_error, -920))
+
+
+def test_rate_at_a_subnormal_link_factor_keeps_its_error():
+    """At 1e-320 W every mu gamma / l is subnormal: the samples are scaled
+    up by at most 2**960, which keeps the leading constant finite."""
+    (est,) = estimate("rate", Scheme.EDS, [default_config(1e-320)], n=20_000)
+    assert 0.0 < est.std_error < est.mean < 1e-315
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)

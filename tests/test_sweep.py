@@ -19,10 +19,9 @@ from paswipt.sweep import (
     preset,
     run_power_sweep,
     run_tradeoff,
-    tradeoff_rate_at_energy,
 )
 
-from oracles import without_simd_dispatch
+from oracles import tradeoff_rate_at_energy, without_simd_dispatch
 
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
@@ -57,6 +56,12 @@ def test_spec_rejects_bad_grid(lm_config, experiment, grid):
     what = "region controls" if experiment == "region" else "grid powers"
     with pytest.raises(ValueError, match=what):
         SweepSpec(experiment, lm_config, grid)
+
+
+def test_rate_spec_rejects_a_second_model(lm_config):
+    # rate rows carry no model tag, so a second model could only be dropped or mixed in
+    with pytest.raises(ValueError, match="one harvest model"):
+        SweepSpec("rate", lm_config, (0.1, 0.2), models=tuple(DEFAULT_HARVEST.values()))
 
 
 def test_unknown_preset():
