@@ -14,8 +14,8 @@ from paswipt.config import FIELDS, Config, default_config, load_config, model_ta
 from paswipt.distributions import QuadratureError, SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs
-from paswipt.sweep import (METHODS, PRESETS, emit_outputs, evaluate, preset, run_power_sweep,
-                           run_tradeoff)
+from paswipt.sweep import (METHODS, PRESETS, csv_text, emit_outputs, evaluate, preset,
+                           run_power_sweep, run_tradeoff)
 
 # Not called here: bound so that benchmarks/tracer.py finds every name it wraps in this module.
 from paswipt.energy import (  # noqa: F401
@@ -66,10 +66,9 @@ def _cmd_dist(args) -> int:
     cfg = _config(args, need_power=False)
     dist = SquaredDistanceDistribution(Scheme(args.scheme), cfg.geometry)
     table = emit_cdf_table(dist, args.points)
-    with open(args.emit_cdf, "w") as f:
-        f.write("l_m2,cdf,pdf\n")
-        for l, c, p in table:
-            f.write(f"{l:.17g},{c:.17g},{p:.17g}\n")
+    columns = ("l_m2", "cdf", "pdf")
+    with open(args.emit_cdf, "w", newline="") as f:
+        f.write(csv_text(columns, (dict(zip(columns, row)) for row in table)))
     print(f"wrote {args.emit_cdf} ({len(table)} rows)")
     return 0
 
@@ -81,14 +80,13 @@ def _cmd_evaluate(args) -> int:
     check_mc_inputs(args.samples, args.seed, args.workers)  # even where no mc column runs
     scheme = Scheme(args.scheme)
     unit = _UNITS[args.command]
+    row = {"scheme": scheme.value}
     if args.command == "energy":
         wanted = {"closed", "bound", "quadrature"} | ({"mc"} if args.mc else set())
-        fields, values = ["scheme", "model"], [scheme.value, model_tag(cfg.harvest)]
+        row["model"] = model_tag(cfg.harvest)
     else:
         wanted = {"quadrature" if m == "quad" else m for m in args.method or ("closed", "quad")}
-        fields, values = ["scheme"], [scheme.value]
-    fields.append("pt_w")
-    values.append(f"{cfg.system.transmit_power_w:.17g}")
+    row["pt_w"] = cfg.system.transmit_power_w
     for method in METHODS:
         if method not in wanted:
             continue
@@ -97,13 +95,10 @@ def _cmd_evaluate(args) -> int:
         if results is None:
             continue
         (value, std_error), = results
-        fields.append(f"{method}_{unit}")
-        values.append(f"{value:.17g}")
+        row[f"{method}_{unit}"] = value
         if std_error is not None:
-            fields.append(f"{method}_stderr_{unit}")
-            values.append(f"{std_error:.17g}")
-    print(",".join(fields))
-    print(",".join(values))
+            row[f"{method}_stderr_{unit}"] = std_error
+    sys.stdout.write(csv_text(list(row), [row]))
     return 0
 
 

@@ -311,6 +311,8 @@ def config_from_dict(raw: dict) -> Config:
     for f in rows:
         section, where = raw[f.section], f"key '{f.key}' in section '{f.section}'"
         try:
+            if isinstance(section[f.key], bool):  # YAML's true, yes, on, false, no and off
+                raise TypeError
             si[f.name] = f.convert(float(section[f.key]), where)
         except KeyError:
             errors.append(f"missing {where}")

@@ -10,7 +10,7 @@ hybrid protocol.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -71,12 +71,13 @@ class SweepSpec:
         # Python floats, not numpy scalars: every quadrature node computes on them
         object.__setattr__(self, "grid", tuple(map(float, self.grid)))
         check_mc_inputs(self.samples, self.seed, self.workers)
-        validate(self.config)
         if not self.models:
             object.__setattr__(self, "models", (self.config.harvest,))
         if self.experiment == "rate" and len(self.models) > 1:
             raise ValueError(f"a rate sweep takes one harvest model, as its rows carry no model "
                              f"tag, got {len(self.models)}")
+        for model in self.models:  # the configs the sweep runs, not the one it was given
+            validate(self.config.with_params(harvest=model))
 
 
 def evaluate(quantity: str, method: str, scheme: Scheme, cfgs: Sequence[Config], *,
@@ -271,23 +272,23 @@ _PLOT_FIELDS = {
 }
 
 
+def csv_text(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """The package's CSV format: a header, then each row's values in column
+    order, names as they are and numbers as .17g.  One template per table:
+    csv.writer's bytes, as no field needs quoting."""
+    line = ",".join(f"{{{c}}}" if c in _NAME_COLUMNS else f"{{{c}:.17g}}" for c in columns)
+    return "".join([",".join(columns), "\n", *map((line + "\n").format_map, rows)])
+
+
 def emit_outputs(rows: list[dict], out_dir: str | Path, experiment: str) -> list[Path]:
     """Write <experiment>.csv (fixed column order, deterministic bytes)
     and a standalone plot script, plot_<experiment>.py, next to it."""
     if not rows:
         raise ValueError("refusing to write an empty table")
-    columns = CSV_COLUMNS[experiment]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{experiment}.csv"
-    # one template per table: csv.writer's bytes, as no field needs quoting
-    line = ",".join(f"{{{c}}}" if c in _NAME_COLUMNS else f"{{{c}:.17g}}" for c in columns)
-    text = "".join([",".join(columns), "\n", *map((line + "\n").format_map, rows)])
-    try:
-        with open(csv_path, "w", newline="") as f:
-            f.write(text)
-    except OSError as exc:
-        raise OSError(f"failed writing {csv_path}: {exc}") from exc
+    csv_path.write_text(csv_text(CSV_COLUMNS[experiment], rows), newline="")
     script_path = out_dir / f"plot_{experiment}.py"
     script_path.write_text(
         PLOT_SCRIPT.format(experiment=experiment, csv_name=csv_path.name,

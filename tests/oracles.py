@@ -248,8 +248,9 @@ def tradeoff_rate_at_energy(
 #
 # Without it, np.exp and np.log1p are libm's bit for bit.  Under AVX-512,
 # np.exp is within one ulp of libm's exp and np.log1p rounds differently
-# on about 1% of the elements, so array digits that pass through them
-# are pinned at the baseline level, in a fresh interpreter.
+# on about 1% of the elements, so every test whose digits pass through
+# them is marked `digits`, and test_digits_without_simd_dispatch reruns
+# those tests at the baseline level, in one fresh interpreter.
 
 # whether this numpy runs any CPU feature that it dispatches at run time
 SIMD_DISPATCH = any(__cpu_features__.get(name, False) for name in __cpu_dispatch__)

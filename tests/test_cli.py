@@ -356,7 +356,9 @@ def test_bad_config_file_fails_cleanly(tmp_path, capsys):
      "key 'transmit_power_w' in section 'system' must be a number, got 'abc'"),
     ("noise_power_dbm: -90", "noise_power_dbm: 1e6",
      "key 'noise_power_dbm' in section 'system' is out of range, got 1000000.0"),
-], ids=["section-not-a-mapping", "eta-not-a-number", "power-not-a-number", "noise-overflows"])
+    ("alpha: 0.8", "alpha: yes", "key 'alpha' in section 'protocol' must be a number, got True"),
+], ids=["section-not-a-mapping", "eta-not-a-number", "power-not-a-number", "noise-overflows",
+        "alpha-a-yaml-boolean"])
 def test_malformed_config_file_fails_with_one_line(tmp_path, capsys, old, new, message):
     path = _config_file(tmp_path)
     text = path.read_text()

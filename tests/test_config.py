@@ -183,6 +183,20 @@ def test_config_from_dict_rejects_malformed_structure(changes, message):
     assert any(message in m for m in exc.value.errors), exc.value.errors
 
 
+def test_config_from_dict_rejects_booleans():
+    # YAML loads true, yes and on as True, false, no and off as False
+    raw = _raw_config(system={"transmit_power_w": True}, protocol={"alpha": True, "beta": False},
+                      harvest={"eta": True})
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert exc.value.errors == [
+        "key 'transmit_power_w' in section 'system' must be a number, got True",
+        "key 'alpha' in section 'protocol' must be a number, got True",
+        "key 'beta' in section 'protocol' must be a number, got False",
+        "key 'eta' in section 'harvest' must be a number, got True",
+    ]
+
+
 def test_config_from_dict_accepts_numeric_strings():
     cfg = config_from_dict(_raw_config(system={"transmit_power_w": "0.5"}))
     assert cfg.system.transmit_power_w == 0.5

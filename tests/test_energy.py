@@ -261,6 +261,7 @@ _INCIDENT_W = st.one_of(st.just(0.0), _log_uniform(-12, -5.6), st.floats(2.4e-6,
                         _log_uniform(-5.4, 1))
 
 
+@pytest.mark.digits
 @settings(max_examples=400, deadline=None)
 @given(tag=st.sampled_from(["lm", "nlm"]), p_in=_INCIDENT_W, l=_log_uniform(-3, 4))
 @example(tag="nlm", p_in=0.0, l=9.0)

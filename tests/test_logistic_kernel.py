@@ -5,16 +5,14 @@ the curve's constants on the model and runs the sigmoid on np.exp for an
 array.  `_reference` is the scipy.special.expit formula it replaced,
 written out once more; every case compares float.hex digits (or raw bytes
 for arrays), so a changed last bit fails.  np.exp equals libm's exp, and
-so scipy's expit, only without numpy's SIMD dispatch: in this process an
-array element may instead sit one ulp of np.exp away
-(`oracles.assert_curve_bits`), and `test_array_bits_without_simd_dispatch`
-runs every bitwise case again in a fresh interpreter with dispatch off.
+so scipy's expit, only without numpy's SIMD dispatch: under it an array
+element may instead sit one ulp of np.exp away
+(`oracles.assert_curve_bits`).  Every test here is marked `digits`, so
+`test_digits_without_simd_dispatch` runs it again with dispatch off,
+where each array must match to the last byte.
 """
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,9 @@ from scipy.special import expit
 from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, expit_float
 from paswipt.energy import logistic_harvest_power
 
-from oracles import assert_curve_bits, without_simd_dispatch
+from oracles import assert_curve_bits
+
+pytestmark = pytest.mark.digits
 
 NLM = DEFAULT_HARVEST["nlm"]
 # slope 1, turn-on 0: the exponent a (p - b) is p itself, so a case can
@@ -216,21 +216,3 @@ def test_scalar_and_array_kernels_agree_on_the_knee():
     array = logistic_harvest_power(NLM, KNEE)
     scalar = np.array([logistic_harvest_power(NLM, p) for p in KNEE.tolist()])
     assert_curve_bits(NLM, KNEE, array, scalar)
-
-
-def test_array_bits_without_simd_dispatch():
-    """Every bitwise case of this file, and the quadrature kernel's array
-    check, in a fresh interpreter whose numpy dispatches no CPU feature:
-    np.exp is libm's there, so each array must match to the last byte."""
-    tests = Path(__file__).parent
-    args = [str(tests / "test_logistic_kernel.py"), "-k",
-            "not (without_simd_dispatch or expit_float or curve_constants)",
-            str(tests / "test_energy.py") + "::test_quadrature_kernel_has_the_bits_of_harvest_power",
-            "-q", "-p", "no:cacheprovider"]
-    code = ("import sys, pytest, oracles\n"
-            "assert not oracles.SIMD_DISPATCH\n"
-            f"sys.exit(pytest.main({args!r}))\n")
-    run = subprocess.run([sys.executable, "-c", code], cwd=tests.parent,
-                         env=without_simd_dispatch(), capture_output=True, text=True, timeout=600)
-    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
-

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from paswipt.montecarlo import (
 )
 from paswipt.rate import avg_rate_closed
 
-from oracles import sample_ue_stream
+from oracles import SIMD_DISPATCH, sample_ue_stream, without_simd_dispatch
 
 
 def test_rejects_too_few_samples(lm_config):
@@ -242,6 +244,7 @@ GOLDEN_DRAWS = {
 }
 
 
+@pytest.mark.digits
 @pytest.mark.parametrize("seed, chunk", list(GOLDEN_DRAWS))
 def test_draw_golden_digests(seed, chunk):
     cfg = default_config(0.3)
@@ -259,6 +262,7 @@ def _golden_config(metric):
     return default_config(0.3)
 
 
+@pytest.mark.digits
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=repr), ids=lambda c: "-".join(map(str, c)))
 def test_stream_golden_digits(case, workers):
@@ -278,6 +282,7 @@ GOLDEN_SATURATED = {
 }
 
 
+@pytest.mark.digits
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(GOLDEN_SATURATED, key=repr),
                          ids=lambda c: "-".join(map(str, c)))
@@ -286,6 +291,19 @@ def test_saturated_logistic_golden_digits(case, workers):
     (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n,
                       seed=seed, workers=workers)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
+
+
+@pytest.mark.skipif(not SIMD_DISPATCH, reason="numpy already runs at its baseline SIMD level")
+def test_digits_without_simd_dispatch():
+    """Every `digits` test again, in one fresh interpreter whose numpy
+    dispatches no CPU feature: np.exp and np.log1p are libm's there, so
+    the goldens and bitwise cases must hold at numpy's baseline level too."""
+    code = ("import sys, pytest, oracles\n"
+            "assert not oracles.SIMD_DISPATCH\n"
+            "sys.exit(pytest.main(['-m', 'digits', '-q', '-p', 'no:cacheprovider']))\n")
+    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parents[1],
+                         env=without_simd_dispatch(), capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
 @pytest.mark.parametrize("exponent", [520, -520])

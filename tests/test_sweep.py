@@ -1,12 +1,12 @@
 import dataclasses
 import hashlib
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-from paswipt.config import DEFAULT_HARVEST, LinearHarvest, default_config
+from paswipt.config import (DEFAULT_HARVEST, ConfigError, LinearHarvest, LogisticHarvest,
+                            default_config)
 from paswipt.distributions import QuadratureError
 from paswipt.montecarlo import estimate
 from paswipt.geometry import Scheme, optimal_squared_distance
@@ -21,7 +21,7 @@ from paswipt.sweep import (
     run_tradeoff,
 )
 
-from oracles import tradeoff_rate_at_energy, without_simd_dispatch
+from oracles import SIMD_DISPATCH, tradeoff_rate_at_energy
 
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
@@ -62,6 +62,16 @@ def test_rate_spec_rejects_a_second_model(lm_config):
     # rate rows carry no model tag, so a second model could only be dropped or mixed in
     with pytest.raises(ValueError, match="one harvest model"):
         SweepSpec("rate", lm_config, (0.1, 0.2), models=tuple(DEFAULT_HARVEST.values()))
+
+
+@pytest.mark.parametrize("models,what", [
+    ((LinearHarvest(eta=2.0), DEFAULT_NLM), "eta"),
+    ((DEFAULT_HARVEST["lm"], LogisticHarvest(-1.0, 1e8, 2.9e-6)), "saturation_w"),
+])
+def test_spec_validates_each_model_it_runs(lm_config, models, what):
+    # the config's own harvester is valid; each model replaces it in every row
+    with pytest.raises(ConfigError, match=what):
+        SweepSpec("energy", lm_config, (0.1, 0.2), models=models)
 
 
 def test_unknown_preset():
@@ -255,8 +265,10 @@ class TestEmitOutputs:
 # value, its formatting or the row order shows here.  The power grids are
 # libm's correctly rounded 10**x, so every case but c1 with MC has these
 # bytes at every numpy SIMD level.  c1's MC rows run np.log1p, whose
-# AVX-512 loop rounds differently from libm's, so that case runs in a fresh
-# interpreter with every dispatched numpy feature disabled.
+# AVX-512 loop rounds differently from libm's: under SIMD dispatch that
+# case runs on libm's log1p (math.log1p per element), which np.log1p is at
+# numpy's baseline level, and test_digits_without_simd_dispatch runs it on
+# np.log1p there.
 PRESET_CSV_SHA256 = {
     ("s1", False): "d5f9f5c5e79e77332170be9ec4bf3006ced8f57b28bfe977dbe15428d256ecfd",
     ("s2", False): "f163061291c8d081d70f5ce98fc8e5ff6466aa1fde1299636d8bb61d80eac7cc",
@@ -266,22 +278,17 @@ PRESET_CSV_SHA256 = {
     ("s1", True): "ecab1f9740b5c24abfc3dd86c9ac2d708b415fe3b689b25480a7d1724e3c8c84",
     ("c1", True): "9ce62bf0af283838bc09c4805924481f962858b73c5fe06b845a65119eca20f2",
 }
-_BASELINE_SIMD_ONLY = {("c1", True)}
 
 
+@pytest.mark.digits
 @pytest.mark.parametrize("name,include_mc", list(PRESET_CSV_SHA256))
-def test_preset_csv_golden_bytes(name, include_mc, tmp_path):
+def test_preset_csv_golden_bytes(name, include_mc, tmp_path, monkeypatch):
     """Each preset's CSV, byte for byte; the MC ones at 2^14 samples, seed 0."""
+    if SIMD_DISPATCH and (name, include_mc) == ("c1", True):
+        monkeypatch.setattr(np, "log1p", np.vectorize(math.log1p, otypes=[float]))
     spec = preset(name, include_mc=include_mc, samples=1 << 14, seed=0)
-    if (name, include_mc) in _BASELINE_SIMD_ONLY:
-        run = subprocess.run([sys.executable, "-m", "paswipt.cli", "sweep", "--preset", name,
-                              "--mc", "--samples", str(spec.samples), "--out", str(tmp_path)],
-                             env=without_simd_dispatch(), capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        csv_path = tmp_path / f"{spec.experiment}.csv"
-    else:
-        rows = run_tradeoff(spec) if spec.experiment == "region" else run_power_sweep(spec)
-        csv_path = emit_outputs(rows, tmp_path, spec.experiment)[0]
+    rows = run_tradeoff(spec) if spec.experiment == "region" else run_power_sweep(spec)
+    csv_path = emit_outputs(rows, tmp_path, spec.experiment)[0]
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         PRESET_CSV_SHA256[name, include_mc]
 
