@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from paswipt.config import FIELDS, Config, default_config, load_config, model_tag, validate
+from paswipt.config import (FIELDS, HARVEST_FIELDS, Config, default_config, load_config, model_tag,
+                            validate)
 from paswipt.distributions import QuadratureError, SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="average harvested energy, all methods")
     p.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
-    p.add_argument("--model", choices=["lm", "nlm"],
+    p.add_argument("--model", choices=list(HARVEST_FIELDS),
                    help="harvest model (default lm; with --config, the file's model)")
     p.add_argument("--mc", action="store_true", help="add a Monte-Carlo cross-check")
     _add_config_args(p)

@@ -115,13 +115,6 @@ class LogisticHarvest:
 
 HarvestModel = Union[LinearHarvest, LogisticHarvest]
 
-# The baseline harvesters, by model tag: eta = 1 for the linear model; a
-# 20 mW ceiling, 100 per uW slope and 2.9 uW turn-on for the logistic one.
-DEFAULT_HARVEST: dict[str, HarvestModel] = {
-    "lm": LinearHarvest(eta=1.0),
-    "nlm": LogisticHarvest(saturation_w=20e-3, slope_per_w=1e8, turn_on_w=2.9e-6),
-}
-
 
 def model_tag(model: HarvestModel) -> str:
     """The short name of a harvest model, as in config files: lm or nlm."""
@@ -162,9 +155,19 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def _decimal(exponent: int) -> Callable[[float], float]:
+    """value * 10**exponent, rounded once by shifting the exponent of the value's
+    shortest repr: 2.9 uW is the float 2.9e-6 W, not 2.9 * 1e-6, one ulp lower.
+    inf and nan pass through, for validate to name."""
+    def to_si(value: float) -> float:
+        digits, _, power = repr(value).partition("e")
+        return float(f"{digits}e{int(power or 0) + exponent}") if math.isfinite(value) else value
+    return to_si
+
+
 class Field(NamedTuple):
-    """One parameter as the config file, the CLI and the defaults see it
-    (a NamedTuple: a dataclass would cost a cold import ~1 ms more)."""
+    """One parameter as the config file, the CLI and the defaults see it, the
+    one home of its default (a NamedTuple: a dataclass costs a cold import ~1 ms)."""
 
     section: str  # system, protocol, geometry or harvest
     name: str  # the SI field of that section's dataclass
@@ -185,7 +188,7 @@ class Field(NamedTuple):
 # Every system, protocol and geometry field.  A flag that is not given keeps
 # the --config file's value, or the default without a file.
 FIELDS = (
-    Field("system", "carrier_frequency_hz", "carrier_frequency_ghz", lambda ghz: ghz * 1e9,
+    Field("system", "carrier_frequency_hz", "carrier_frequency_ghz", _decimal(9),
           "--fc-ghz", "carrier frequency [GHz]", 28.0),
     Field("system", "noise_power_w", "noise_power_dbm", dbm_to_watts,
           "--noise-dbm", "noise power [dBm]", -90.0),
@@ -200,15 +203,20 @@ FIELDS = (
 
 _SECTION_OF = {f.name: f.section for f in FIELDS}  # for Config.with_params
 
-# The harvester class and its file keys, by harvest.model.  No flag sets
-# them, and their defaults are DEFAULT_HARVEST's SI literals.
+# The harvester class and its file keys and defaults, by model tag (harvest.model); no
+# flag sets them.  The logistic curve is Boshkovska et al.'s (IEEE Commun. Lett. 2015).
 HARVEST_FIELDS: dict[str, tuple[type, tuple[Field, ...]]] = {
-    "lm": (LinearHarvest, (Field("harvest", "eta", "eta", float),)),
+    "lm": (LinearHarvest, (Field("harvest", "eta", "eta", float, default=1.0),)),
     "nlm": (LogisticHarvest, (
-        Field("harvest", "saturation_w", "saturation_mw", lambda mw: mw * 1e-3),
-        Field("harvest", "slope_per_w", "slope_per_uw", lambda per_uw: per_uw * 1e6),
-        Field("harvest", "turn_on_w", "turn_on_uw", lambda uw: uw * 1e-6),
+        Field("harvest", "saturation_w", "saturation_mw", _decimal(-3), default=20.0),
+        Field("harvest", "slope_per_w", "slope_per_uw", _decimal(6), default=100.0),
+        Field("harvest", "turn_on_w", "turn_on_uw", _decimal(-6), default=2.9),
     )),
+}
+_MODELS = " or ".join(map(repr, HARVEST_FIELDS))  # 'lm' or 'nlm', for error messages
+DEFAULT_HARVEST: dict[str, HarvestModel] = {  # the baseline harvesters, from those defaults
+    tag: cls(**{f.name: f.to_si(f.default) for f in rows})
+    for tag, (cls, rows) in HARVEST_FIELDS.items()
 }
 
 # (allowed range, test) by field name; every other field must be finite and > 0
@@ -273,11 +281,11 @@ def validate(config: Config) -> Config:
 
 
 def default_config(transmit_power_w: float, model: str = "lm") -> Config:
-    """Baseline setup: the defaults of FIELDS and the DEFAULT_HARVEST model
-    named by `model`.  The CLI and the presets start from it.  The
-    transmit power, the usual sweep variable, has no default."""
+    """Baseline setup: the file-unit defaults of FIELDS in SI, and the
+    DEFAULT_HARVEST model named by `model`, built from HARVEST_FIELDS.  The CLI
+    and the presets start from it.  The transmit power has no default."""
     if model not in DEFAULT_HARVEST:
-        raise ValueError(f"model must be 'lm' or 'nlm', got {model!r}")
+        raise ValueError(f"model must be {_MODELS}, got {model!r}")
     si = {f.name: f.to_si(f.default) for f in FIELDS if f.default is not None}
     si["transmit_power_w"] = transmit_power_w
     return validate(Config(*(cls(**{f.name: si[f.name] for f in fields(cls)})
@@ -323,7 +331,7 @@ def config_from_dict(raw: dict) -> Config:
     if "model" not in raw["harvest"]:
         errors.append("missing key 'model' in section 'harvest'")
     elif not known_model:
-        errors.append(f"harvest.model must be 'lm' or 'nlm', got {model!r}")
+        errors.append(f"harvest.model must be {_MODELS}, got {model!r}")
     allowed = {(f.section, f.key) for f in rows} | {("harvest", "model")}
     for section in sections if known_model else sections[:3]:
         errors += [f"unknown key '{key}' in section '{section}'"

@@ -64,6 +64,8 @@ class SweepSpec:
             bad = [c for c in self.grid if not 0.0 <= c <= 1.0]
             if bad:
                 raise ValueError(f"region controls must lie in [0, 1], got {bad}")
+            if tuple(self.methods) != METHODS[:3]:  # run_tradeoff reads none of them
+                raise ValueError(f"a region sweep picks its own methods, got {self.methods}")
         else:
             bad = [p for p in self.grid if not (math.isfinite(p) and p > 0.0)]
             if bad:

@@ -8,11 +8,12 @@ numpy only where it builds arrays of its own.
 
 import math
 import os
-import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import paswipt
 from paswipt.config import (SPEED_OF_LIGHT, Config, HarvestModel, LinearHarvest, RegionGeometry,
                             SystemParams)
 from paswipt.distributions import SquaredDistanceDistribution
@@ -256,12 +257,19 @@ def tradeoff_rate_at_energy(
 SIMD_DISPATCH = any(__cpu_features__.get(name, False) for name in __cpu_dispatch__)
 
 
+def package_env(**extra: str) -> dict:
+    """The environment of a fresh interpreter that imports this paswipt and
+    these test modules, with `extra` variables set on top."""
+    paths = (str(Path(paswipt.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH"))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p), **extra}
+
+
 def without_simd_dispatch() -> dict:
     """An environment whose numpy dispatches no CPU feature at run time.
     The list comes from numpy itself: a name it does not dispatch aborts
     its import."""
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
-            "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}
+    return package_env(NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
 
 
 def _libm_exp(x: float) -> float:

@@ -6,7 +6,6 @@ criterion.
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from paswipt.config import (
     DEFAULT_HARVEST,
@@ -89,6 +88,8 @@ def test_criterion_2_closed_form_vs_quadrature():
 
 def test_criterion_3_distribution_correctness():
     """CDFs pass 99% KS tests against geometric sampling; PDFs normalize."""
+    from scipy import stats
+
     g = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
     rng = np.random.default_rng(303)
     x_u = rng.uniform(0, g.d_x, N_MC)

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import paswipt
 from paswipt.cli import main
 from paswipt.config import default_config
 from paswipt.energy import avg_energy_lm_closed
 from paswipt.geometry import Scheme
+from paswipt.sweep import PRESETS
+
+from oracles import package_env
+
+FIGURE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
 
 
 def test_dist_emits_table(tmp_path, capsys):
@@ -142,6 +145,27 @@ def test_sweep_writes_outputs(tmp_path, capsys):
     assert main(["sweep", "--preset", "fig4", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "region.csv").exists()
     assert (tmp_path / "plot_region.py").exists()
+
+
+def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
+    """scripts/reproduce_figures.py in a fresh interpreter: each preset's CSV
+    and plot script are `paswipt sweep`'s with the same flags, and a bad
+    flag fails with the CLI's own line."""
+    flags = ["--mc", "--samples", "2000"]
+    run = subprocess.run([sys.executable, str(FIGURE_SCRIPT), str(tmp_path / "script"), *flags],
+                         capture_output=True, text=True, env=package_env())
+    assert run.returncode == 0, run.stderr
+    for name, (experiment, _) in PRESETS.items():
+        _output(["sweep", "--preset", name, "--out", str(tmp_path / "cli" / name), *flags], capsys)
+        for file in (f"{experiment}.csv", f"plot_{experiment}.py"):
+            assert ((tmp_path / "script" / name / file).read_bytes()
+                    == (tmp_path / "cli" / name / file).read_bytes()), (name, file)
+    bad = subprocess.run([sys.executable, str(FIGURE_SCRIPT), str(tmp_path / "bad"),
+                          "--samples", "1"], capture_output=True, text=True, env=package_env())
+    code, err = _exit_code(["sweep", "--preset", "s1", "--out", str(tmp_path / "bad"),
+                            "--samples", "1"], capsys)
+    assert (bad.returncode, bad.stderr) == (code, err)
+    assert code == 2 and err.startswith("paswipt sweep: error: ") and err.count("\n") == 1
 
 
 LM_HARVEST = "harvest:\n  model: lm\n  eta: 1.0\n"
@@ -303,13 +327,6 @@ def test_bad_flag_fails_with_one_line(argv, field, capsys):
     assert "Traceback" not in err
 
 
-def _package_env() -> dict:
-    """The environment for a fresh interpreter that imports this paswipt."""
-    src = str(Path(paswipt.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path}
-
-
 @pytest.mark.parametrize("scheme, height, message", [
     # h^2 underflows to 0: the diagonal closed form divided by it, the edge quadrature failed
     ("dds", "1e-200", "height^2 must be a normal float"),
@@ -321,7 +338,7 @@ def test_tiny_height_fails_with_one_line(tmp_path, scheme, height, message):
     """A fresh `python -m paswipt.cli` process: exit 2, one stderr line, no traceback."""
     run = subprocess.run([sys.executable, "-m", "paswipt.cli", "energy", "--scheme", scheme,
                           "--pt-w", "0.3", "--height", height], cwd=tmp_path,
-                         capture_output=True, text=True, env=_package_env())
+                         capture_output=True, text=True, env=package_env())
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
     assert run.stderr.startswith("paswipt energy: error: ") and message in run.stderr
@@ -382,7 +399,7 @@ def _loaded_after(tmp_path, *argvs):
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
-                         text=True, env=_package_env())
+                         text=True, env=package_env())
     assert run.returncode == 0, run.stderr
     return set(json.loads(run.stdout.splitlines()[-1]))
 

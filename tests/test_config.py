@@ -1,11 +1,15 @@
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from paswipt.cli import main
 from paswipt.config import (
     DEFAULT_HARVEST,
+    FIELDS,
+    HARVEST_FIELDS,
     Config,
     ConfigError,
     LinearHarvest,
@@ -235,17 +239,58 @@ def test_config_from_dict_names_each_unknown_key_and_section():
                                 "unknown key 'eta' in section 'harvest'"]
 
 
-def test_readme_config_example_loads(tmp_path):
+@pytest.fixture
+def readme_config(tmp_path):
+    """The README's example config file."""
     text = README.read_text()
     start = text.index("```yaml\n", text.index("## Config file")) + len("```yaml\n")
     path = tmp_path / "readme.yaml"
     path.write_text(text[start:text.index("```", start)])
+    return path
+
+
+def test_readme_config_example_loads(readme_config):
     from paswipt.config import load_config
 
-    cfg = load_config(path)
-    assert cfg == default_config(0.3, "nlm").with_params(
-        harvest=LogisticHarvest(saturation_w=20 * 1e-3, slope_per_w=100 * 1e6,
-                                turn_on_w=2.9 * 1e-6))
+    # the file's turn_on_uw: 2.9 is DEFAULT_HARVEST's float, not 2.9 * 1e-6 one ulp lower
+    assert load_config(readme_config) == default_config(0.3, "nlm")
+
+
+def test_readme_config_and_flags_print_the_same_knee_row(readme_config, capsys):
+    # at 1e-4 W the logistic curve's knee shows any ulp of the turn-on in every digit
+    argv = ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4", "--mc",
+            "--samples", "100000"]
+    assert main(argv) == 0
+    by_flags = capsys.readouterr().out
+    assert main([*argv, "--config", str(readme_config)]) == 0
+    assert capsys.readouterr().out == by_flags
+
+
+def test_default_harvest_comes_from_the_field_table_with_its_bits():
+    nlm = DEFAULT_HARVEST["nlm"]
+    assert DEFAULT_HARVEST["lm"] == LinearHarvest(eta=1.0)
+    assert [nlm.saturation_w.hex(), nlm.slope_per_w.hex(), nlm.turn_on_w.hex()] == [
+        "0x1.47ae147ae147bp-6", "0x1.7d78400000000p+26", "0x1.853b3dc3afedap-19"]
+    raw = {f.key: f.default for _, rows in HARVEST_FIELDS.values() for f in rows}
+    assert raw == {"eta": 1.0, "saturation_mw": 20.0, "slope_per_uw": 100.0, "turn_on_uw": 2.9}
+
+
+# the file keys in power-of-ten units, by their exponent: GHz, mW, per uW and uW
+_DECIMAL_UNITS = {"carrier_frequency_ghz": 9, "saturation_mw": -3, "slope_per_uw": 6,
+                  "turn_on_uw": -6}
+_FIELD_OF_KEY = {f.key: f for f in FIELDS + HARVEST_FIELDS["nlm"][1]}
+
+
+@pytest.mark.parametrize("key", _DECIMAL_UNITS)
+@given(value=st.floats())
+def test_decimal_units_round_once(key, value):
+    # the exact decimal value * 10**exponent, rounded once to the nearest float;
+    # inf and nan pass through, for validate to reject
+    got = _FIELD_OF_KEY[key].to_si(value)
+    if math.isnan(value):
+        assert math.isnan(got)
+    else:
+        assert got == float(Decimal(repr(value)).scaleb(_DECIMAL_UNITS[key]))
 
 
 def test_validate_rejects_an_infinite_link_factor():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate, stats
 
 from paswipt.config import DEFAULT_HARVEST, RegionGeometry, dbm_to_watts, default_config
 from paswipt.distributions import (
@@ -89,6 +88,8 @@ def test_pdf_integrates_to_one(dist):
 
 
 def test_cdf_is_antiderivative_of_pdf(dist):
+    from scipy import integrate
+
     lo, hi = dist.support
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -114,6 +115,8 @@ def test_sample_limits(dist):
 
 
 def test_inverse_sampling_matches_geometric_sampling(dist):
+    from scipy import stats
+
     n = 1_000_000
     rng = np.random.default_rng(12345)
     via_inverse = sample_squared_distance(dist, rng.uniform(1e-12, 1 - 1e-12, n))
@@ -133,6 +136,8 @@ def test_ground_projection_cdf_values():
 
 
 def test_ground_projection_law_empirical():
+    from scipy import stats
+
     n = 1_000_000
     rng = np.random.default_rng(777)
     x_u = rng.uniform(0, GEOM.d_x, n)
@@ -200,6 +205,8 @@ def _quadpack_expect(dist, g, rel_tol=1e-11):
     """expect()'s integral through scipy's QUADPACK (qagse), the routine
     the package used to call: (value, number of subintervals).  The
     integrand repeats expect()'s float operations."""
+    from scipy import integrate
+
     h2, span = dist.geometry.height**2, dist.scheme.span(dist.geometry)
     if dist.scheme is Scheme.DDS:
         def integrand(t):

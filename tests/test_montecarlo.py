@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from paswipt.config import LinearHarvest, ProtocolParams, default_config
 from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound, avg_energy_quadrature
@@ -92,6 +91,8 @@ def test_stream_differs_across_seeds(lm_config):
 
 
 def test_stream_covers_rectangle_uniformly(lm_config):
+    from scipy import stats
+
     g = lm_config.geometry
     n = 1_000_000
     x, y = sample_ue_stream(lm_config, seed=9, n=n)

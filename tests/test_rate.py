@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from paswipt.config import (ProtocolParams, RegionGeometry, SystemParams, dbm_to_watts,
                             default_config)
@@ -62,6 +61,8 @@ class TestEdgeCenterClosedForm:
             assert cds >= eds - 1e-12
 
     def test_integral_identity_vs_quadrature(self):
+        from scipy import integrate
+
         # bracketed integration-by-parts value against direct quadrature
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -86,6 +87,8 @@ class TestDiagonalClosedForm:
         assert val == 0.0
 
     def test_i1_identity(self):
+        from scipy import integrate
+
         rng = np.random.default_rng(33)
         for _ in range(100):
             h = rng.uniform(1, 5)
@@ -98,6 +101,8 @@ class TestDiagonalClosedForm:
             assert _diagonal_i1(mu_gamma, h, lam) == pytest.approx(direct, rel=1e-9)
 
     def test_i2_identity(self):
+        from scipy import integrate
+
         rng = np.random.default_rng(34)
         for _ in range(100):
             h = rng.uniform(1, 5)

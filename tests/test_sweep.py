@@ -64,6 +64,15 @@ def test_rate_spec_rejects_a_second_model(lm_config):
         SweepSpec("rate", lm_config, (0.1, 0.2), models=tuple(DEFAULT_HARVEST.values()))
 
 
+@pytest.mark.parametrize("methods", [("mc",), METHODS, ("closed", "quadrature")])
+def test_region_spec_rejects_methods(lm_config, methods):
+    # run_tradeoff picks the exact energy and the closed rate itself, so any
+    # other methods could only be dropped
+    with pytest.raises(ValueError, match="region sweep picks its own methods"):
+        SweepSpec("region", lm_config, (0.0, 0.5, 1.0), methods=methods)
+    assert preset("fig4", include_mc=True).methods == METHODS[:3]
+
+
 @pytest.mark.parametrize("models,what", [
     ((LinearHarvest(eta=2.0), DEFAULT_NLM), "eta"),
     ((DEFAULT_HARVEST["lm"], LogisticHarvest(-1.0, 1e8, 2.9e-6)), "saturation_w"),
