@@ -15,8 +15,8 @@ from paswipt.config import (FIELDS, HARVEST_FIELDS, Config, default_config, load
 from paswipt.distributions import QuadratureError, SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs
-from paswipt.sweep import (METHODS, PRESETS, csv_text, emit_outputs, evaluate, preset,
-                           run_power_sweep, run_tradeoff)
+from paswipt.sweep import (CSV_COLUMNS, METHODS, PRESETS, csv_text, emit_outputs, evaluate,
+                           preset, run_power_sweep, run_tradeoff)
 
 # Not called here: bound so that benchmarks/tracer.py finds every name it wraps in this module.
 from paswipt.energy import (  # noqa: F401
@@ -26,8 +26,6 @@ from paswipt.energy import (  # noqa: F401
 )
 from paswipt.montecarlo import estimate  # noqa: F401
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature  # noqa: F401
-
-_UNITS = {"energy": "w", "rate": "bits_s_hz"}
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -80,7 +78,7 @@ def _cmd_evaluate(args) -> int:
     cfg = _config(args)
     check_mc_inputs(args.samples, args.seed, args.workers)  # even where no mc column runs
     scheme = Scheme(args.scheme)
-    unit = _UNITS[args.command]
+    unit = CSV_COLUMNS[args.command][-1].removeprefix("value_")  # value_w -> w
     row = {"scheme": scheme.value}
     if args.command == "energy":
         wanted = {"closed", "bound", "quadrature"} | ({"mc"} if args.mc else set())

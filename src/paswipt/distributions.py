@@ -237,13 +237,13 @@ def emit_cdf_table(dist: SquaredDistanceDistribution,
 
     The grid is _linspace(lo, hi, n_points + 1) without its first point.
     The exact lower endpoint is excluded because the density diverges
-    there, so a step too small to move off it raises ValueError.
+    there, so a step too small to move off it raises ValueError, before
+    any of the grid is built.
     """
     if n_points < 1:
         raise ValueError(f"points must be >= 1, got {n_points}")
     lo, hi = dist.support
-    grid = _linspace(lo, hi, n_points + 1)[1:]
-    if grid[0] == lo:
+    if (hi - lo) / n_points + lo == lo:  # the grid's first point, as _linspace computes it
         geom = dist.geometry
         raise ValueError(
             f"the {dist.scheme.value} support in the {geom.d_x:g} x {geom.d_y:g} x "
@@ -252,4 +252,4 @@ def emit_cdf_table(dist: SquaredDistanceDistribution,
             f"below the float spacing {math.ulp(lo):.3g} m^2 at h^2 = {lo:.6g} m^2, so the "
             f"first point rounds onto h^2, where the pdf is undefined"
         )
-    return [(l, dist.cdf(l), dist.pdf(l)) for l in grid]
+    return [(l, dist.cdf(l), dist.pdf(l)) for l in _linspace(lo, hi, n_points + 1)[1:]]

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from paswipt.config import Config, LinearHarvest, LogisticHarvest
-from paswipt.energy import harvest_kernel, logistic_harvest_power
+from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 CHUNK_SIZE = 1 << 15  # fixed; changing it changes every stream
@@ -71,28 +71,28 @@ def _scaled(const: float, top: float) -> tuple[int, float]:
 
 def _chunk_kernel(metric: str, config: Config):
     """(k, l -> 2**-k times one config's metric on a chunk's squared distances, in the formula's
-    IEEE order): 2**-k is exact, folded into the leading constant by _scaled."""
+    IEEE order): the formula at l = h^2 on its unscaled constant picks k, and the exact 2**-k
+    is folded into that constant by _scaled."""
     p, s, model = config.protocol, config.system, config.harvest
-    h2 = config.geometry.height**2
     if metric == "energy-lm":
         if not isinstance(model, LinearHarvest):
             raise ValueError("energy-lm requires a LinearHarvest config")
-        c = p.alpha * p.beta * model.eta * s.transmit_power_w
-        k, c = _scaled(c, c / h2)
-        return k, lambda l: c / l
-    if metric == "energy-nlm":
+        const, formula = p.alpha * p.beta * model.eta * s.transmit_power_w, lambda c, l: c / l
+    elif metric == "energy-nlm":
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
-        c = p.beta * s.transmit_power_w
-        k, alpha = _scaled(p.alpha, p.alpha * harvest_kernel(model, c)(h2))
-        return k, lambda l: alpha * logistic_harvest_power(model, c / l)
-    if metric == "rate":
+        c_in = p.beta * s.transmit_power_w
+        const, formula = p.alpha, lambda alpha, l: alpha * logistic_harvest_power(model, c_in / l)
+    elif metric == "rate":
         import numpy as np
 
-        scale, mu_gamma = 1.0 - p.alpha * p.beta, s.path_loss_factor_m2 * s.transmit_snr
-        k, scale = _scaled(scale, scale * math.log1p(mu_gamma / h2) / math.log(2.0))
-        return k, lambda l: scale * np.log1p(mu_gamma / l) / math.log(2.0)
-    raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
+        mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
+        const, formula = (1.0 - p.alpha * p.beta,
+                          lambda scale, l: scale * np.log1p(mu_gamma / l) / math.log(2.0))
+    else:
+        raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
+    k, const = _scaled(const, formula(const, config.geometry.height**2))
+    return k, lambda l: formula(const, l)
 
 
 def estimate(

@@ -40,7 +40,8 @@ CSV_COLUMNS = {
     "rate": ("pt_w", "scheme", "method", "value_bits_s_hz"),
     "region": ("protocol", "control", "scheme", "model", "energy_w", "rate_bits_s_hz"),
 }
-_NAME_COLUMNS = {"scheme", "model", "method", "protocol"}  # written as they are; numbers .17g
+# written as they are, numbers as .17g; a plot series is keyed by those present, in this order
+_NAME_COLUMNS = ("scheme", "model", "method", "protocol")
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,7 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
     Transmit power is fixed at spec.config's value; grid values are the
     swept protocol factor in [0, 1].
     """
+    columns = CSV_COLUMNS["region"]
     rows = []
     for protocol_tag in ("ts", "ps"):
         for scheme in Scheme:
@@ -183,10 +185,9 @@ def run_tradeoff(spec: SweepSpec) -> list[dict]:
                 cfgs = [_tradeoff_config(protocol_tag, control, base) for control in spec.grid]
                 energies = _region_energy(scheme, cfgs)
                 rates = evaluate("rate", "closed", scheme, cfgs)
-                tag = model_tag(model)
-                rows += [{"protocol": protocol_tag, "control": control, "scheme": scheme.value,
-                          "model": tag, "energy_w": energy_w, "rate_bits_s_hz": rate}
-                         for control, energy_w, (rate, _) in zip(spec.grid, energies, rates)]
+                names = (scheme.value, model_tag(model))
+                rows += [dict(zip(columns, (protocol_tag, control, *names, energy, rate)))
+                         for control, energy, (rate, _) in zip(spec.grid, energies, rates)]
     rows.sort(key=itemgetter("protocol", "scheme", "model", "control"))
     return rows
 
@@ -228,50 +229,34 @@ def preset(name: str, *, include_mc: bool = False, samples: int = DEFAULT_SAMPLE
 
 PLOT_SCRIPT = """\
 #!/usr/bin/env python3
-# Renders {experiment}.csv produced alongside this script.
+# Renders {csv_name} produced alongside this script.
 import csv
 from collections import defaultdict
 
 import matplotlib.pyplot as plt
 
-rows = list(csv.DictReader(open("{csv_name}")))
+KEY, X, Y = {key!r}, {x!r}, {y!r}
+rows = list(csv.DictReader(open({csv_name!r})))
 series = defaultdict(list)
 for r in rows:
-    series[{series_key}].append(({x_expr}, {y_expr}))
+    series[tuple(r[c] for c in KEY)].append((float(r[X]), float(r[Y])))
 
 fig, ax = plt.subplots()
 for label, pts in sorted(series.items()):
     pts.sort()
     ax.plot([p[0] for p in pts], [p[1] for p in pts], marker=".", label=str(label))
-ax.set_xlabel("{x_label}")
-ax.set_ylabel("{y_label}")
+ax.set_xlabel({x_label!r})
+ax.set_ylabel({y_label!r})
 ax.legend(fontsize=7)
-{x_scale}
+if X == "pt_w":  # the power grids are log-spaced
+    ax.set_xscale("log")
 fig.tight_layout()
 fig.savefig("{experiment}.png", dpi=150)
 print("wrote {experiment}.png")
 """
-
-_PLOT_FIELDS = {
-    "energy": dict(
-        series_key='(r["scheme"], r["model"], r["method"])',
-        x_expr='float(r["pt_w"])', y_expr='float(r["value_w"])',
-        x_label="transmit power [W]", y_label="avg harvested energy [W]",
-        x_scale='ax.set_xscale("log")',
-    ),
-    "rate": dict(
-        series_key='(r["scheme"], r["method"])',
-        x_expr='float(r["pt_w"])', y_expr='float(r["value_bits_s_hz"])',
-        x_label="transmit power [W]", y_label="avg rate [bits/s/Hz]",
-        x_scale='ax.set_xscale("log")',
-    ),
-    "region": dict(
-        series_key='(r["scheme"], r["model"], r["protocol"])',
-        x_expr='float(r["energy_w"])', y_expr='float(r["rate_bits_s_hz"])',
-        x_label="avg harvested energy [W]", y_label="avg rate [bits/s/Hz]",
-        x_scale="",
-    ),
-}
+_AXIS_LABELS = {"pt_w": "transmit power [W]", "value_w": "avg harvested energy [W]",
+                "energy_w": "avg harvested energy [W]", "value_bits_s_hz": "avg rate [bits/s/Hz]",
+                "rate_bits_s_hz": "avg rate [bits/s/Hz]"}
 
 
 def csv_text(columns: Sequence[str], rows: Iterable[dict]) -> str:
@@ -284,16 +269,20 @@ def csv_text(columns: Sequence[str], rows: Iterable[dict]) -> str:
 
 def emit_outputs(rows: list[dict], out_dir: str | Path, experiment: str) -> list[Path]:
     """Write <experiment>.csv (fixed column order, deterministic bytes)
-    and a standalone plot script, plot_<experiment>.py, next to it."""
+    and a standalone plot script, plot_<experiment>.py, next to it, whose
+    series key, axes and labels derive from the CSV_COLUMNS row."""
     if not rows:
         raise ValueError("refusing to write an empty table")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{experiment}.csv"
-    csv_path.write_text(csv_text(CSV_COLUMNS[experiment], rows), newline="")
+    columns = CSV_COLUMNS[experiment]
+    csv_path.write_text(csv_text(columns, rows), newline="")
+    x, y = [c for c in columns if c not in _NAME_COLUMNS][-2:]  # the last two numeric columns
     script_path = out_dir / f"plot_{experiment}.py"
-    script_path.write_text(
-        PLOT_SCRIPT.format(experiment=experiment, csv_name=csv_path.name,
-                           **_PLOT_FIELDS[experiment])
-    )
+    script_path.write_text(PLOT_SCRIPT.format(
+        experiment=experiment, csv_name=csv_path.name,
+        key=tuple(c for c in _NAME_COLUMNS if c in columns), x=x, y=y,
+        x_label=_AXIS_LABELS[x], y_label=_AXIS_LABELS[y],
+    ))
     return [csv_path, script_path]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,24 @@ def test_dist_collapsed_support_names_the_cause(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dist_huge_points_fails_before_building_the_grid(tmp_path):
+    """10^20 points in the default room: the 6.9e-19 m^2 step is below the
+    float spacing at h^2 = 9 m^2, so the call fails with the collapsed-support
+    message under a 1 GiB address-space limit instead of running out of
+    memory while it builds the grid."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from paswipt.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    out = tmp_path / "points.csv"
+    run = subprocess.run([sys.executable, "-c", code, "dist", "--scheme", "dds", "--emit-cdf",
+                          str(out), "--points", str(10**20)],
+                         capture_output=True, text=True, env=package_env(), timeout=60)
+    assert run.returncode == 2 and run.stderr.count("\n") == 1, run.stderr
+    assert "too narrow for 100000000000000000000 points" in run.stderr
+    assert not out.exists()
+
+
 def test_energy_row(capsys):
     assert main(["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
@@ -166,6 +185,101 @@ def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
                             "--samples", "1"], capsys)
     assert (bad.returncode, bad.stderr) == (code, err)
     assert code == 2 and err.startswith("paswipt sweep: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["s1", "c1"])
+def test_sweep_csv_is_worker_count_invariant(tmp_path, capsys, name):
+    """A preset's MC sweep writes the same bytes with 1 and 2 workers: 70000
+    samples make 3 chunks, so two threads really split the work.  s1 covers
+    both energy models and c1 the rate."""
+    written = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        _output(["sweep", "--preset", name, "--out", str(out), "--mc", "--samples", "70000",
+                 "--workers", workers], capsys)
+        written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert written["1"] == written["2"]
+
+
+# A stand-in for matplotlib.pyplot: every call on the figure and the axes,
+# with its arguments, is logged as JSON to $PLOT_CALL_LOG when the script exits.
+STUB_PYPLOT = """\
+import atexit, json, os
+
+CALLS = []
+
+
+class _Recorder:
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return lambda *args, **kwargs: CALLS.append([f"{self._name}.{attr}", args, kwargs])
+
+
+def subplots(*args, **kwargs):
+    CALLS.append(["subplots", args, kwargs])
+    return _Recorder("fig"), _Recorder("ax")
+
+
+@atexit.register
+def _dump():
+    with open(os.environ["PLOT_CALL_LOG"], "w") as f:
+        json.dump(CALLS, f)
+"""
+
+# experiment: (series key columns, x column, y column, x label, y label, x scale)
+PLOTS = {
+    "energy": (("scheme", "model", "method"), "pt_w", "value_w",
+               "transmit power [W]", "avg harvested energy [W]", "log"),
+    "rate": (("scheme", "method"), "pt_w", "value_bits_s_hz",
+             "transmit power [W]", "avg rate [bits/s/Hz]", "log"),
+    "region": (("scheme", "model", "protocol"), "energy_w", "rate_bits_s_hz",
+               "avg harvested energy [W]", "avg rate [bits/s/Hz]", None),
+}
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_plot_script_draws_each_csv_series(tmp_path, capsys, name):
+    """Each preset's plot_<experiment>.py, run in a fresh interpreter on a
+    stub pyplot: one line per series key, in key order, holding exactly that
+    key's CSV rows sorted, then the axis labels, legend, scale and file."""
+    experiment = PRESETS[name][0]
+    out = tmp_path / "out"
+    _output(["sweep", "--preset", name, "--out", str(out), "--mc", "--samples", "2000"], capsys)
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "pyplot.py").write_text(STUB_PYPLOT)
+    log = tmp_path / "calls.json"
+    env = package_env(PLOT_CALL_LOG=str(log))
+    env["PYTHONPATH"] = os.pathsep.join([str(stub.parent), env["PYTHONPATH"]])
+    run = subprocess.run([sys.executable, f"plot_{experiment}.py"], cwd=out, capture_output=True,
+                         text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"wrote {experiment}.png\n"
+
+    key, x, y, x_label, y_label, x_scale = PLOTS[experiment]
+    series = {}
+    with open(out / f"{experiment}.csv") as f:
+        for row in csv.DictReader(f):
+            series.setdefault(tuple(row[c] for c in key), []).append(
+                (float(row[x]), float(row[y])))
+    lines = []
+    for label, pts in sorted(series.items()):
+        pts.sort()
+        lines.append(["ax.plot", [[p[0] for p in pts], [p[1] for p in pts]],
+                      {"marker": ".", "label": str(label)}])
+    assert json.loads(log.read_text()) == [
+        ["subplots", [], {}],
+        *lines,
+        ["ax.set_xlabel", [x_label], {}],
+        ["ax.set_ylabel", [y_label], {}],
+        ["ax.legend", [], {"fontsize": 7}],
+        *([["ax.set_xscale", [x_scale], {}]] if x_scale else []),
+        ["fig.tight_layout", [], {}],
+        ["fig.savefig", [f"{experiment}.png"], {"dpi": 150}],
+    ]
 
 
 LM_HARVEST = "harvest:\n  model: lm\n  eta: 1.0\n"
