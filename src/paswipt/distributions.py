@@ -21,6 +21,7 @@ expectations load neither numpy nor scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -242,6 +243,8 @@ def emit_cdf_table(dist: SquaredDistanceDistribution,
     """
     if n_points < 1:
         raise ValueError(f"points must be >= 1, got {n_points}")
+    if n_points > sys.float_info.max:  # the grid step (hi - lo) / n_points would overflow
+        raise ValueError(f"points must be at most the largest float, got {n_points}")
     lo, hi = dist.support
     if (hi - lo) / n_points + lo == lo:  # the grid's first point, as _linspace computes it
         geom = dist.geometry

@@ -21,11 +21,12 @@ from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
 
 
-def logistic_harvest_power(model: LogisticHarvest, p_in):
+def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
     """Saturating transfer curve: phi/(1-Omega) * (sigmoid(a(p-b)) - Omega),
     clamped at zero.  Vectorized; exact 0.0 at p_in = 0.  A float or an
     int gives a Python float and imports nothing; an array (or a 0-d
-    array, which gives a float) goes through numpy.
+    array, which gives a float) goes through numpy, one ufunc per step in
+    one buffer: out= where given (p_in itself allowed), with the same bits.
 
     The sigmoid is 1 / (1 + e^{-x}) throughout, as `config.expit_float`
     writes it, so a*(p_in - b) in the hundreds neither overflows nor
@@ -54,12 +55,17 @@ def logistic_harvest_power(model: LogisticHarvest, p_in):
 
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
+            out = np.empty_like(p_in) if out is None else out
             if p_in.size and a > 0.0 and a * (p_in.min() - b) > 40.0:
                 top = scale * (1.0 - omega)
-                return np.full_like(p_in, 0.0 if top <= 0.0 else top)
+                out.fill(0.0 if top <= 0.0 else top)
+                return out
             with np.errstate(over="ignore"):
-                sigma = 1.0 / (1.0 + np.exp(-(a * (p_in - b))))
-            return np.maximum(scale * (sigma - omega), 0.0)
+                x = np.multiply(a, np.subtract(p_in, b, out=out), out=out)
+                sigma = np.divide(1.0, np.add(1.0, np.exp(np.negative(x, out=out), out=out),
+                                              out=out), out=out)
+            return np.maximum(np.multiply(scale, np.subtract(sigma, omega, out=out), out=out),
+                              0.0, out=out)
     return harvest_kernel(model, float(p_in))(1.0)  # p / 1.0 is p: the kernel at l = 1
 
 

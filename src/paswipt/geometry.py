@@ -27,17 +27,21 @@ class Scheme(str, Enum):
         return geom.diagonal_half_width
 
 
-def optimal_squared_distance(scheme: Scheme, geom: RegionGeometry, x_u, y_u):
+def optimal_squared_distance(scheme: Scheme, geom: RegionGeometry, x_u, y_u, out=None):
     """Vectorized squared distance at the optimal placement.
 
     EDS: y_u^2 + h^2; CDS: (y_u - d_y/2)^2 + h^2; DDS: perpendicular
     distance to the diagonal squared, (k x_u - y_u)^2 / (1 + k^2), plus
-    h^2.  Takes floats or float64 arrays, as given.
+    h^2.  Takes float64 arrays (or floats, giving numpy floats).  Each step
+    is one ufunc, written into out= where given (x_u itself allowed): same bits.
     """
+    import numpy as np
+
     h2 = geom.height**2
     if scheme is Scheme.EDS:
-        return y_u**2 + h2
+        return np.add(np.square(y_u, out=out), h2, out=out)
     if scheme is Scheme.CDS:
-        return (y_u - geom.d_y / 2.0) ** 2 + h2
+        return np.add(np.square(np.subtract(y_u, geom.d_y / 2.0, out=out), out=out), h2, out=out)
     k = geom.aspect_ratio
-    return (k * x_u - y_u) ** 2 / (1.0 + k * k) + h2
+    offset = np.subtract(np.multiply(k, x_u, out=out), y_u, out=out)
+    return np.add(np.divide(np.square(offset, out=out), 1.0 + k * k, out=out), h2, out=out)

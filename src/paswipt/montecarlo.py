@@ -11,6 +11,15 @@ each chunk is drawn once and every config is evaluated on it, so the
 series shares its random numbers and each config gets the same digits
 as an estimate of its own.
 
+Each worker thread allocates its chunk buffers once per estimate() call:
+x, y and a metric row of min(n, CHUNK_SIZE) float64s.  The draw, the
+squared distance (into x), each metric formula and the sum of squares
+(v * v) write into them, so a chunk allocates no array and the heap
+never hands its pages back to the kernel between chunks.  This moves no
+bit: every element goes through the same ufuncs, on the same operands,
+in the same order as with fresh arrays, and np.add.reduce over a
+contiguous row is np.sum's pairwise sum.
+
 numpy is imported inside the functions that build arrays, not with the
 module, so a process that never estimates never loads it; the thread
 pool's module loads only when a pool runs.
@@ -19,6 +28,7 @@ pool's module loads only when a pool runs.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -51,14 +61,17 @@ def check_mc_inputs(n: int, seed: int, workers: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int):
-    """UE positions of chunk j, drawn from a Philox generator keyed by (seed, j)."""
+def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int, out=(None, None)):
+    """UE positions of chunk j, drawn from a Philox generator keyed by (seed, j), x before y;
+    each is drawn into and scaled in its float64 array of out, or a new one."""
     import numpy as np
 
     g = config.geometry
     rng = np.random.Generator(np.random.Philox(key=seed | (chunk_index << 64)))
-    x_u = rng.random(size) * g.d_x
-    y_u = rng.random(size) * g.d_y
+    x_u = rng.random(size, out=out[0])
+    x_u *= g.d_x
+    y_u = rng.random(size, out=out[1])
+    y_u *= g.d_y
     return x_u, y_u
 
 
@@ -70,29 +83,37 @@ def _scaled(const: float, top: float) -> tuple[int, float]:
 
 
 def _chunk_kernel(metric: str, config: Config):
-    """(k, l -> 2**-k times one config's metric on a chunk's squared distances, in the formula's
-    IEEE order): the formula at l = h^2 on its unscaled constant picks k, and the exact 2**-k
-    is folded into that constant by _scaled."""
+    """(k, (l, out) -> 2**-k times one config's metric on a chunk's squared distances, written
+    into out, in the formula's IEEE order): the formula at l = h^2 on its unscaled constant
+    picks k, and the exact 2**-k is folded into that constant by _scaled."""
+    import numpy as np
+
     p, s, model = config.protocol, config.system, config.harvest
     if metric == "energy-lm":
         if not isinstance(model, LinearHarvest):
             raise ValueError("energy-lm requires a LinearHarvest config")
-        const, formula = p.alpha * p.beta * model.eta * s.transmit_power_w, lambda c, l: c / l
+        const = p.alpha * p.beta * model.eta * s.transmit_power_w
+
+        def formula(c, l, out):  # c / l
+            return np.divide(c, l, out=out)
     elif metric == "energy-nlm":
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
-        c_in = p.beta * s.transmit_power_w
-        const, formula = p.alpha, lambda alpha, l: alpha * logistic_harvest_power(model, c_in / l)
-    elif metric == "rate":
-        import numpy as np
+        c_in, const = p.beta * s.transmit_power_w, p.alpha
 
-        mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
-        const, formula = (1.0 - p.alpha * p.beta,
-                          lambda scale, l: scale * np.log1p(mu_gamma / l) / math.log(2.0))
+        def formula(alpha, l, out):  # alpha * logistic(c_in / l)
+            p_in = np.divide(c_in, l, out=out)
+            return np.multiply(alpha, logistic_harvest_power(model, p_in, out=out), out=out)
+    elif metric == "rate":
+        mu_gamma, const = s.path_loss_factor_m2 * s.transmit_snr, 1.0 - p.alpha * p.beta
+
+        def formula(scale, l, out):  # scale * log1p(mu_gamma / l) / ln 2
+            nats = np.log1p(np.divide(mu_gamma, l, out=out), out=out)
+            return np.divide(np.multiply(scale, nats, out=out), math.log(2.0), out=out)
     else:
         raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
-    k, const = _scaled(const, formula(const, config.geometry.height**2))
-    return k, lambda l: formula(const, l)
+    k, const = _scaled(const, formula(const, config.geometry.height**2, out=None))
+    return k, lambda l, out: formula(const, l, out)
 
 
 def estimate(
@@ -121,13 +142,18 @@ def estimate(
     kernels = [_chunk_kernel(metric, cfg) for cfg in configs]
     geom = configs[0].geometry
     sizes = _chunk_sizes(n)
+    local = threading.local()
 
     def chunk_stats(j: int):
-        l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j]))
+        if not hasattr(local, "buffers"):  # this thread's x, y and metric rows, for every chunk
+            local.buffers = np.empty((3, sizes[0]))
+        x, y, v = (row[:sizes[j]] for row in local.buffers)
+        l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j],
+                                                              out=(x, y)), out=x)
         stats = []
         for _, kernel in kernels:
-            v = kernel(l)
-            stats.append((np.sum(v), np.sum(v * v)))
+            total = np.add.reduce(kernel(l, v))  # np.sum's pairwise sum
+            stats.append((total, np.add.reduce(np.multiply(v, v, out=v))))
         return stats
 
     if workers > 1 and len(sizes) > 1:

@@ -126,6 +126,16 @@ def test_dist_huge_points_fails_before_building_the_grid(tmp_path):
     assert not out.exists()
 
 
+def test_dist_points_beyond_the_float_range_fail_with_one_line(tmp_path, capsys):
+    """10^400 points: the grid step cannot be computed in floats at all."""
+    out = tmp_path / "points.csv"
+    code, err = _exit_code(["dist", "--scheme", "eds", "--emit-cdf", str(out),
+                            "--points", str(10**400)], capsys)
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+    assert f"points must be at most the largest float, got {10**400}" in err
+    assert not out.exists()
+
+
 def test_energy_row(capsys):
     assert main(["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()

@@ -123,3 +123,17 @@ def test_vectorized_matches_scalar_path(scheme):
         ue = UePosition(xs[i], ys[i])
         pos = optimal_antenna_position(scheme, GEOM, ue)
         assert vec[i] == pytest.approx(squared_distance(GEOM, pos, ue), rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_out_buffer_matches_allocating_call(scheme):
+    """out= gives the allocating call's bits, in a separate buffer and over
+    x_u (as montecarlo.estimate writes it), and returns that buffer."""
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(0, GEOM.d_x, 4099), rng.uniform(0, GEOM.d_y, 4099)
+    want = optimal_squared_distance(scheme, GEOM, xs, ys)
+    separate, over_x = np.empty_like(xs), xs.copy()
+    assert optimal_squared_distance(scheme, GEOM, xs, ys, out=separate) is separate
+    assert optimal_squared_distance(scheme, GEOM, over_x, ys, out=over_x) is over_x
+    assert separate.tobytes() == want.tobytes()
+    assert over_x.tobytes() == want.tobytes()

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, expit_float
+from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, default_config, expit_float
 from paswipt.energy import logistic_harvest_power
+from paswipt.geometry import Scheme, optimal_squared_distance
+from paswipt.montecarlo import CHUNK_SIZE, _chunk_ue
 
 from oracles import assert_curve_bits
 
@@ -83,6 +85,24 @@ ARRAYS = {
 @pytest.mark.parametrize("name", sorted(ARRAYS))
 def test_arrays_match_reference(name):
     assert_same_bits(NLM, ARRAYS[name])
+
+
+@pytest.mark.parametrize("pt_w", [0.3, 1e-4], ids=["saturated", "knee"])
+def test_out_buffer_matches_allocating_call(pt_w):
+    """A chunk's beta P_t / L in the default room, as the MC energy-nlm
+    metric feeds it: out= gives the allocating call's bits, in a separate
+    buffer and over p_in itself, and returns that buffer."""
+    cfg = default_config(pt_w, model="nlm")
+    l = optimal_squared_distance(Scheme.EDS, cfg.geometry, *_chunk_ue(cfg, 0, 0, CHUNK_SIZE))
+    p_in = cfg.protocol.beta * pt_w / l
+    x_min = NLM.slope_per_w * (p_in.min() - NLM.turn_on_w)
+    assert x_min > 40.0 if pt_w == 0.3 else p_in.min() < NLM.turn_on_w < p_in.max()
+    want = logistic_harvest_power(NLM, p_in)
+    separate, over_p_in = np.empty_like(p_in), p_in.copy()
+    assert logistic_harvest_power(NLM, p_in, out=separate) is separate
+    assert logistic_harvest_power(NLM, over_p_in, out=over_p_in) is over_p_in
+    assert separate.tobytes() == want.tobytes()
+    assert over_p_in.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("x", [

@@ -294,7 +294,15 @@ PRESET_CSV_SHA256 = {
 def test_preset_csv_golden_bytes(name, include_mc, tmp_path, monkeypatch):
     """Each preset's CSV, byte for byte; the MC ones at 2^14 samples, seed 0."""
     if SIMD_DISPATCH and (name, include_mc) == ("c1", True):
-        monkeypatch.setattr(np, "log1p", np.vectorize(math.log1p, otypes=[float]))
+        per_element = np.vectorize(math.log1p, otypes=[float])
+
+        def libm_log1p(x, out=None):  # np.log1p(x, out=out) on libm's log1p
+            if out is None:
+                return per_element(x)
+            np.copyto(out, per_element(x))
+            return out
+
+        monkeypatch.setattr(np, "log1p", libm_log1p)
     spec = preset(name, include_mc=include_mc, samples=1 << 14, seed=0)
     rows = run_tradeoff(spec) if spec.experiment == "region" else run_power_sweep(spec)
     csv_path = emit_outputs(rows, tmp_path, spec.experiment)[0]
@@ -337,9 +345,9 @@ def test_mc_sweep_draws_each_chunk_once_per_series(monkeypatch):
     """s1 with MC rows at n = 2^14 (one chunk): one draw per (scheme, model)."""
     calls = []
 
-    def counted(scheme, *args):
+    def counted(scheme, *args, **kwargs):
         calls.append(scheme)
-        return optimal_squared_distance(scheme, *args)
+        return optimal_squared_distance(scheme, *args, **kwargs)
 
     monkeypatch.setattr("paswipt.montecarlo.optimal_squared_distance", counted)
     spec = preset("s1", include_mc=True, samples=1 << 14, seed=2)
