@@ -1,11 +1,10 @@
 """Analytical laws of the optimal squared antenna-user distance.
 
-For the edge/center schemes the squared distance is y-offset^2 + h^2 with
-a uniform offset, giving a sqrt-type CDF; for the diagonal scheme it is
-(perpendicular distance)^2 + h^2 with the triangular-area law of the
-perpendicular distance.  All expectations downstream are computed through
-the substitution l = h^2 + t^2, which removes the inverse-sqrt density
-singularity at the lower support edge analytically.
+The squared distance is L = h^2 + t^2, with the offset t drawn from the
+scheme's law (c0 + c1 t / S) / S on [0, S] (``geometry.Scheme``): the CDF
+is t (c0 + c1 t / (2 S)) / S and the PDF (c0 + c1 t / S) / (2 S t).  All
+expectations are computed through the substitution l = h^2 + t^2, which
+removes the inverse-sqrt density singularity at l = h^2 analytically.
 
 The expectations use QUADPACK's globally adaptive 21-point Gauss-Kronrod
 rule (``qk21`` inside the ``qag`` bisection loop; Piessens et al.,
@@ -159,6 +158,11 @@ class SquaredDistanceDistribution:
         h2 = self.geometry.height**2
         return h2, h2 + self.scheme.span(self.geometry)**2
 
+    @cached_property
+    def _law(self) -> tuple[float, float, float]:
+        """(S, c0, c1) of the offset law, read once per distribution."""
+        return (self.scheme.span(self.geometry), *self.scheme.shape)
+
     def cdf(self, l: float) -> float:
         """P(L <= l): 0 below h^2, 1 from the top of the support on, <= 1."""
         h2, hi = self.support
@@ -166,12 +170,9 @@ class SquaredDistanceDistribution:
             return 0.0
         if l >= hi:
             return 1.0
-        span = self.scheme.span(self.geometry)
-        if self.scheme is Scheme.DDS:
-            val = (2.0 * span * math.sqrt(l - h2) - (l - h2)) / span**2
-        else:
-            val = math.sqrt(l - h2) / span
-        return min(val, 1.0)  # in this order a NaN val stays NaN
+        span, c0, c1 = self._law
+        t = math.sqrt(l - h2)
+        return min(t * (c0 + 0.5 * c1 * t / span) / span, 1.0)  # in this order a NaN stays NaN
 
     def pdf(self, l: float) -> float:
         """Density of L, >= 0: 0 outside the support; ValueError at l = h^2."""
@@ -181,19 +182,15 @@ class SquaredDistanceDistribution:
             raise ValueError("pdf is undefined at l = h^2 (integrable singularity)")
         if l < lo or l > hi:
             return 0.0
-        s = math.sqrt(l - lo)
-        span = self.scheme.span(self.geometry)
-        if self.scheme is Scheme.DDS:
-            # s, the rounded width of a support a few ulps wide, can exceed the span
-            return max(1.0 / (span * s) - 1.0 / span**2, 0.0)  # a NaN stays NaN
-        return 1.0 / (2.0 * span * s)
+        span, c0, c1 = self._law
+        t = math.sqrt(l - lo)
+        # t, the rounded width of a support a few ulps wide, can exceed the span
+        return max((c0 + c1 * t / span) / (2.0 * span * t), 0.0)  # a NaN stays NaN
 
     def expect(self, g: Callable) -> float:
         """E[g(L)] by adaptive quadrature after the l = h^2 + t^2 change
-        of variable (smooth integrand, open support edge removed).
-
-        Edge/center: the offset t is uniform on [0, span].  Diagonal: t
-        carries the triangular weight (2/span) (1 - t/span).
+        of variable (smooth integrand, open support edge removed), against
+        the offset density (c0 + c1 t / span) / span on [0, span].
 
         ``g`` is called with one float per node, under the rule and the
         tolerances of the module docstring.  Raises ``QuadratureError``,
@@ -202,15 +199,15 @@ class SquaredDistanceDistribution:
         1e-7 |value| + 1e-13, or both are exactly 0 while g(h^2) is not:
         every node's weighted integrand underflowed.
         """
-        h2 = self.geometry.height**2
-        span = self.scheme.span(self.geometry)
-        peak = 2.0 / span  # the diagonal's triangular weight at t = 0
-        if self.scheme is Scheme.DDS:
-            def integrand(t):
-                return g(h2 + t * t) * peak * (1.0 - t / span)
-        else:
+        h2, span = self.geometry.height**2, self.scheme.span(self.geometry)
+        c0, c1 = self.scheme.shape  # not self._law: a cached_property's first read costs ~2 us
+        if c1 == 0.0:  # flat, so c0 = 1
             def integrand(t):
                 return g(h2 + t * t) / span
+        else:
+            peak, slope = c0 / span, c1 / c0
+            def integrand(t):
+                return g(h2 + t * t) * peak * (1.0 + slope * t / span)
 
         val, abserr, neval, parts = _qag(integrand, 0.0, span, epsabs=1e-14, epsrel=1e-11,
                                          limit=200)

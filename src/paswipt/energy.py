@@ -89,14 +89,14 @@ def harvest_kernel(model: HarvestModel, c: float):
 
 def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float:
     """E[1 / L] for the optimal squared distance L, in closed form, over
-    the scheme's span S: arctan(S / h) / (h S) for edge/center, and
-    2/(S h) * arctan(S / h) - ln(1 + S^2/h^2) / S^2 for the diagonal.
+    the scheme's offset law (c0 + c1 t / S) / S on [0, S]:
+    c0 / (h S) * arctan(S / h) + (c1 / 2) * ln(1 + S^2/h^2) / S^2.
     """
     h = geom.height
     span = scheme.span(geom)
-    if scheme is Scheme.DDS:
-        return 2.0 / (span * h) * math.atan(span / h) - math.log1p(span**2 / h**2) / span**2
-    return 1.0 / (h * span) * math.atan(span / h)
+    c0, c1 = scheme.shape
+    mean = c0 / (h * span) * math.atan(span / h)
+    return mean + c1 / 2.0 * math.log1p(span**2 / h**2) / span**2 if c1 else mean
 
 
 def avg_energy_lm_closed(

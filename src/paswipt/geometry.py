@@ -1,5 +1,10 @@
 """Waveguide deployment schemes and optimal antenna placement.
 
+Each scheme's offset law lives here alone: the UE's offset t from the
+waveguide has density (c0 + c1 t / S) / S on [0, S], with the span S and
+the shape (c0, c1) = (1, 0), uniform, for EDS/CDS and (2, -2), triangular,
+for DDS.  The distribution, energy and rate layers read only the law.
+
 The canonical random variable everywhere downstream is the SQUARED
 antenna-user distance (support starts at height^2); no API returns an
 un-squared distance, to keep the distribution and rate/energy layers
@@ -14,9 +19,16 @@ from paswipt.config import RegionGeometry
 
 
 class Scheme(str, Enum):
-    EDS = "eds"  # waveguide along y = 0
-    CDS = "cds"  # waveguide along y = d_y / 2
-    DDS = "dds"  # waveguide along the diagonal y = k x
+    """A deployment scheme, with the shape (c0, c1) of its offset law."""
+
+    EDS = "eds", (1.0, 0.0)  # waveguide along y = 0
+    CDS = "cds", (1.0, 0.0)  # waveguide along y = d_y / 2
+    DDS = "dds", (2.0, -2.0)  # waveguide along the diagonal y = k x
+
+    def __new__(cls, value: str, shape: tuple[float, float]):
+        member = str.__new__(cls, value)
+        member._value_, member.shape = value, shape
+        return member
 
     def span(self, geom: RegionGeometry) -> float:
         """The offset width S: d_y, d_y / 2 or the diagonal half-width."""

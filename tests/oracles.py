@@ -165,22 +165,24 @@ def snr(system: SystemParams, squared_distance) -> float:
 
 
 def cdf_numpy(dist: SquaredDistanceDistribution, l):
-    """The distance law's CDF on a numpy array, as the package computed it
-    before the law moved to floats."""
+    """The distance law's CDF on a numpy array, in the float law's
+    operations: t / S for edge/center, t (2 - t / Lambda) / Lambda for the
+    diagonal, at t = sqrt(l - h^2)."""
     h2 = dist.geometry.height**2
+    s = np.sqrt(np.clip(l - h2, 0.0, None))
     if dist.scheme is Scheme.DDS:
         lam = dist.geometry.diagonal_half_width
-        s = np.sqrt(np.clip(l - h2, 0.0, None))
-        val = (2.0 * lam * s - (l - h2)) / lam**2
+        val = s * (2.0 - s / lam) / lam
     else:
-        val = VARPI[dist.scheme] * np.sqrt(np.clip(l - h2, 0.0, None)) / dist.geometry.d_y
+        val = VARPI[dist.scheme] * s / dist.geometry.d_y
     out = np.where(l < h2, 0.0, np.minimum(val, 1.0))
     return np.where(l >= dist.support[1], 1.0, out)
 
 
 def pdf_numpy(dist: SquaredDistanceDistribution, l):
-    """The distance law's PDF on a numpy array, as the package computed it
-    before the law moved to floats."""
+    """The distance law's PDF on a numpy array, in the float law's
+    operations: 1 / (2 S t) for edge/center, (2 - 2 t / Lambda) / (2 Lambda t)
+    clamped at 0 for the diagonal."""
     lo, hi = dist.support
     if np.any(l == lo):
         raise ValueError("pdf is undefined at l = h^2 (integrable singularity)")
@@ -188,7 +190,7 @@ def pdf_numpy(dist: SquaredDistanceDistribution, l):
     with np.errstate(divide="ignore"):
         if dist.scheme is Scheme.DDS:
             lam = dist.geometry.diagonal_half_width
-            val = np.maximum(1.0 / (lam * s) - 1.0 / lam**2, 0.0)
+            val = np.maximum((2.0 - 2.0 * s / lam) / (2.0 * lam * s), 0.0)
         else:
             val = VARPI[dist.scheme] / (2.0 * dist.geometry.d_y * s)
     return np.where((l < lo) | (l > hi), 0.0, val)

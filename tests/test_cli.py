@@ -35,7 +35,9 @@ def test_dist_emits_table(tmp_path, capsys):
 # from the numpy implementation (np.linspace grid, array law) that the
 # float table replaced.  "tiny" is a 1e-4 m wide room 1 km below the
 # waveguide: its grid steps are a few ulps of h^2.  Its cds and dds tables
-# were re-recorded when the law learned to top out at cdf 1 and pdf >= 0.
+# were re-recorded when the law learned to top out at cdf 1 and pdf >= 0,
+# and the dds tables of more than one point when the diagonal law became
+# the linear offset law's t (2 - t / S) / S and (2 - 2 t / S) / (2 S t).
 DIST_ROOMS = {
     "default": [],
     "8x8x3": ["--dx", "8", "--dy", "8", "--height", "3"],
@@ -64,15 +66,15 @@ DIST_SHA256 = {
     ("cds", "15x8x3", 1000): "59d74162b21a8725e1d223f39ea019e0341b73a7d56cc75a7d6a6394624cf8ee",
     ("cds", "tiny", 5): "098dcba9d1e12f9c501d2ab97fe7768298f0d8ef33d5918b37979599bf587f05",
     ("dds", "default", 1): "d45f79d144aead0ae87a412960f86308538e69c71c81f4ab3e43b30e50648835",
-    ("dds", "default", 7): "8482a709157e65a026a7a08a901b13ac787773abc57c15dae1e7a1856afc8a38",
-    ("dds", "default", 1000): "a1d23a414ac29d8b1eef0b09f963b276da22b3c9e7d666d734bbb2bf319803ef",
+    ("dds", "default", 7): "76d588235c645d73b37a0b9f6c3adfaed4b82cbd55b3ad39d20ff4584279530e",
+    ("dds", "default", 1000): "69c36f8abd625dba79797368fc7d6c2a4ad314dd8155b649d03bb9a1bccee926",
     ("dds", "8x8x3", 1): "f498cce347c4d8e26de8e4b746de6644d9a5d2db4b687207f1defe7ed18b982f",
-    ("dds", "8x8x3", 7): "ba367a59f9978083598388d23d3cef7d0df039f79f3f66c084ba57e2928fe2cd",
-    ("dds", "8x8x3", 1000): "42247d5a5c4ef34e4a7e8715c429003b82bce28cca27aa3201831f5b2d947d84",
+    ("dds", "8x8x3", 7): "30fc9fc3bbf306de0c5c8c2d7ba023b96e669236a3b8cb874f6427cef7fc75b6",
+    ("dds", "8x8x3", 1000): "b5f78e7ccc1f03562e78d795532a6311736203401f22de6a422b1c95c3ac92fd",
     ("dds", "15x8x3", 1): "e1989a1fcd98fe3f24df57c38ac6360d5dcbf90db43be8e3835ed03dd95be470",
-    ("dds", "15x8x3", 7): "33378106e9b5fea36254aca3aba1fa3e083d03b67f7189f95fd13b8c503c4e9e",
-    ("dds", "15x8x3", 1000): "b1c229626867a7b0717a75777b99d3321e42460c3349ced0d29c92b12dedad0c",
-    ("dds", "tiny", 5): "f4889ab72234a376d32cc0d9c7e5ab9b7b895a3972c4d585180ec9d59e0f85a2",
+    ("dds", "15x8x3", 7): "0433ab2651620ea7217cc17dff6e83d0ae25b2ce97814be8906e10030ab779cc",
+    ("dds", "15x8x3", 1000): "cdc9d8d5a8c2ba5407eb63abfc8c0bcfa93bc5491704f06238db2cf4a4012e6f",
+    ("dds", "tiny", 5): "a80b122542349a19a97a66363d82f908e8d11faec5ade31e635c9fa31c991177",
 }
 
 

@@ -281,11 +281,11 @@ class TestEmitOutputs:
 PRESET_CSV_SHA256 = {
     ("s1", False): "d5f9f5c5e79e77332170be9ec4bf3006ced8f57b28bfe977dbe15428d256ecfd",
     ("s2", False): "f163061291c8d081d70f5ce98fc8e5ff6466aa1fde1299636d8bb61d80eac7cc",
-    ("c1", False): "26fc62a3b0dc0a1ece7deb4eee7f400f5dd8ce28dbe384c0d76e712a282875bd",
-    ("c2", False): "3bb9d5c83fde21577ac8e7279af7cf67ee90af539bd235bb01f8b8b865e613a6",
-    ("fig4", False): "5817508a5a3ec5249ed9e2e26b70b4ef7ae5ed1a6876b5da85ac37581fa82e12",
+    ("c1", False): "41ad0ddaac274e534b5e1e04ee39b0af39843da717df08cdab47be7f10acfbe8",
+    ("c2", False): "5a7e788c65f46edfb521fdcdef48b6a3ecd135f713f7795671c97d16ebd11737",
+    ("fig4", False): "2f59a8d20171610e967816f7fd529f9b2d11f22dcf6df2a9b0b9527e8dff3146",
     ("s1", True): "ecab1f9740b5c24abfc3dd86c9ac2d708b415fe3b689b25480a7d1724e3c8c84",
-    ("c1", True): "9ce62bf0af283838bc09c4805924481f962858b73c5fe06b845a65119eca20f2",
+    ("c1", True): "dc97722391fa2fa608f968bbd032ff3d12ad0670f5bb4d99fce6fb2c651840e1",
 }
 
 
