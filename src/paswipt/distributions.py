@@ -10,8 +10,8 @@ The expectations use QUADPACK's globally adaptive 21-point Gauss-Kronrod
 rule (``qk21`` inside the ``qag`` bisection loop; Piessens et al.,
 *QUADPACK*, 1983), written out here on Python floats.  The rule sums its
 nodes in ``qk21``'s own order, so a single-interval integral has
-QUADPACK's bits.  Settings: absolute tolerance 1e-14, relative tolerance
-1e-11, at most 200 subintervals; ``expect`` says which results raise.
+QUADPACK's bits.  Settings: relative tolerance 1e-11 with no absolute
+term, at most 200 subintervals; ``expect`` says which results raise.
 
 The module runs on ``math`` alone: the laws, their CDF/PDF table and the
 expectations load neither numpy nor scipy.
@@ -92,24 +92,23 @@ def _qk21(f: Callable, a: float, b: float) -> tuple[float, float, float, float]:
     return resk * hlgth, abserr, resabs, resasc
 
 
-def _qag(f: Callable, a: float, b: float, epsabs: float, epsrel: float,
-         limit: int) -> tuple[float, float, int, int]:
+def _qag(f: Callable, a: float, b: float) -> tuple[float, float, int, int]:
     """QUADPACK qag with qk21: (value, abserr, neval, subintervals).
 
     Bisects the subinterval with the largest error estimate (ties go to
     the newest, as qpsrt orders them) until the summed error meets
-    max(epsabs, epsrel |value|), ``limit`` subintervals exist, or qag's
-    roundoff or bad-integrand tests fire.  qpsrt's shortened ordering
-    past limit/2 subintervals is not reproduced.
+    1e-11 |value| (qag's epsabs = 0 mode), 200 subintervals exist, or
+    qag's roundoff or bad-integrand tests fire.  qpsrt's shortened
+    ordering past 100 subintervals is not reproduced.
     """
     result, abserr, resabs, resasc = _qk21(f, a, b)
-    errbnd = max(epsabs, epsrel * abs(result))
+    errbnd = 1e-11 * abs(result)
     if ((abserr <= errbnd and abserr != resasc) or abserr == 0.0
             or errbnd < abserr <= 50.0 * _EPS * resabs):
         return result, abserr, 21, 1
     parts = [(a, b, result, abserr, 0)]  # (a, b, integral, error, tie-break rank)
     worst, area, errsum, iroff1, iroff2 = 0, result, abserr, 0, 0
-    while len(parts) < limit:
+    while len(parts) < 200:
         a1, b2, area0, errmax, _ = parts[worst]
         b1 = 0.5 * (a1 + b2)
         area1, error1, _, defab1 = _qk21(f, a1, b1)
@@ -122,7 +121,7 @@ def _qag(f: Callable, a: float, b: float, epsabs: float, epsrel: float,
                 iroff1 += 1
             if len(parts) >= 10 and erro12 > errmax:
                 iroff2 += 1
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = 1e-11 * abs(area)
         kept, new = (a1, b1, area1, error1), (b1, b2, area2, error2)
         if error2 > error1:
             kept, new = new, kept
@@ -197,7 +196,9 @@ class SquaredDistanceDistribution:
         naming the room and the rule's state, when the value or its error
         estimate is not finite, the error estimate exceeds
         1e-7 |value| + 1e-13, or both are exactly 0 while g(h^2) is not:
-        every node's weighted integrand underflowed.
+        every node's weighted integrand underflowed.  The 1e-13 floor
+        stays for integrands noisier than 1e-7 themselves, such as the
+        logistic curve far below its turn-on.
         """
         h2, span = self.geometry.height**2, self.scheme.span(self.geometry)
         c0, c1 = self.scheme.shape  # not self._law: a cached_property's first read costs ~2 us
@@ -209,8 +210,7 @@ class SquaredDistanceDistribution:
             def integrand(t):
                 return g(h2 + t * t) * peak * (1.0 + slope * t / span)
 
-        val, abserr, neval, parts = _qag(integrand, 0.0, span, epsabs=1e-14, epsrel=1e-11,
-                                         limit=200)
+        val, abserr, neval, parts = _qag(integrand, 0.0, span)
         if (not (math.isfinite(val) and math.isfinite(abserr)) or abserr > 1e-7 * abs(val) + 1e-13
                 or val == abserr == 0.0 and g(h2) != 0.0):
             geom = self.geometry

@@ -1,9 +1,9 @@
 """Test-only oracles.
 
-Point-geometry, brute-force, inverse-transform, array and trade-off
-bisection references that check the package but that the package itself
-never calls, kept here so that `src/` holds only what it runs and imports
-numpy only where it builds arrays of its own.
+Point-geometry, brute-force, inverse-transform, array, mpmath and
+trade-off bisection references that check the package but that the
+package itself never calls, kept here so that `src/` holds only what it
+runs and imports numpy only where it builds arrays of its own.
 """
 
 import math
@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 import paswipt
-from paswipt.config import (SPEED_OF_LIGHT, Config, HarvestModel, LinearHarvest, RegionGeometry,
-                            SystemParams)
+from paswipt.config import (SPEED_OF_LIGHT, Config, HarvestModel, LinearHarvest, LogisticHarvest,
+                            RegionGeometry, SystemParams)
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme
@@ -210,6 +210,37 @@ def mean_inverse_squared_distance_varpi(scheme: Scheme, geom: RegionGeometry) ->
     it before the span moved to Scheme.span."""
     varpi = VARPI[scheme]
     return varpi / (geom.height * geom.d_y) * math.atan(geom.d_y / (varpi * geom.height))
+
+
+def offset_mean_mpmath(scheme: Scheme, geom: RegionGeometry, g, cuts):
+    """E[g(L)], L = h^2 + t^2, over the offset law (c0 + c1 t / S) / S on
+    [0, S] (geometry.Scheme.shape), as a 40-digit mpmath integral over t.
+    g maps an mpf l to an mpf; cuts(h, S), in mpf, lists the points from
+    0 to S at which tanh-sinh restarts: the integrand must be smooth
+    between them on the scale of each piece.  mpmath.quad stops on an
+    absolute error near 1e-40, so g is integrated divided by g(h^2), its
+    largest value where g falls with L.  Returns an mpf, to be rounded
+    inside mpmath.workdps(40) by callers that compute on."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        h, span = mpmath.mpf(geom.height), mpmath.mpf(scheme.span(geom))
+        c0, c1 = scheme.shape
+        top = g(h * h) or 1
+        return top * mpmath.quad(lambda t: g(h * h + t * t) / top * (c0 + c1 * t / span) / span,
+                                 cuts(h, span))
+
+
+def logistic_mpmath(model: LogisticHarvest, p_in):
+    """The logistic transfer curve phi / (1 - Omega) (sigma(a (p - b)) -
+    Omega), Omega = sigma(-a b), in mpmath at the caller's precision, from
+    the model's float constants."""
+    import mpmath
+
+    a, b, phi = (mpmath.mpf(v) for v in (model.slope_per_w, model.turn_on_w,
+                                          model.saturation_w))
+    omega = 1 / (1 + mpmath.exp(a * b))
+    return phi / (1 - omega) * (1 / (1 + mpmath.exp(-a * (p_in - b))) - omega)
 
 
 def tradeoff_rate_at_energy(

@@ -9,7 +9,7 @@ from paswipt.config import (ProtocolParams, RegionGeometry, SystemParams, dbm_to
 from paswipt.geometry import Scheme
 from paswipt.rate import _log_integral, _log_moment, avg_rate_closed, avg_rate_quadrature
 
-from oracles import snr
+from oracles import offset_mean_mpmath, snr
 
 
 def _random_setup(rng):
@@ -68,7 +68,7 @@ class TestEdgeCenterClosedForm:
                 lambda t: math.log1p(mu_gamma / (h * h + t * t)), 0.0, span,
                 epsabs=1e-13, epsrel=1e-12, limit=200,
             )
-            assert _log_integral(mu_gamma, h, span) == pytest.approx(direct, rel=1e-9)
+            assert _log_integral(mu_gamma, h, span) == pytest.approx(direct / span, rel=1e-9)
 
 
 class TestDiagonalClosedForm:
@@ -158,29 +158,25 @@ class TestProtocolPrefactor:
             prev = val
 
 
+def _rate_cuts(h, span):
+    """0, h, 8h, 64h, ... below span, and span: over one [h, 500 h] piece
+    tanh-sinh returned a value 1.2e-7 off with an error estimate of 1e-42."""
+    points, cut = [0 * h], h
+    while cut < span:
+        points.append(cut)
+        cut *= 8
+    return points + [span]
+
+
 def _rate_mpmath(scheme, system, protocol, geom):
     """(1 - alpha beta) E[log2(1 + mu gamma / L)] as a 40-digit mpmath
-    integral over the offset t, L = h^2 + t^2, with the float mu gamma and
-    the float share 1 - alpha beta as the package rounds them.  Past
-    t = h the integrand is split at h, 8h, 64h, ...: over one [h, 500 h]
-    piece tanh-sinh returned a value 1.2e-7 off with an error estimate of
-    1e-42."""
+    integral over the offset t (oracles.offset_mean_mpmath), with the
+    float mu gamma and the float share 1 - alpha beta as the package
+    rounds them."""
     mpmath = pytest.importorskip("mpmath")
+    mu = system.path_loss_factor_m2 * system.transmit_snr
+    mean = offset_mean_mpmath(scheme, geom, lambda l: mpmath.log1p(mu / l), _rate_cuts)
     with mpmath.workdps(40):
-        mu = mpmath.mpf(system.path_loss_factor_m2 * system.transmit_snr)
-        h = mpmath.mpf(geom.height)
-        span = mpmath.mpf(scheme.span(geom))
-        if scheme is Scheme.DDS:
-            def f(t):
-                return mpmath.log1p(mu / (h * h + t * t)) * 2 / span * (1 - t / span)
-        else:
-            def f(t):
-                return mpmath.log1p(mu / (h * h + t * t)) / span
-        points, cut = [mpmath.mpf(0)], h
-        while cut < span:
-            points.append(cut)
-            cut *= 8
-        mean = mpmath.quad(f, points + [span])
         return float((1.0 - protocol.alpha * protocol.beta) * mean / mpmath.log(2))
 
 
@@ -222,15 +218,23 @@ def test_closed_form_holds_precision_over_the_accepted_range(pt, d_x, d_y, h, no
         assert abs(closed - ref) <= 4e-15 * ref, scheme
 
 
-@pytest.mark.parametrize("pt, want", [
-    (0.3, 5.2425633770235613),  # every digit was lost: 9.9657780015515431
-    (1e-30, 4.1892873024027504e-26),  # mu gamma lam^2 underflows to 0
+@pytest.mark.parametrize("scheme, d_y, pt, want", [
+    # a 1e-150 x 1 x 3 m room: the diagonal span lam ~ 1e-150 m is far below h;
+    # every digit was lost at 0.3 W (9.9657780015515431), and mu gamma lam^2
+    # underflowed to 0 at 1e-30 W
+    pytest.param(Scheme.DDS, 1.0, 0.3, 5.2425633770235613, id="0.3-5.242563377023561"),
+    pytest.param(Scheme.DDS, 1.0, 1e-30, 4.1892873024027504e-26,
+                 id="1e-30-4.1892873024027504e-26"),
+    # a 1e-150 x 1e-150 x 3 m room, every span ~1e-150 m: span mu gamma underflowed to 0
+    *[pytest.param(scheme, 1e-150, pt, want, id=f"{scheme.value}-{pt}") for scheme in Scheme
+      for pt, want in [(1e-200, 4.1892873024027494e-196), (1e-250, 4.18928730240275e-246),
+                       (1e-300, 4.189287302402751e-296)]],
 ])
-def test_narrow_diagonal_room_keeps_its_digits(pt, want):
-    # a 1e-150 x 1 x 3 m room: the diagonal span lam ~ 1e-150 m is far below h
+def test_narrow_diagonal_room_keeps_its_digits(scheme, d_y, pt, want):
+    # want is the 40-digit mpmath rate, rounded
     cfg = default_config(pt)
-    g = RegionGeometry(1e-150, 1.0, 3.0)
-    closed = avg_rate_closed(Scheme.DDS, cfg.system, cfg.protocol, g).value_bits_s_hz
-    quad = avg_rate_quadrature(Scheme.DDS, cfg.system, cfg.protocol, g).value_bits_s_hz
+    g = RegionGeometry(1e-150, d_y, 3.0)
+    closed = avg_rate_closed(scheme, cfg.system, cfg.protocol, g).value_bits_s_hz
+    quad = avg_rate_quadrature(scheme, cfg.system, cfg.protocol, g).value_bits_s_hz
     assert abs(closed - want) <= 4e-16 * want
     assert abs(quad - want) <= 4e-16 * want

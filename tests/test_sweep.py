@@ -281,11 +281,11 @@ class TestEmitOutputs:
 PRESET_CSV_SHA256 = {
     ("s1", False): "d5f9f5c5e79e77332170be9ec4bf3006ced8f57b28bfe977dbe15428d256ecfd",
     ("s2", False): "f163061291c8d081d70f5ce98fc8e5ff6466aa1fde1299636d8bb61d80eac7cc",
-    ("c1", False): "41ad0ddaac274e534b5e1e04ee39b0af39843da717df08cdab47be7f10acfbe8",
-    ("c2", False): "5a7e788c65f46edfb521fdcdef48b6a3ecd135f713f7795671c97d16ebd11737",
-    ("fig4", False): "2f59a8d20171610e967816f7fd529f9b2d11f22dcf6df2a9b0b9527e8dff3146",
+    ("c1", False): "81710ec4b424c186d31eac29cbd3fed0a394a82fe92d19aa99c2c17ef198daaf",
+    ("c2", False): "394e2148963d0d804954a7ba978e8bf587afae40130e9ab2354b4a133f70d2e2",
+    ("fig4", False): "5817508a5a3ec5249ed9e2e26b70b4ef7ae5ed1a6876b5da85ac37581fa82e12",
     ("s1", True): "ecab1f9740b5c24abfc3dd86c9ac2d708b415fe3b689b25480a7d1724e3c8c84",
-    ("c1", True): "dc97722391fa2fa608f968bbd032ff3d12ad0670f5bb4d99fce6fb2c651840e1",
+    ("c1", True): "6b1f8fdd95e068492526d71f00c06303ad727e31c7b12492935835ffc23b23fa",
 }
 
 
