@@ -19,7 +19,6 @@ from paswipt.config import (
     default_config,
     load_config,
     validate,
-    watts_to_dbm,
 )
 from paswipt.geometry import Scheme
 from paswipt.distributions import SquaredDistanceDistribution
@@ -41,5 +40,4 @@ __all__ = [
     "estimate",
     "load_config",
     "validate",
-    "watts_to_dbm",
 ]

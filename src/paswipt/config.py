@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Union
 
@@ -18,19 +17,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_w: float) -> float:
-    return 10.0 * math.log10(p_w) + 30.0
-
-
-def expit_float(x: float) -> float:
-    """The logistic sigmoid 1 / (1 + e^{-x}) of one float, on libm's exp;
-    0.0 where e^{-x} overflows (x below about -709.78), as 1 / (1 + inf)."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -99,18 +85,6 @@ class LogisticHarvest:
     saturation_w: float
     slope_per_w: float
     turn_on_w: float
-
-    @cached_property
-    def curve_constants(self) -> tuple[float, float]:
-        """(Omega, scale) of the transfer curve: the logistic value at zero
-        input, Omega = expit(-a b), and saturation_w / (1 - Omega).
-
-        Computed on first use and kept on the instance, so the curve's
-        kernel reads them per call without hashing the model.  The
-        sigmoid keeps a*b of several hundred from overflowing e^{a b}.
-        """
-        omega = expit_float(-self.slope_per_w * self.turn_on_w)
-        return omega, self.saturation_w / (1.0 - omega)
 
 
 HarvestModel = Union[LinearHarvest, LogisticHarvest]

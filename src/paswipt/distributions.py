@@ -194,11 +194,9 @@ class SquaredDistanceDistribution:
         ``g`` is called with one float per node, under the rule and the
         tolerances of the module docstring.  Raises ``QuadratureError``,
         naming the room and the rule's state, when the value or its error
-        estimate is not finite, the error estimate exceeds
-        1e-7 |value| + 1e-13, or both are exactly 0 while g(h^2) is not:
-        every node's weighted integrand underflowed.  The 1e-13 floor
-        stays for integrands noisier than 1e-7 themselves, such as the
-        logistic curve far below its turn-on.
+        estimate is not finite, the error estimate exceeds 1e-7 |value|,
+        or both are exactly 0 while g(h^2) is not: every node's weighted
+        integrand underflowed.
         """
         h2, span = self.geometry.height**2, self.scheme.span(self.geometry)
         c0, c1 = self.scheme.shape  # not self._law: a cached_property's first read costs ~2 us
@@ -211,7 +209,7 @@ class SquaredDistanceDistribution:
                 return g(h2 + t * t) * peak * (1.0 + slope * t / span)
 
         val, abserr, neval, parts = _qag(integrand, 0.0, span)
-        if (not (math.isfinite(val) and math.isfinite(abserr)) or abserr > 1e-7 * abs(val) + 1e-13
+        if (not (math.isfinite(val) and math.isfinite(abserr)) or abserr > 1e-7 * abs(val)
                 or val == abserr == 0.0 and g(h2) != 0.0):
             geom = self.geometry
             raise QuadratureError(

@@ -15,57 +15,64 @@ from paswipt.config import (
     ProtocolParams,
     RegionGeometry,
     SystemParams,
-    expit_float,
 )
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.geometry import Scheme
 
 
+def expit_float(x: float) -> float:
+    """The logistic sigmoid 1 / (1 + e^{-x}) of one float, on libm's exp;
+    0.0 where e^{-x} overflows (x below about -709.78), as 1 / (1 + inf)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
-    """Saturating transfer curve: phi/(1-Omega) * (sigmoid(a(p-b)) - Omega),
-    clamped at zero.  Vectorized; exact 0.0 at p_in = 0.  A float or an
-    int gives a Python float and imports nothing; an array (or a 0-d
-    array, which gives a float) goes through numpy, one ufunc per step in
-    one buffer: out= where given (p_in itself allowed), with the same bits.
+    """Saturating transfer curve phi * sigmoid(a(p - b)) * (1 - e^{-a p}),
+    for incident power p >= 0.  Vectorized; exact 0.0 at p_in = 0.  A
+    float or an int gives a Python float and imports nothing; an array (or
+    a 0-d array, which gives a float) goes through numpy, one ufunc per
+    step: in out= where given (p_in itself allowed), with the same bits.
 
-    The sigmoid is 1 / (1 + e^{-x}) throughout, as `config.expit_float`
-    writes it, so a*(p_in - b) in the hundreds neither overflows nor
-    loses the zero-input cancellation (the offset Omega is the same
-    sigmoid at -a*b, kept per model with the scale phi/(1-Omega) in
-    `LogisticHarvest.curve_constants`).  A float runs it on libm's exp
-    and an array on np.exp, where an overflowing e^{-x} gives 0.0 like
-    the float's.  np.exp is libm's bit for bit without numpy's SIMD
-    dispatch and within one ulp of it under AVX-512, so only without
-    dispatch do the two paths share every digit.
+    Boshkovska et al. write the curve with an offset, phi (sigmoid(x) -
+    sigmoid(-a b)) / sigmoid(a b) at x = a(p - b); since sigmoid(x) -
+    sigmoid(-a b) = sigmoid(x) sigmoid(a b) (1 - e^{-a p}), this product
+    is the same curve without the subtraction, which cancels below the
+    turn-on b.  The sigmoid is 1 / (1 + e^{-x}) and the second factor
+    -expm1(-a p): a float runs them on libm's exp and expm1 (`expit_float`,
+    `math.expm1`), an array on np.exp and np.expm1, where an overflowing
+    e^{-x} gives 0.0 like the float's.  These are libm's bit for bit
+    without numpy's SIMD dispatch and within one ulp of it under AVX-512,
+    so only without dispatch do the two paths share every digit.
 
-    Saturation shortcut, bit for bit: where x = a*(p_in - b) > 40, the
-    sigmoid is exactly 1.0, because exp(-40) < 2**-54 rounds away against
-    1 (the first such x is near 36.74).  x is monotone in p_in under IEEE
-    rounding (a > 0), so an array whose smallest x passes 40 is one
-    constant, phi/(1-Omega) * (1 - Omega), and costs one min instead of
-    the exp chain; any other array runs the whole chain.  A float skips
-    its exp the same way.  The test is on the minimum, not per element:
-    a masked evaluation was 2.5x slower on a partly saturated chunk.
+    Saturation shortcut, bit for bit: where x > 40, the sigmoid is exactly
+    1.0, because exp(-40) < 2**-54 rounds away against 1 (the first such
+    x is near 36.74), and so is -expm1(-a p), as a p >= x.  x is monotone
+    in p_in under IEEE rounding (a > 0), so an array whose smallest x
+    passes 40 is filled with phi after one min; any other array runs the
+    whole chain.  A float skips both factors the same way.  The test is on
+    the minimum, not per element: a masked evaluation was 2.5x slower on a
+    partly saturated chunk.
     """
     if not isinstance(p_in, (float, int)):
         import numpy as np
 
-        omega, scale = model.curve_constants
-        a, b = model.slope_per_w, model.turn_on_w
-
+        phi, a, b = model.saturation_w, model.slope_per_w, model.turn_on_w
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
             out = np.empty_like(p_in) if out is None else out
-            if p_in.size and a > 0.0 and a * (p_in.min() - b) > 40.0:
-                top = scale * (1.0 - omega)
-                out.fill(0.0 if top <= 0.0 else top)
+            if p_in.size and a > 0.0 and a * (float(p_in.min()) - b) > 40.0:
+                out.fill(phi)
                 return out
             with np.errstate(over="ignore"):
+                m = np.multiply(-a, p_in)  # the one temporary, before out (maybe p_in) is written
+                np.expm1(m, out=m)
                 x = np.multiply(a, np.subtract(p_in, b, out=out), out=out)
                 sigma = np.divide(1.0, np.add(1.0, np.exp(np.negative(x, out=out), out=out),
                                               out=out), out=out)
-            return np.maximum(np.multiply(scale, np.subtract(sigma, omega, out=out), out=out),
-                              0.0, out=out)
+            return np.multiply(np.multiply(phi, sigma, out=out), np.negative(m, out=m), out=out)
     return harvest_kernel(model, float(p_in))(1.0)  # p / 1.0 is p: the kernel at l = 1
 
 
@@ -76,13 +83,12 @@ def harvest_kernel(model: HarvestModel, c: float):
     if isinstance(model, LinearHarvest):
         eta = model.eta
         return lambda l: eta * (c / l)
-    omega, scale = model.curve_constants
-    a, b = model.slope_per_w, model.turn_on_w
+    phi, a, b = model.saturation_w, model.slope_per_w, model.turn_on_w
 
     def kernel(l: float) -> float:
-        x = a * (c / l - b)
-        raw = scale * ((1.0 if x > 40.0 else expit_float(x)) - omega)
-        return 0.0 if raw <= 0.0 else raw  # np.maximum(raw, 0.0): NaN stays, -0.0 -> 0.0
+        p = c / l
+        x = a * (p - b)
+        return phi if x > 40.0 else phi * expit_float(x) * -math.expm1(-a * p)
 
     return kernel
 

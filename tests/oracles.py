@@ -305,35 +305,39 @@ def without_simd_dispatch() -> dict:
     return package_env(NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
 
 
-def _libm_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+def libm(fn, x):
+    """fn, a math function such as math.exp or math.expm1, on each element
+    of the array x: libm's digits, +inf where it overflows."""
+    def one(v: float) -> float:
+        try:
+            return fn(v)
+        except OverflowError:
+            return math.inf
+    x = np.asarray(x, dtype=float)
+    return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def assert_curve_bits(model, p_in, got, want):
     """`got`, the logistic curve's array path at `p_in`, against `want`,
-    the same curve on libm's exp.  Without SIMD dispatch np.exp is libm's,
-    so every byte must match.  Under dispatch every element must have
-    want's bits or lie between the curve at libm's e^{-x} moved one ulp
-    up and one ulp down, through the same 1 / (1 + e) and
-    scale * (sigma - Omega): each step is monotone under IEEE rounding,
-    so one ulp of np.exp can move the output no further."""
+    the same curve on libm's exp and expm1.  Without SIMD dispatch np.exp
+    and np.expm1 are libm's, so every byte must match.  Under dispatch
+    every element must have want's bits or lie between the smallest and
+    the largest curve value over libm's e^{-x} and expm1(-a p), each moved
+    one ulp up and one ulp down, through the same phi * (1 / (1 + e)) * m:
+    each step is monotone under IEEE rounding, so one ulp of np.exp and
+    one of np.expm1 can move the output no further."""
     assert isinstance(got, np.ndarray)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     if not SIMD_DISPATCH:
         assert got.tobytes() == want.tobytes()
         return
-    omega, scale = model.curve_constants
+    phi, a, b = model.saturation_w, model.slope_per_w, model.turn_on_w
     with np.errstate(over="ignore", invalid="ignore"):
-        x = model.slope_per_w * (np.asarray(p_in, dtype=float) - model.turn_on_w)
-        e = np.array([_libm_exp(-v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-        def curve(e):
-            return np.maximum(scale * (1.0 / (1.0 + e) - omega), 0.0)
-
-        lo, hi = curve(np.nextafter(e, np.inf)), curve(np.nextafter(e, -np.inf))
+        p = np.asarray(p_in, dtype=float)
+        e, em1 = libm(math.exp, -(a * (p - b))), libm(math.expm1, -a * p)
+        corners = [phi * (1.0 / (1.0 + np.nextafter(e, e_to))) * -np.nextafter(em1, m_to)
+                   for e_to in (-np.inf, np.inf) for m_to in (-np.inf, np.inf)]
+        lo, hi = np.minimum.reduce(corners), np.maximum.reduce(corners)
     ok = (got.view(np.int64) == want.view(np.int64)) | ((lo <= got) & (got <= hi))
     assert ok.all(), [(float(p).hex(), float(g).hex(), float(w).hex())
                       for p, g, w in zip(np.ravel(p_in)[~ok.ravel()], got[~ok], want[~ok])][:10]

@@ -21,7 +21,6 @@ from paswipt.config import (
     dbm_to_watts,
     default_config,
     validate,
-    watts_to_dbm,
 )
 
 from oracles import wavelength_m
@@ -37,7 +36,7 @@ def test_dbm_to_watts_known_points():
 
 @given(st.floats(min_value=-120.0, max_value=60.0))
 def test_dbm_watts_round_trip(p_dbm):
-    assert watts_to_dbm(dbm_to_watts(p_dbm)) == pytest.approx(p_dbm, abs=1e-12)
+    assert 10.0 * math.log10(dbm_to_watts(p_dbm)) + 30.0 == pytest.approx(p_dbm, abs=1e-12)
 
 
 def test_path_loss_factor_at_28ghz():
@@ -71,19 +70,6 @@ def test_region_derived_constants():
     lam = 150.0 / math.sqrt(15.0**2 + 10.0**2)
     assert g.diagonal_half_width == pytest.approx(lam, rel=1e-15)
     assert 0 < g.diagonal_half_width <= min(g.d_x, g.d_y)
-
-
-def test_logistic_offset_underflows_gracefully():
-    m = DEFAULT_HARVEST["nlm"]
-    # a*b = 290: e^{a b} overflows but the offset must still come out fine
-    omega, _ = m.curve_constants
-    assert 0.0 <= omega <= 1e-100
-
-
-def test_logistic_offset_range():
-    m = LogisticHarvest(saturation_w=1e-3, slope_per_w=100.0, turn_on_w=1e-3)
-    omega, _ = m.curve_constants
-    assert 0.0 < omega < 0.5
 
 
 def test_validate_collects_all_errors():

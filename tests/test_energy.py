@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import expit
 
+from paswipt.cli import main
 from paswipt.config import (
     DEFAULT_HARVEST,
     LinearHarvest,
@@ -33,8 +35,8 @@ class TestLogisticTransfer:
     def test_midpoint(self):
         # at the turn-on power the logistic sits at 1/2
         val = logistic_harvest_power(NLM, NLM.turn_on_w)
-        omega, _ = NLM.curve_constants
-        expected = NLM.saturation_w * (0.5 - omega) / (1.0 - omega)
+        a, b = NLM.slope_per_w, NLM.turn_on_w
+        expected = NLM.saturation_w * expit(0.0) * -np.expm1(-a * b)
         assert val == pytest.approx(expected, rel=1e-12)
         assert val == pytest.approx(10e-3, rel=1e-9)
 
@@ -190,13 +192,11 @@ def test_quadrature_finds_the_strip_past_turn_on(scheme):
     assert abs(avg_energy_quadrature(*args) - ref) <= 1e-8 * ref
 
 
-@pytest.mark.xfail(reason="harvest_kernel's scale (sigma(x) - Omega) cancels below the "
-                   "turn-on, where x and -a b are both near -290; an exact form is "
-                   "scale sigma(x) sigma(a b) (-expm1(-a c / l))")
 def test_logistic_kernel_keeps_its_digits_below_turn_on():
     """The quadrature kernel over the default room's l in [9, 109] m^2,
     far below the 2.9 uW turn-on, within 1e-9 of the curve at 50 digits.
-    Today it is 7.5e-6 off at 1e-14 W and 7.9e-2 off at 1e-18 W."""
+    The offset form scale (sigma(x) - Omega), which cancels there, was
+    7.5e-6 off at 1e-14 W and 7.9e-2 off at 1e-18 W."""
     mpmath = pytest.importorskip("mpmath")
     for pt in (1e-14, 1e-18):
         cfg = default_config(pt, model="nlm")
@@ -206,6 +206,56 @@ def test_logistic_kernel_keeps_its_digits_below_turn_on():
             with mpmath.workdps(50):
                 ref = logistic_mpmath(NLM, mpmath.mpf(c) / l)
                 assert abs(kernel(l) - ref) <= 1e-9 * ref, (pt, l)
+
+
+# Configs of the seeded 1,200-config sweep (random.Random(11), CHANGES.md)
+# whose logistic quadrature raised "quadrature underflowed": every node's
+# incident power c / l fell below about 1e-16 b, where the offset form
+# read 0.  (scheme, P_t, d_x, d_y, h, alpha, beta); true values 1e-145 to
+# 1e-141 W.
+FAR_BELOW_TURN_ON = [
+    ("eds", 5.977519564760645e-21, 747.8747783632283, 7486.098562522928, 0.5186376370225814,
+     0.031485775695172746, 0.8728290543523024),
+    ("cds", 5.977519564760645e-21, 747.8747783632283, 7486.098562522928, 0.5186376370225814,
+     0.031485775695172746, 0.8728290543523024),
+    ("eds", 3.444598608424227e-21, 49.96226165290454, 145.7986656535089, 0.1949168295201817,
+     0.8038171586642112, 0.016349160362406412),
+    ("eds", 6.479714310735179e-20, 0.04219968729797521, 4457.601886624261, 0.004587198856233281,
+     0.657146049609615, 0.07179031001276426),
+    ("cds", 6.479714310735179e-20, 0.04219968729797521, 4457.601886624261, 0.004587198856233281,
+     0.657146049609615, 0.07179031001276426),
+    ("eds", 7.181266397765273e-23, 2.2541497467871072, 305.9220118720334, 0.09937997990074687,
+     0.6543516562152196, 0.26024413552521697),
+    ("cds", 7.181266397765273e-23, 2.2541497467871072, 305.9220118720334, 0.09937997990074687,
+     0.6543516562152196, 0.26024413552521697),
+    ("eds", 7.926608386638756e-22, 14.226170207840429, 155.07037191372262, 0.7163544191901179,
+     0.013839349538292911, 0.49897222245411754),
+]
+
+
+@pytest.mark.parametrize("case", FAR_BELOW_TURN_ON,
+                         ids=[f"{c[0]}-{c[1]:.3g}W" for c in FAR_BELOW_TURN_ON])
+def test_quadrature_far_below_turn_on_matches_mpmath(case):
+    scheme, pt, d_x, d_y, h, alpha, beta = case
+    cfg = default_config(pt, model="nlm").with_params(d_x=d_x, d_y=d_y, height=h,
+                                                      alpha=alpha, beta=beta)
+    args = (Scheme(scheme), cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
+    ref = _nlm_mpmath(Scheme(scheme), cfg)
+    assert abs(avg_energy_quadrature(*args) - ref) <= 1e-9 * ref
+
+
+def test_cli_energy_far_below_turn_on(capsys):
+    """The rounded third case above through the CLI: it exited 2 with
+    "quadrature underflowed"."""
+    argv = ["--pt-w", "3.44e-21", "--dx", "50", "--dy", "146", "--height", "0.195",
+            "--alpha", "0.804", "--beta", "0.0163"]
+    assert main(["energy", "--scheme", "eds", "--model", "nlm", *argv]) == 0
+    header, row = capsys.readouterr().out.strip().splitlines()
+    got = float(dict(zip(header.split(","), row.split(",")))["quadrature_w"])
+    cfg = default_config(3.44e-21, model="nlm").with_params(
+        d_x=50.0, d_y=146.0, height=0.195, alpha=0.804, beta=0.0163)
+    ref = _nlm_mpmath(Scheme.EDS, cfg)
+    assert abs(got - ref) <= 1e-9 * ref
 
 
 class TestJensenBound:

@@ -1,15 +1,15 @@
 """The logistic harvester's kernel against the plain ufunc formula, bit for bit.
 
-`logistic_harvest_power` skips its sigmoid where it is exactly 1.0, keeps
-the curve's constants on the model and runs the sigmoid on np.exp for an
-array.  `_reference` is the scipy.special.expit formula it replaced,
-written out once more; every case compares float.hex digits (or raw bytes
-for arrays), so a changed last bit fails.  np.exp equals libm's exp, and
-so scipy's expit, only without numpy's SIMD dispatch: under it an array
-element may instead sit one ulp of np.exp away
-(`oracles.assert_curve_bits`).  Every test here is marked `digits`, so
-`test_digits_without_simd_dispatch` runs it again with dispatch off,
-where each array must match to the last byte.
+`logistic_harvest_power` skips its two factors where both are exactly 1.0
+and runs them on np.exp and np.expm1 for an array.  `_reference` is the
+curve phi * expit(a (p - b)) * -expm1(-a p) written out once more, on
+scipy.special.expit and libm's expm1, the float path's functions; every
+case compares float.hex digits (or raw bytes for arrays), so a changed
+last bit fails.  np.exp and np.expm1 equal libm's only without numpy's
+SIMD dispatch: under it an array element may instead sit within one ulp
+of each (`oracles.assert_curve_bits`).  Every test here is marked
+`digits`, so `test_digits_without_simd_dispatch` runs it again with
+dispatch off, where each array must match to the last byte.
 """
 
 import math
@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, default_config, expit_float
-from paswipt.energy import logistic_harvest_power
+from paswipt.config import DEFAULT_HARVEST, LogisticHarvest, default_config
+from paswipt.energy import expit_float, logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import CHUNK_SIZE, _chunk_ue
 
-from oracles import assert_curve_bits
+from oracles import assert_curve_bits, libm, logistic_mpmath
 
 pytestmark = pytest.mark.digits
 
@@ -38,11 +38,8 @@ UNIT = LogisticHarvest(saturation_w=20e-3, slope_per_w=1.0, turn_on_w=0.0)
 
 def _reference(model, p_in):
     p_in = np.asarray(p_in, dtype=float)
-    omega = expit(-model.slope_per_w * model.turn_on_w)
-    raw = model.saturation_w / (1.0 - omega) * (
-        expit(model.slope_per_w * (p_in - model.turn_on_w)) - omega
-    )
-    out = np.maximum(raw, 0.0)
+    a, b = model.slope_per_w, model.turn_on_w
+    out = model.saturation_w * expit(a * (p_in - b)) * -libm(math.expm1, -a * p_in)
     return out if out.ndim else float(out)
 
 
@@ -142,7 +139,7 @@ _models = st.builds(
     slope_per_w=st.floats(1e-3, 1e12),
     turn_on_w=st.floats(0.0, 1e-2),
 )
-_powers = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_powers = st.floats(width=64).map(abs)  # the curve's domain p >= 0, inf and NaN
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,11 +184,11 @@ def test_expit_is_one_past_threshold():
 
 # --- the float path's expit: the math formula against scipy, bit for bit ---
 #
-# logistic_harvest_power on a float and LogisticHarvest.curve_constants
-# use config.expit_float, 1 / (1 + math.exp(-x)), so that the scalar path
-# loads neither numpy nor scipy.  That keeps every digit only while it is
-# scipy.special.expit's own formula on the same libm exp; a scipy or libm
-# change that broke this must fail here, before it moves a digit.
+# logistic_harvest_power on a float uses energy.expit_float, 1 / (1 +
+# math.exp(-x)), so that the scalar path loads neither numpy nor scipy.
+# That keeps every digit only while it is scipy.special.expit's own
+# formula on the same libm exp; a scipy or libm change that broke this
+# must fail here, before it moves a digit.
 
 _OVERFLOW_EDGE = -math.log(np.finfo(float).max)  # about -709.7827: exp(-x) overflows below
 EXPIT_INPUTS = np.concatenate([
@@ -216,16 +213,6 @@ def test_expit_float_matches_scipy_bitwise():
     assert np.any((EXPIT_INPUTS < _OVERFLOW_EDGE) & np.isfinite(EXPIT_INPUTS))
 
 
-@settings(max_examples=500, deadline=None)
-@given(a=st.floats(1e-3, 1e12), b=st.floats(0.0, 1e-2), phi=st.floats(1e-9, 1e3))
-def test_curve_constants_match_scipy_bitwise(a, b, phi):
-    omega, scale = LogisticHarvest(saturation_w=phi, slope_per_w=a, turn_on_w=b).curve_constants
-    want = expit(-a * b)
-    assert type(omega) is float and type(scale) is float
-    assert omega.hex() == float(want).hex()
-    assert scale.hex() == float(phi / (1.0 - want)).hex()
-
-
 KNEE = np.concatenate([
     np.linspace(2.8e-6, 3.0e-6, 4096),
     _x_at(NLM, np.linspace(-745.0, 45.0, 4096)),
@@ -236,3 +223,35 @@ def test_scalar_and_array_kernels_agree_on_the_knee():
     array = logistic_harvest_power(NLM, KNEE)
     scalar = np.array([logistic_harvest_power(NLM, p) for p in KNEE.tolist()])
     assert_curve_bits(NLM, KNEE, array, scalar)
+
+
+def test_curve_keeps_its_digits_from_1e_22_to_1_watt():
+    """Both paths within 1e-13 of the curve at 60 digits, in its offset
+    form phi / (1 - Omega) (sigma(x) - Omega) (`oracles.logistic_mpmath`),
+    over 4,000 log-uniform powers: far below the 2.9 uW turn-on, across
+    it and saturated.  The offset form, evaluated in floats, was 7.5e-6
+    off at 1e-14 W and read 0 below about 1e-20 W."""
+    mpmath = pytest.importorskip("mpmath")
+    p = np.geomspace(1e-22, 1.0, 4000)
+    array = logistic_harvest_power(NLM, p)
+    scalar = [logistic_harvest_power(NLM, v) for v in p.tolist()]
+    with mpmath.workdps(60):
+        for v, got_array, got_scalar in zip(p.tolist(), array.tolist(), scalar):
+            ref = logistic_mpmath(NLM, mpmath.mpf(v))
+            assert abs(got_array - ref) <= 1e-13 * ref, v
+            assert abs(got_scalar - ref) <= 1e-13 * ref, v
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.builds(LogisticHarvest, saturation_w=_positive, slope_per_w=_positive,
+                       turn_on_w=_positive),
+       p=hnp.arrays(np.float64, st.integers(1, 16), elements=st.floats(min_value=0.0)))
+def test_curve_stays_within_zero_and_its_ceiling(model, p):
+    """Over every model validate accepts (each field finite and > 0) and
+    every power p >= 0, inf included, both paths give values in [0, phi]."""
+    for got in (logistic_harvest_power(model, p), [logistic_harvest_power(model, v)
+                                                    for v in p.tolist()]):
+        assert all(0.0 <= v <= model.saturation_w for v in np.ravel(got).tolist())
