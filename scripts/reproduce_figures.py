@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Run every experiment preset and render the figures.
 
-Usage: python3 scripts/reproduce_figures.py [outdir] [paswipt sweep flags...]
+Usage: python3 scripts/reproduce_figures.py [outdir | --out outdir] [paswipt sweep flags...]
 
 Each preset runs as `paswipt sweep --preset <name> --out <outdir>/<name> <flags>`,
 so its subdirectory holds that command's CSV and plot script, and the
-rendered PNG if matplotlib is installed.
+rendered PNG if matplotlib is installed.  The outdir defaults to figures.
 """
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,15 @@ from paswipt.sweep import PRESETS
 
 
 def main(argv: list[str]) -> int:
-    outdir = argv.pop(0) if argv and not argv[0].startswith("-") else "figures"
+    outdir = argv.pop(0) if argv and not argv[0].startswith("-") else None
+    # --out is the outdir too: passed on, it would replace each preset's subdirectory
+    parser = argparse.ArgumentParser(prog="reproduce_figures.py", add_help=False,
+                                     usage="%(prog)s [outdir | --out outdir] [paswipt sweep flags]")
+    parser.add_argument("--out")
+    args, argv = parser.parse_known_args(argv)
+    if outdir and args.out:
+        parser.error(f"the output directory is given twice: {outdir} and --out {args.out}")
+    outdir = outdir or args.out or "figures"
     for name, (experiment, _) in PRESETS.items():
         out = Path(outdir) / name
         paswipt(["sweep", "--preset", name, "--out", str(out), *argv])

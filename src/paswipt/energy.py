@@ -31,7 +31,10 @@ def expit_float(x: float) -> float:
 
 def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
     """Saturating transfer curve phi * sigmoid(a(p - b)) * (1 - e^{-a p}),
-    for incident power p >= 0.  Vectorized; exact 0.0 at p_in = 0.  A
+    for incident power p >= 0.  Vectorized; exact 0.0 at p_in = 0.  A p
+    below 0 raises ValueError on both paths.  An array is tested on its
+    minimum, which the saturation shortcut below takes anyway, so -0.0
+    passes, and so does any array that holds a NaN (its minimum is NaN).  A
     float or an int gives a Python float and imports nothing; an array (or
     a 0-d array, which gives a float) goes through numpy, one ufunc per
     step: in out= where given (p_in itself allowed), with the same bits.
@@ -62,8 +65,11 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
         phi, a, b = model.saturation_w, model.slope_per_w, model.turn_on_w
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
+            low = float(p_in.min()) if p_in.size else 0.0
+            if low < 0.0:
+                raise ValueError(f"incident power must be >= 0 W, got {low!r}")
             out = np.empty_like(p_in) if out is None else out
-            if p_in.size and a > 0.0 and a * (float(p_in.min()) - b) > 40.0:
+            if a > 0.0 and a * (low - b) > 40.0:
                 out.fill(phi)
                 return out
             with np.errstate(over="ignore"):
@@ -73,7 +79,10 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
                 sigma = np.divide(1.0, np.add(1.0, np.exp(np.negative(x, out=out), out=out),
                                               out=out), out=out)
             return np.multiply(np.multiply(phi, sigma, out=out), np.negative(m, out=m), out=out)
-    return harvest_kernel(model, float(p_in))(1.0)  # p / 1.0 is p: the kernel at l = 1
+    p_in = float(p_in)
+    if p_in < 0.0:
+        raise ValueError(f"incident power must be >= 0 W, got {p_in!r}")
+    return harvest_kernel(model, p_in)(1.0)  # p / 1.0 is p: the kernel at l = 1
 
 
 def harvest_kernel(model: HarvestModel, c: float):

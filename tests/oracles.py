@@ -1,7 +1,7 @@
 """Test-only oracles.
 
-Point-geometry, brute-force, inverse-transform, array, mpmath and
-trade-off bisection references that check the package but that the
+The link budget, point-geometry, brute-force, inverse-transform, array,
+mpmath and trade-off bisection references that check the package but that the
 package itself never calls, kept here so that `src/` holds only what it
 runs and imports numpy only where it builds arrays of its own.
 """
@@ -43,6 +43,19 @@ def harvest_power(model: HarvestModel, p_in):
 def wavelength_m(system: SystemParams) -> float:
     """Carrier wavelength c / f_c [m]."""
     return SPEED_OF_LIGHT / system.carrier_frequency_hz
+
+
+def incident_power(cfg: Config, l):
+    """beta P_t / l [W], without the free-space factor mu, as the package's
+    energy (ROADMAP.md item 1).  This and snr are plain arithmetic on l: a
+    float, a numpy array or an mpmath.mpf."""
+    return cfg.protocol.beta * cfg.system.transmit_power_w / l
+
+
+def snr(system: SystemParams, l):
+    """mu gamma / l, mu = (lambda / 4 pi)^2 from wavelength_m: 1 ulp off
+    SystemParams.path_loss_factor_m2 at 28 GHz, so never compare them bitwise."""
+    return (wavelength_m(system) / (4.0 * math.pi)) ** 2 * system.transmit_snr / l
 
 
 @dataclass(frozen=True)
@@ -153,15 +166,6 @@ def sample_ue_stream(config: Config, seed: int, n: int):
         xs.append(x_u)
         ys.append(y_u)
     return np.concatenate(xs), np.concatenate(ys)
-
-
-def snr(system: SystemParams, squared_distance) -> float:
-    """mu * gamma_bar / L.  The propagation phase factor has unit modulus
-    and never enters the magnitude."""
-    squared_distance = np.asarray(squared_distance, dtype=float)
-    out = system.path_loss_factor_m2 * system.transmit_snr / squared_distance
-    return out if out.ndim else float(out)
-
 
 
 def cdf_numpy(dist: SquaredDistanceDistribution, l):

@@ -199,6 +199,26 @@ def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
     assert code == 2 and err.startswith("paswipt sweep: error: ") and err.count("\n") == 1
 
 
+def test_figure_script_takes_out_as_its_outdir(tmp_path, capsys):
+    """`--out DIR` names the outdir, as the first argument does: passed on to
+    `paswipt sweep`, it wrote s1's CSV into DIR and the plot step then
+    failed on the missing DIR/s1.  Given twice, it exits 2 before any preset."""
+    run = subprocess.run([sys.executable, str(FIGURE_SCRIPT), "--out", str(tmp_path / "script")],
+                         capture_output=True, text=True, env=package_env())
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(PRESETS)
+    for name, (experiment, _) in PRESETS.items():
+        _output(["sweep", "--preset", name, "--out", str(tmp_path / "cli" / name)], capsys)
+        assert ((tmp_path / "script" / name / f"{experiment}.csv").read_bytes()
+                == (tmp_path / "cli" / name / f"{experiment}.csv").read_bytes()), name
+    twice = subprocess.run([sys.executable, str(FIGURE_SCRIPT), str(tmp_path / "a"),
+                            f"--out={tmp_path / 'b'}"], capture_output=True, text=True,
+                           env=package_env())
+    assert twice.returncode == 2 and twice.stdout == ""
+    assert twice.stderr.splitlines()[-1].startswith("reproduce_figures.py: error: ")
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("name", ["s1", "c1"])
 def test_sweep_csv_is_worker_count_invariant(tmp_path, capsys, name):
     """A preset's MC sweep writes the same bytes with 1 and 2 workers: 70000

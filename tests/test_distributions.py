@@ -13,7 +13,7 @@ from paswipt.distributions import (
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 from oracles import (VARPI, cdf_table_numpy, ground_projection_cdf, harvest_power,
-                     offset_mean_mpmath, sample_squared_distance)
+                     incident_power, offset_mean_mpmath, sample_squared_distance, snr)
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
 
@@ -216,12 +216,10 @@ def _quadpack_expect(dist, g, rel_tol=1e-11):
 
 def _integrands(cfg):
     """The energy (lm, nlm) and rate integrands of a config, as functions of l."""
-    beta_pt = cfg.protocol.beta * cfg.system.transmit_power_w
-    mu_gamma = cfg.system.path_loss_factor_m2 * cfg.system.transmit_snr
     return {
-        "lm": lambda l: harvest_power(DEFAULT_HARVEST["lm"], beta_pt / l),
-        "nlm": lambda l: harvest_power(DEFAULT_HARVEST["nlm"], beta_pt / l),
-        "rate": lambda l: math.log1p(mu_gamma / l),
+        "lm": lambda l: harvest_power(DEFAULT_HARVEST["lm"], incident_power(cfg, l)),
+        "nlm": lambda l: harvest_power(DEFAULT_HARVEST["nlm"], incident_power(cfg, l)),
+        "rate": lambda l: math.log1p(snr(cfg.system, l)),
     }
 
 

@@ -22,7 +22,7 @@ from paswipt.energy import (
 )
 from paswipt.geometry import Scheme
 
-from oracles import (assert_curve_bits, harvest_power, logistic_mpmath,
+from oracles import (assert_curve_bits, harvest_power, incident_power, logistic_mpmath,
                      mean_inverse_squared_distance_varpi, offset_mean_mpmath)
 
 NLM = DEFAULT_HARVEST["nlm"]
@@ -151,22 +151,21 @@ def test_nlm_quadrature_and_bound_digits(case):
 
 
 def _nlm_mpmath(scheme, cfg):
-    """alpha E[Phi(beta P_t / L)] for the logistic curve Phi, to 40 digits
-    (oracles.offset_mean_mpmath).  The cuts halve S toward t = 0, and one
-    sits at the turn-on crossing, the t where beta P_t / L = b, where that
+    """alpha E[Phi(p(L))] for the logistic curve Phi and p = incident_power,
+    to 40 digits (oracles.offset_mean_mpmath).  The cuts halve S toward
+    t = 0, and one sits at the turn-on crossing l* = p(1) / b, where that
     lies within the span: in the 17 mm strip room below, mpmath was 8e-5
     off with the rate's cuts 0, h, 8h, ... and 2e-9 off without the
     crossing."""
     mpmath = pytest.importorskip("mpmath")
-    c = cfg.protocol.beta * cfg.system.transmit_power_w
 
     def cuts(h, span):
-        crossing2 = c / mpmath.mpf(cfg.harvest.turn_on_w) - h * h
+        crossing2 = incident_power(cfg, 1.0) / mpmath.mpf(cfg.harvest.turn_on_w) - h * h
         inner = [mpmath.sqrt(crossing2)] if 0 < crossing2 < span * span else []
         return sorted([0 * span] + [span / 2**k for k in range(30, -1, -1)] + inner)
 
     mean = offset_mean_mpmath(scheme, cfg.geometry,
-                              lambda l: logistic_mpmath(cfg.harvest, c / l), cuts)
+                              lambda l: logistic_mpmath(cfg.harvest, incident_power(cfg, l)), cuts)
     with mpmath.workdps(40):
         return float(cfg.protocol.alpha * mean)
 
@@ -200,11 +199,10 @@ def test_logistic_kernel_keeps_its_digits_below_turn_on():
     mpmath = pytest.importorskip("mpmath")
     for pt in (1e-14, 1e-18):
         cfg = default_config(pt, model="nlm")
-        c = cfg.protocol.beta * pt
-        kernel = harvest_kernel(NLM, c)
+        kernel = harvest_kernel(NLM, incident_power(cfg, 1.0))
         for l in np.linspace(9.0, 109.0, 101).tolist():
             with mpmath.workdps(50):
-                ref = logistic_mpmath(NLM, mpmath.mpf(c) / l)
+                ref = logistic_mpmath(NLM, incident_power(cfg, mpmath.mpf(l)))
                 assert abs(kernel(l) - ref) <= 1e-9 * ref, (pt, l)
 
 
@@ -291,10 +289,10 @@ class TestJensenBound:
         """The logistic curve is concave from its turn-on b on and convex
         below it.  With every UE's beta P_t / L at or past b the Jensen
         value is at least the average; with every one below b, at most."""
-        model, beta = nlm_config.harvest, nlm_config.protocol.beta
+        model, per_w = nlm_config.harvest, nlm_config.with_params(transmit_power_w=1.0)
         lo, hi = SquaredDistanceDistribution(scheme, nlm_config.geometry).support
-        past_b = model.turn_on_w * hi / beta * (1.0 + 1e-9)  # the farthest UE at b
-        below_b = (model.turn_on_w - 5.0 / model.slope_per_w) * lo / beta  # the nearest below b
+        past_b = model.turn_on_w / incident_power(per_w, hi) * (1.0 + 1e-9)  # the farthest UE at b
+        below_b = (model.turn_on_w - 5.0 / model.slope_per_w) / incident_power(per_w, lo)
 
         def bound_and_quadrature(pt_w):
             cfg = nlm_config.with_params(transmit_power_w=pt_w)

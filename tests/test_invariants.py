@@ -2,7 +2,7 @@
 
 Closed form, quadrature and Monte Carlo share the link model, so their
 agreement cannot see a defect in it.  Each relation here compares a
-method with itself at a transformed input.  Scaling by a power of two is
+method with itself at a transformed input, the Monte Carlo on one seed.  Scaling by a power of two is
 exact in IEEE arithmetic away from overflow and underflow, so those
 relations hold bit for bit.
 """
@@ -14,6 +14,7 @@ from paswipt.config import (DEFAULT_HARVEST, ProtocolParams, RegionGeometry, Sys
                             dbm_to_watts, default_config)
 from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound, avg_energy_quadrature
 from paswipt.geometry import Scheme
+from paswipt.montecarlo import estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 
 ROOMS = [(15.0, 10.0, 3.0), (8.0, 8.0, 3.0), (1e4, 1e4, 3.0), (0.5, 2.0, 10.0)]  # d_x, d_y, h
@@ -55,6 +56,44 @@ def test_rate_is_unchanged_by_scaling_the_room_and_the_noise(room, scheme, metho
                                   height=room[2] * 2.0**k,
                                   noise_power_w=base.system.noise_power_w * 4.0**-k)
         assert _rate(method, scheme, scaled) == rate, k
+
+
+# the Monte-Carlo relations: one seed, 3 chunks (2 * 2^15 + 4465 samples)
+MC_SEED, MC_SAMPLES = 2026, 70_001
+
+
+def _mc(metric, scheme, cfg, workers=1):
+    (est,) = estimate(metric, scheme, [cfg], n=MC_SAMPLES, seed=MC_SEED, workers=workers)
+    return est.mean, est.std_error
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("room", ROOMS, ids=ROOM_IDS)
+def test_mc_energy_scales_with_the_transmit_power(room, scheme):
+    """The `mc` linear energy at 2^k P_t has 2^k times the 1 W mean and
+    standard error: every sample c / l, its square and the sums scale
+    exactly, and so does the square root of a variance scaled by 4^k."""
+    base = default_config(1.0).with_params(d_x=room[0], d_y=room[1], height=room[2])
+    mean, std_error = _mc("energy-lm", scheme, base)
+    for k in (-60, -40, -20, -8, 8, 20):
+        scaled = _mc("energy-lm", scheme, base.with_params(transmit_power_w=2.0**k))
+        assert scaled == (2.0**k * mean, 2.0**k * std_error), k
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("room", ROOMS, ids=ROOM_IDS)
+def test_mc_rate_is_unchanged_by_scaling_the_room_and_the_noise(room, scheme):
+    """Every length times 2^k and the noise times 4^-k: each UE draw scales
+    by 2^k and each L by 4^k, so every mu gamma / L, and the `mc` rate,
+    keeps its bits, with one worker and with two."""
+    base = default_config(0.3).with_params(d_x=room[0], d_y=room[1], height=room[2])
+    rate = _mc("rate", scheme, base)
+    for k in (-30, -5, 5, 30):
+        scaled = base.with_params(d_x=room[0] * 2.0**k, d_y=room[1] * 2.0**k,
+                                  height=room[2] * 2.0**k,
+                                  noise_power_w=base.system.noise_power_w * 4.0**-k)
+        for workers in (1, 2):
+            assert _mc("rate", scheme, scaled, workers) == rate, (k, workers)
 
 
 def _every_value(scheme, cfg):

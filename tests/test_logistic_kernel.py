@@ -13,6 +13,7 @@ dispatch off, where each array must match to the last byte.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from paswipt.energy import expit_float, logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import CHUNK_SIZE, _chunk_ue
 
-from oracles import assert_curve_bits, libm, logistic_mpmath
+from oracles import assert_curve_bits, incident_power, libm, logistic_mpmath
 
 pytestmark = pytest.mark.digits
 
@@ -44,6 +45,11 @@ def _reference(model, p_in):
 
 
 def assert_same_bits(model, p_in):
+    low = np.min(p_in, initial=0.0)  # NaN where p_in holds a NaN, as in the array path's test
+    if low < 0.0:  # outside the curve's domain p >= 0: rejected, naming p or the minimum
+        with pytest.raises(ValueError, match=re.escape(f"got {float(low)!r}")):
+            logistic_harvest_power(model, p_in)
+        return
     # an exponent past the float range overflows to +-inf, as it should;
     # numpy's warning about it is not what is compared here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,7 +97,7 @@ def test_out_buffer_matches_allocating_call(pt_w):
     buffer and over p_in itself, and returns that buffer."""
     cfg = default_config(pt_w, model="nlm")
     l = optimal_squared_distance(Scheme.EDS, cfg.geometry, *_chunk_ue(cfg, 0, 0, CHUNK_SIZE))
-    p_in = cfg.protocol.beta * pt_w / l
+    p_in = incident_power(cfg, l)
     x_min = NLM.slope_per_w * (p_in.min() - NLM.turn_on_w)
     assert x_min > 40.0 if pt_w == 0.3 else p_in.min() < NLM.turn_on_w < p_in.max()
     want = logistic_harvest_power(NLM, p_in)
@@ -131,6 +137,26 @@ def test_special_scalars_match_reference(p):
     assert_same_bits(NLM, p)
     assert_same_bits(NLM, np.float64(p))
     assert_same_bits(NLM, np.array(p))
+
+
+@pytest.mark.parametrize("p", [-1e-5, -1e-9, -5e-324, -math.inf])
+def test_float_path_rejects_a_negative_power(p):
+    """Below the domain p >= 0 the float path raised OverflowError at -1e-5 W
+    and returned -2.16e-129 W at -1e-9 W.  A float, an np.float64 and a 0-d
+    array now raise ValueError naming p."""
+    for p_in in (p, np.float64(p), np.array(p)):
+        with pytest.raises(ValueError, match=re.escape(f"must be >= 0 W, got {p!r}")):
+            logistic_harvest_power(NLM, p_in)
+
+
+def test_array_path_rejects_a_negative_power():
+    """The array path returned NaN with a RuntimeWarning at -1e-5 W.  It now
+    raises ValueError naming the minimum, before it writes out."""
+    p_in = np.array([1e-3, -1e-9, -1e-5, 0.5])
+    out = np.full_like(p_in, 7.0)
+    with pytest.raises(ValueError, match=re.escape("must be >= 0 W, got -1e-05")):
+        logistic_harvest_power(NLM, p_in, out=out)
+    assert (out == 7.0).all()
 
 
 _models = st.builds(
@@ -213,16 +239,19 @@ def test_expit_float_matches_scipy_bitwise():
     assert np.any((EXPIT_INPUTS < _OVERFLOW_EDGE) & np.isfinite(EXPIT_INPUTS))
 
 
-KNEE = np.concatenate([
-    np.linspace(2.8e-6, 3.0e-6, 4096),
-    _x_at(NLM, np.linspace(-745.0, 45.0, 4096)),
-])
+# The default knee, and the exponents -745 to 45 of a model with a b = 2900,
+# whose e^{-x} overflows (x below about -709.78) at p >= 0: the default's
+# exponent stops at -a b = -290 there
+STEEP = LogisticHarvest(saturation_w=20e-3, slope_per_w=1e9, turn_on_w=2.9e-6)
+KNEES = [(NLM, np.linspace(2.8e-6, 3.0e-6, 4096)),
+         (STEEP, _x_at(STEEP, np.linspace(-745.0, 45.0, 4096)))]
 
 
 def test_scalar_and_array_kernels_agree_on_the_knee():
-    array = logistic_harvest_power(NLM, KNEE)
-    scalar = np.array([logistic_harvest_power(NLM, p) for p in KNEE.tolist()])
-    assert_curve_bits(NLM, KNEE, array, scalar)
+    for model, knee in KNEES:
+        array = logistic_harvest_power(model, knee)
+        scalar = np.array([logistic_harvest_power(model, p) for p in knee.tolist()])
+        assert_curve_bits(model, knee, array, scalar)
 
 
 def test_curve_keeps_its_digits_from_1e_22_to_1_watt():

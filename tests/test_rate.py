@@ -19,7 +19,7 @@ def _random_setup(rng):
     return s, p, g
 
 
-class TestSnr:
+class TestSnr:  # oracles.snr against the package's own mu gamma, the one such check
     def test_unit_point(self, lm_config):
         s = lm_config.system
         mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
@@ -169,13 +169,12 @@ def _rate_cuts(h, span):
 
 
 def _rate_mpmath(scheme, system, protocol, geom):
-    """(1 - alpha beta) E[log2(1 + mu gamma / L)] as a 40-digit mpmath
-    integral over the offset t (oracles.offset_mean_mpmath), with the
+    """(1 - alpha beta) E[log2(1 + snr(L))] as a 40-digit mpmath integral
+    over the offset t (oracles.offset_mean_mpmath), with oracles.snr's
     float mu gamma and the float share 1 - alpha beta as the package
-    rounds them."""
+    rounds it."""
     mpmath = pytest.importorskip("mpmath")
-    mu = system.path_loss_factor_m2 * system.transmit_snr
-    mean = offset_mean_mpmath(scheme, geom, lambda l: mpmath.log1p(mu / l), _rate_cuts)
+    mean = offset_mean_mpmath(scheme, geom, lambda l: mpmath.log1p(snr(system, l)), _rate_cuts)
     with mpmath.workdps(40):
         return float((1.0 - protocol.alpha * protocol.beta) * mean / mpmath.log(2))
 
