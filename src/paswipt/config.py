@@ -36,6 +36,19 @@ class SystemParams:
     def transmit_snr(self) -> float:
         return self.transmit_power_w / self.noise_power_w
 
+    # The link budget: the only place the package states it.  Every energy
+    # and rate formula reads these two, never P_t, mu or gamma directly.
+    @property
+    def received_power_w_m2(self) -> float:
+        """A UE at squared distance L receives this / L watts.  Still P_t:
+        the free-space factor mu is missing (ROADMAP.md item 1)."""
+        return self.transmit_power_w
+
+    @property
+    def link_snr_m2(self) -> float:
+        """mu gamma: the SNR of a UE at squared distance L is this / L."""
+        return self.path_loss_factor_m2 * self.transmit_snr
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -223,7 +236,7 @@ def validate(config: Config) -> Config:
         # mu P_t / sigma^2 scales every rate; it can overflow with valid fields
         s = config.system
         try:
-            link = s.path_loss_factor_m2 * s.transmit_snr
+            link = s.link_snr_m2
         except (OverflowError, ZeroDivisionError):
             link = math.inf
         if not math.isfinite(link):

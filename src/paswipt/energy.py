@@ -1,7 +1,9 @@
 """Average harvested energy: closed forms, a Jensen approximation, and quadrature.
 
 Harvested "energy" is reported in watts, i.e. average power over the
-unit-normalized protocol period.
+unit-normalized protocol period.  Every formula reads the link from
+SystemParams.received_power_w_m2: a UE at squared distance L receives
+that / L, of which the power splitter passes beta.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
     for incident power p >= 0.  Vectorized; exact 0.0 at p_in = 0.  A p
     below 0 raises ValueError on both paths.  An array is tested on its
     minimum, which the saturation shortcut below takes anyway, so -0.0
-    passes, and so does any array that holds a NaN (its minimum is NaN).  A
+    passes; only where that minimum is NaN is the test taken again on the
+    NaN-ignoring np.fmin, and a NaN element itself stays NaN.  A
     float or an int gives a Python float and imports nothing; an array (or
     a 0-d array, which gives a float) goes through numpy, one ufunc per
     step: in out= where given (p_in itself allowed), with the same bits.
@@ -66,8 +69,9 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
             low = float(p_in.min()) if p_in.size else 0.0
-            if low < 0.0:
-                raise ValueError(f"incident power must be >= 0 W, got {low!r}")
+            sign = low if low == low else float(np.fmin.reduce(p_in, axis=None))
+            if sign < 0.0:
+                raise ValueError(f"incident power must be >= 0 W, got {sign!r}")
             out = np.empty_like(p_in) if out is None else out
             if a > 0.0 and a * (low - b) > 40.0:
                 out.fill(phi)
@@ -120,7 +124,7 @@ def avg_energy_lm_closed(
 ) -> float:
     """alpha beta eta P_t * E[1/L], with the scheme's closed-form kernel."""
     return (
-        protocol.alpha * protocol.beta * lm.eta * system.transmit_power_w
+        protocol.alpha * protocol.beta * lm.eta * system.received_power_w_m2
         * mean_inverse_squared_distance(scheme, geom)
     )
 
@@ -132,7 +136,7 @@ def avg_energy_nlm_bound(
     """Jensen's alpha * Phi(beta P_t E[1/L]): an upper bound on the average
     where every UE's beta P_t / L is at or past the turn-on b (Phi is
     concave there), a lower bound where every one is below b (convex)."""
-    p_in = protocol.beta * system.transmit_power_w * mean_inverse_squared_distance(scheme, geom)
+    p_in = protocol.beta * system.received_power_w_m2 * mean_inverse_squared_distance(scheme, geom)
     return protocol.alpha * logistic_harvest_power(nlm, p_in)
 
 
@@ -142,5 +146,5 @@ def avg_energy_quadrature(
 ) -> float:
     """Exact expectation alpha * E[harvest(beta P_t / L)] by adaptive
     quadrature against the scheme's distance law."""
-    kernel = harvest_kernel(model, protocol.beta * system.transmit_power_w)
+    kernel = harvest_kernel(model, protocol.beta * system.received_power_w_m2)
     return protocol.alpha * SquaredDistanceDistribution(scheme, geom).expect(kernel)

@@ -92,20 +92,20 @@ def _chunk_kernel(metric: str, config: Config):
     if metric == "energy-lm":
         if not isinstance(model, LinearHarvest):
             raise ValueError("energy-lm requires a LinearHarvest config")
-        const = p.alpha * p.beta * model.eta * s.transmit_power_w
+        const = p.alpha * p.beta * model.eta * s.received_power_w_m2
 
         def formula(c, l, out):  # c / l
             return np.divide(c, l, out=out)
     elif metric == "energy-nlm":
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
-        c_in, const = p.beta * s.transmit_power_w, p.alpha
+        c_in, const = p.beta * s.received_power_w_m2, p.alpha
 
         def formula(alpha, l, out):  # alpha * logistic(c_in / l)
             p_in = np.divide(c_in, l, out=out)
             return np.multiply(alpha, logistic_harvest_power(model, p_in, out=out), out=out)
     elif metric == "rate":
-        mu_gamma, const = s.path_loss_factor_m2 * s.transmit_snr, 1.0 - p.alpha * p.beta
+        mu_gamma, const = s.link_snr_m2, 1.0 - p.alpha * p.beta
 
         def formula(scale, l, out):  # scale * log1p(mu_gamma / l) / ln 2
             nats = np.log1p(np.divide(mu_gamma, l, out=out), out=out)

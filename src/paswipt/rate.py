@@ -1,9 +1,10 @@
 """Average achievable rate: closed forms and their quadrature oracle.
 
 Logs are natural internally; the single division by ln 2 at the end
-converts to bits.  One antiderivative pair serves all three schemes:
-J0 = int_0^S ln(1 + mu gamma/(h^2 + t^2)) dt and J1, the same with a
-factor t, weighted by the scheme's offset law (geometry.Scheme.shape).
+converts to bits.  mu gamma is SystemParams.link_snr_m2, the SNR at a
+squared distance of 1 m^2.  One antiderivative pair serves all three
+schemes: J0 = int_0^S ln(1 + mu gamma/(h^2 + t^2)) dt and J1, the same
+with a factor t, weighted by the scheme's offset law (geometry.Scheme.shape).
 Both are computed as means, J0 / S and J1 / S^2, so that no product with
 S underflows, and written without differences that cancel as
 mu gamma / h^2 -> 0, as mu gamma grows, or as S / h -> 0 (see
@@ -76,7 +77,7 @@ def avg_rate_closed(
     over the scheme's offset law (c0 + c1 t / S) / S on [0, S]:
     (1 - alpha beta) / ln 2 * (c0 J0 / S + c1 J1 / S^2).
     """
-    mu_gamma = system.path_loss_factor_m2 * system.transmit_snr
+    mu_gamma = system.link_snr_m2
     h = geom.height
     span = scheme.span(geom)
     c0, c1 = scheme.shape
@@ -92,6 +93,6 @@ def avg_rate_quadrature(
     """(1 - alpha beta) * E[log2(1 + mu gamma_bar / L)] against the
     scheme's distance law; independent oracle for the closed forms."""
     dist = SquaredDistanceDistribution(scheme, geom)
-    mu_gamma = system.path_loss_factor_m2 * system.transmit_snr
+    mu_gamma = system.link_snr_m2
     mean_log = dist.expect(lambda l: math.log1p(mu_gamma / l))
     return RateResult((1.0 - protocol.alpha * protocol.beta) * mean_log / LN2)

@@ -8,7 +8,6 @@ from paswipt.geometry import Scheme, optimal_squared_distance
 from oracles import (
     AntennaPosition,
     UePosition,
-    diagonal_distance_derivative,
     min_squared_distance_bruteforce,
     optimal_antenna_position,
     squared_distance,
@@ -94,14 +93,6 @@ def test_optimality_property(scheme, x, y):
     grid = min_squared_distance_bruteforce(scheme, GEOM, ue, 2_000)
     assert closed <= grid + 1e-9
     assert closed >= GEOM.height**2 - 1e-12
-
-
-def test_dds_first_order_condition():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        ue = UePosition(rng.uniform(0, GEOM.d_x), rng.uniform(0, GEOM.d_y))
-        pos = optimal_antenna_position(Scheme.DDS, GEOM, ue)
-        assert abs(diagonal_distance_derivative(GEOM, ue, pos.x)) < 1e-9
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

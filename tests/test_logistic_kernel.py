@@ -14,6 +14,7 @@ dispatch off, where each array must match to the last byte.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def _reference(model, p_in):
 
 
 def assert_same_bits(model, p_in):
-    low = np.min(p_in, initial=0.0)  # NaN where p_in holds a NaN, as in the array path's test
+    low = np.fmin.reduce(np.ravel(p_in), initial=0.0)  # NaN-ignoring, as the array path's test
     if low < 0.0:  # outside the curve's domain p >= 0: rejected, naming p or the minimum
         with pytest.raises(ValueError, match=re.escape(f"got {float(low)!r}")):
             logistic_harvest_power(model, p_in)
@@ -157,6 +158,18 @@ def test_array_path_rejects_a_negative_power():
     with pytest.raises(ValueError, match=re.escape("must be >= 0 W, got -1e-05")):
         logistic_harvest_power(NLM, p_in, out=out)
     assert (out == 7.0).all()
+
+
+def test_array_path_rejects_a_negative_power_beside_a_nan():
+    """An array that holds a NaN has a NaN minimum, which skipped the sign
+    test: [nan, -1e-9] gave [nan, -2.158e-129].  The test is now taken on
+    the NaN-ignoring minimum; an all-NaN array still gives NaN, silently."""
+    for p_in, low in (([np.nan, -1e-9], -1e-9), ([[np.nan, 1.0], [-2.0, 3.0]], -2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"must be >= 0 W, got {low!r}")):
+            logistic_harvest_power(NLM, np.array(p_in))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(logistic_harvest_power(NLM, np.array([np.nan, np.nan]))).all()
 
 
 _models = st.builds(

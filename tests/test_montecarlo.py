@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paswipt.config import LinearHarvest, ProtocolParams, default_config
-from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound, avg_energy_quadrature
+from paswipt.energy import avg_energy_lm_closed, avg_energy_quadrature
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import (
     CHUNK_SIZE,
@@ -192,14 +192,6 @@ def test_agrees_with_rate_closed_form(scheme, lm_config):
     closed = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
     (est,) = estimate("rate", scheme, [lm_config], n=1_000_000, seed=8)
     assert abs(est.mean - closed) <= 4 * est.std_error
-
-
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_nlm_estimate_below_jensen_bound(scheme, nlm_config):
-    s, p, g = nlm_config.system, nlm_config.protocol, nlm_config.geometry
-    bound = avg_energy_nlm_bound(scheme, s, p, g, nlm_config.harvest)
-    (est,) = estimate("energy-nlm", scheme, [nlm_config], n=1_000_000, seed=8)
-    assert est.mean <= bound + 4 * est.std_error + 1e-12
 
 
 # float.hex of (mean, std_error) for a fixed set of (metric, scheme, seed,

@@ -19,11 +19,10 @@ def _random_setup(rng):
     return s, p, g
 
 
-class TestSnr:  # oracles.snr against the package's own mu gamma, the one such check
+class TestSnr:  # oracles.snr against SystemParams.link_snr_m2, the one such check
     def test_unit_point(self, lm_config):
         s = lm_config.system
-        mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
-        assert snr(s, mu_gamma) == pytest.approx(1.0, rel=1e-14)
+        assert snr(s, s.link_snr_m2) == pytest.approx(1.0, rel=1e-14)
 
     def test_noise_scaling(self):
         a = SystemParams(28e9, 1e-12, 0.3)
@@ -32,9 +31,8 @@ class TestSnr:  # oracles.snr against the package's own mu gamma, the one such c
 
     def test_default_magnitude(self, lm_config):
         s = lm_config.system
-        mu_gamma = s.path_loss_factor_m2 * s.transmit_snr
-        assert mu_gamma == pytest.approx(2.178e5, rel=1e-3)
-        assert snr(s, 9.0) == pytest.approx(mu_gamma / 9.0, rel=1e-14)
+        assert s.link_snr_m2 == pytest.approx(2.178e5, rel=1e-3)
+        assert snr(s, 9.0) == pytest.approx(s.link_snr_m2 / 9.0, rel=1e-14)
 
 
 class TestEdgeCenterClosedForm:
