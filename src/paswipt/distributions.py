@@ -154,8 +154,8 @@ class SquaredDistanceDistribution:
 
     @cached_property
     def support(self) -> tuple[float, float]:
-        h2 = self.geometry.height**2
-        return h2, h2 + self.scheme.span(self.geometry)**2
+        h, span = self.geometry.height, self.scheme.span(self.geometry)
+        return h * h, h * h + span * span
 
     @cached_property
     def _law(self) -> tuple[float, float, float]:
@@ -198,7 +198,7 @@ class SquaredDistanceDistribution:
         or both are exactly 0 while g(h^2) is not: every node's weighted
         integrand underflowed.
         """
-        h2, span = self.geometry.height**2, self.scheme.span(self.geometry)
+        h2, span = self.geometry.height * self.geometry.height, self.scheme.span(self.geometry)
         c0, c1 = self.scheme.shape  # not self._law: a cached_property's first read costs ~2 us
         if c1 == 0.0:  # flat, so c0 = 1
             def integrand(t):

@@ -115,7 +115,7 @@ def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float
     span = scheme.span(geom)
     c0, c1 = scheme.shape
     mean = c0 / (h * span) * math.atan(span / h)
-    return mean + c1 / 2.0 * math.log1p(span**2 / h**2) / span**2 if c1 else mean
+    return mean + c1 / 2.0 * math.log1p(span * span / (h * h)) / (span * span) if c1 else mean
 
 
 def avg_energy_lm_closed(

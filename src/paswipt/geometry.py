@@ -49,7 +49,7 @@ def optimal_squared_distance(scheme: Scheme, geom: RegionGeometry, x_u, y_u, out
     """
     import numpy as np
 
-    h2 = geom.height**2
+    h2 = geom.height * geom.height
     if scheme is Scheme.EDS:
         return np.add(np.square(y_u, out=out), h2, out=out)
     if scheme is Scheme.CDS:

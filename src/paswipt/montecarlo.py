@@ -88,7 +88,7 @@ def _chunk_kernel(metric: str, config: Config):
     picks k, and the exact 2**-k is folded into that constant by _scaled."""
     import numpy as np
 
-    p, s, model = config.protocol, config.system, config.harvest
+    p, s, model, h = config.protocol, config.system, config.harvest, config.geometry.height
     if metric == "energy-lm":
         if not isinstance(model, LinearHarvest):
             raise ValueError("energy-lm requires a LinearHarvest config")
@@ -112,7 +112,7 @@ def _chunk_kernel(metric: str, config: Config):
             return np.divide(np.multiply(scale, nats, out=out), math.log(2.0), out=out)
     else:
         raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
-    k, const = _scaled(const, formula(const, config.geometry.height**2, out=None))
+    k, const = _scaled(const, formula(const, h * h, out=None))
     return k, lambda l, out: formula(const, l, out)
 
 

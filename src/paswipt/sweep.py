@@ -155,39 +155,32 @@ def run_power_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _tradeoff_config(protocol_tag: str, control: float, cfg: Config) -> Config:
-    if protocol_tag == "ts":
-        return cfg.with_params(alpha=control, beta=1.0)
-    if protocol_tag == "ps":
-        return cfg.with_params(alpha=1.0, beta=control)
-    raise ValueError(f"protocol must be 'ts' or 'ps', got {protocol_tag!r}")
-
-
-def _region_energy(scheme: Scheme, cfgs: list[Config]) -> list[float]:
-    """The true expected energy: the closed form where one exists (LM),
-    else quadrature, never the Jensen bound."""
-    closed = evaluate("energy", "closed", scheme, cfgs)
-    return [value for value, _ in closed or evaluate("energy", "quadrature", scheme, cfgs)]
+# the pure edges of the hybrid protocol: a swept control c -> (alpha, beta)
+PURE_PROTOCOLS = {"ts": lambda c: (c, 1.0), "ps": lambda c: (1.0, c)}
 
 
 def run_tradeoff(spec: SweepSpec) -> list[dict]:
-    """Energy-rate points along the control grid for both protocols.
+    """Energy-rate points along the control grid for both pure protocols.
 
     Transmit power is fixed at spec.config's value; grid values are the
-    swept protocol factor in [0, 1].
+    swept protocol factor in [0, 1].  The energy is the true expectation:
+    the closed form where one exists (LM), else quadrature, never the
+    Jensen bound.  The rate reads no harvest model, so one closed-rate
+    series per (protocol, scheme) serves every model's rows.
     """
     columns = CSV_COLUMNS["region"]
     rows = []
-    for protocol_tag in ("ts", "ps"):
+    for protocol_tag, alpha_beta in PURE_PROTOCOLS.items():
+        series = [[spec.config.with_params(harvest=model, alpha=alpha, beta=beta)
+                   for alpha, beta in map(alpha_beta, spec.grid)] for model in spec.models]
         for scheme in Scheme:
-            for model in spec.models:
-                base = spec.config.with_params(harvest=model)
-                cfgs = [_tradeoff_config(protocol_tag, control, base) for control in spec.grid]
-                energies = _region_energy(scheme, cfgs)
-                rates = evaluate("rate", "closed", scheme, cfgs)
+            rates = evaluate("rate", "closed", scheme, series[0])
+            for model, cfgs in zip(spec.models, series):
+                energies = (evaluate("energy", "closed", scheme, cfgs)
+                            or evaluate("energy", "quadrature", scheme, cfgs))
                 names = (scheme.value, model_tag(model))
                 rows += [dict(zip(columns, (protocol_tag, control, *names, energy, rate)))
-                         for control, energy, (rate, _) in zip(spec.grid, energies, rates)]
+                         for control, (energy, _), (rate, _) in zip(spec.grid, energies, rates)]
     rows.sort(key=itemgetter("protocol", "scheme", "model", "control"))
     return rows
 

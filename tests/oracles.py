@@ -20,7 +20,7 @@ from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import logistic_harvest_power
 from paswipt.geometry import Scheme
 from paswipt.montecarlo import _chunk_sizes, _chunk_ue, check_mc_inputs
-from paswipt.sweep import _region_energy, _tradeoff_config, evaluate
+from paswipt.sweep import evaluate
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -172,7 +172,7 @@ def cdf_numpy(dist: SquaredDistanceDistribution, l):
     """The distance law's CDF on a numpy array, in the float law's
     operations: t / S for edge/center, t (2 - t / Lambda) / Lambda for the
     diagonal, at t = sqrt(l - h^2)."""
-    h2 = dist.geometry.height**2
+    h2 = dist.geometry.height * dist.geometry.height
     s = np.sqrt(np.clip(l - h2, 0.0, None))
     if dist.scheme is Scheme.DDS:
         lam = dist.geometry.diagonal_half_width
@@ -260,10 +260,19 @@ def tradeoff_rate_at_energy(
     """
     if math.isnan(energy_w):
         raise ValueError(f"energy level must be a number, got {energy_w}")
+    if protocol_tag not in ("ts", "ps"):
+        raise ValueError(f"protocol must be 'ts' or 'ps', got {protocol_tag!r}")
     base = base.with_params(harvest=model)
 
-    def energy_at(control: float) -> float:
-        return _region_energy(scheme, [_tradeoff_config(protocol_tag, control, base)])[0]
+    def config_at(control: float) -> Config:  # TS sweeps alpha at beta = 1, PS beta at alpha = 1
+        if protocol_tag == "ts":
+            return base.with_params(alpha=control, beta=1.0)
+        return base.with_params(alpha=1.0, beta=control)
+
+    def energy_at(control: float) -> float:  # the true mean: closed form (LM), else quadrature
+        cfgs = [config_at(control)]
+        return (evaluate("energy", "closed", scheme, cfgs)
+                or evaluate("energy", "quadrature", scheme, cfgs))[0][0]
 
     if energy_w <= 0.0:
         control = 0.0
@@ -278,8 +287,7 @@ def tradeoff_rate_at_energy(
             else:
                 lo = mid
         control = hi
-    cfg = _tradeoff_config(protocol_tag, control, base)
-    return evaluate("rate", "closed", scheme, [cfg])[0][0]
+    return evaluate("rate", "closed", scheme, [config_at(control)])[0][0]
 
 
 # --- numpy's run-time SIMD dispatch ---

@@ -228,18 +228,12 @@ def test_energy_scales_with_the_transmit_power_over_the_accepted_range(**room):
 
 
 # libm's pow, under x**2, misrounds about 0.08% of squares (glibc 2.36: 1 ulp
-# above x * x at this h, but not at h / 32), so the quadrature's h**2, unlike
-# the closed form's h * h, does not always scale by exactly 4^k with the room
+# above x * x at this h, but not at h / 32), so a height squared with ** does
+# not always scale by exactly 4^k with the room; the package squares with *
 _H = 7.149689054770527
-_POW_MISROUNDS = _H**2 != _H * _H
 
 
-@pytest.mark.parametrize("method", [
-    "closed",
-    pytest.param("quadrature", marks=pytest.mark.xfail(
-        _POW_MISROUNDS, reason="SquaredDistanceDistribution.expect squares h "
-        "with ** (libm's pow), 1 ulp off h * h at h = 7.149689054770527 m")),
-])
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
 @settings(max_examples=40, deadline=None)
 @given(**_ROOMS)
 @example(pt=1.0, d_x=1.0, d_y=1.0, h=_H, noise_dbm=-60.0, alpha=0.0, beta=0.0)
