@@ -8,6 +8,7 @@ that / L, of which the power splitter passes beta.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from paswipt.config import (
@@ -89,13 +90,10 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
     return harvest_kernel(model, p_in)(1.0)  # p / 1.0 is p: the kernel at l = 1
 
 
-def harvest_kernel(model: HarvestModel, c: float):
-    """l -> the power harvested from incident power c / l, on floats: the
-    quadrature's integrand, one frame per node.  The float branch of
-    logistic_harvest_power is the logistic kernel at l = 1."""
-    if isinstance(model, LinearHarvest):
-        eta = model.eta
-        return lambda l: eta * (c / l)
+def harvest_kernel(model: LogisticHarvest, c: float):
+    """l -> the logistic power harvested from incident power c / l, on
+    floats: the quadrature's integrand, one frame per node.  The float
+    branch of logistic_harvest_power is this kernel at l = 1."""
     phi, a, b = model.saturation_w, model.slope_per_w, model.turn_on_w
 
     def kernel(l: float) -> float:
@@ -109,8 +107,7 @@ def harvest_kernel(model: HarvestModel, c: float):
 def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float:
     """E[1 / L] for the optimal squared distance L, in closed form, over
     the scheme's offset law (c0 + c1 t / S) / S on [0, S]:
-    c0 / (h S) * arctan(S / h) + (c1 / 2) * ln(1 + S^2/h^2) / S^2.
-    """
+    c0 / (h S) * arctan(S / h) + (c1 / 2) * ln(1 + S^2/h^2) / S^2."""
     h = geom.height
     span = scheme.span(geom)
     c0, c1 = scheme.shape
@@ -118,15 +115,17 @@ def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float
     return mean + c1 / 2.0 * math.log1p(span * span / (h * h)) / (span * span) if c1 else mean
 
 
+def _linear_energy(system: SystemParams, protocol: ProtocolParams, lm: LinearHarvest, m: float):
+    """alpha beta eta P_t * m, for m = E[1/L] in closed form or by quadrature."""
+    return protocol.alpha * protocol.beta * lm.eta * system.received_power_w_m2 * m
+
+
 def avg_energy_lm_closed(
     scheme: Scheme, system: SystemParams, protocol: ProtocolParams,
     geom: RegionGeometry, lm: LinearHarvest,
 ) -> float:
     """alpha beta eta P_t * E[1/L], with the scheme's closed-form kernel."""
-    return (
-        protocol.alpha * protocol.beta * lm.eta * system.received_power_w_m2
-        * mean_inverse_squared_distance(scheme, geom)
-    )
+    return _linear_energy(system, protocol, lm, mean_inverse_squared_distance(scheme, geom))
 
 
 def avg_energy_nlm_bound(
@@ -140,11 +139,22 @@ def avg_energy_nlm_bound(
     return protocol.alpha * logistic_harvest_power(nlm, p_in)
 
 
+@functools.lru_cache(maxsize=1)
+def _mean_harvest(scheme: Scheme, geom: RegionGeometry, model: LogisticHarvest | None,
+                  c: float, sign: float) -> float:
+    """E[1 / L] (model None) or E[model's harvest from c / L] by quadrature, once per
+    run of calls on one integral.  sign = copysign(1, c) keeps 0.0 and -0.0 apart."""
+    kernel = (lambda l: 1.0 / l) if model is None else harvest_kernel(model, c)
+    return SquaredDistanceDistribution(scheme, geom).expect(kernel)
+
+
 def avg_energy_quadrature(
     scheme: Scheme, system: SystemParams, protocol: ProtocolParams,
     geom: RegionGeometry, model: HarvestModel,
 ) -> float:
-    """Exact expectation alpha * E[harvest(beta P_t / L)] by adaptive
-    quadrature against the scheme's distance law."""
-    kernel = harvest_kernel(model, protocol.beta * system.received_power_w_m2)
-    return protocol.alpha * SquaredDistanceDistribution(scheme, geom).expect(kernel)
+    """alpha * E[harvest(beta P_t / L)] by adaptive quadrature against the scheme's
+    distance law; for the linear model, the closed form with E[1/L] integrated."""
+    if isinstance(model, LinearHarvest):
+        return _linear_energy(system, protocol, model, _mean_harvest(scheme, geom, None, 1.0, 1.0))
+    c = protocol.beta * system.received_power_w_m2
+    return protocol.alpha * _mean_harvest(scheme, geom, model, c, math.copysign(1.0, c))

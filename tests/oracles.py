@@ -33,7 +33,7 @@ VARPI = {Scheme.EDS: 1, Scheme.CDS: 2}
 
 def harvest_power(model: HarvestModel, p_in):
     """Harvested power for incident power p_in (a float or an array) under
-    either model, dispatched per call: the quadrature's kernel
+    either model, dispatched per call: the logistic quadrature's kernel
     (energy.harvest_kernel) must give the same bits at p_in = c / l."""
     if isinstance(model, LinearHarvest):
         return model.eta * p_in

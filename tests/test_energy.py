@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +15,7 @@ from paswipt.config import (
 )
 from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import (
+    _mean_harvest,
     avg_energy_lm_closed,
     avg_energy_nlm_bound,
     avg_energy_quadrature,
@@ -371,24 +374,56 @@ _INCIDENT_W = st.one_of(st.just(0.0), _log_uniform(-12, -5.6), st.floats(2.4e-6,
 
 @pytest.mark.digits
 @settings(max_examples=400, deadline=None)
-@given(tag=st.sampled_from(["lm", "nlm"]), p_in=_INCIDENT_W, l=_log_uniform(-3, 4))
-@example(tag="nlm", p_in=0.0, l=9.0)
-@example(tag="nlm", p_in=1e-6, l=9.0)
-@example(tag="nlm", p_in=2.9e-6, l=9.0)
-@example(tag="nlm", p_in=3.3e-6, l=9.0)  # x = 40.0: expit still runs
-@example(tag="nlm", p_in=1e-3, l=9.0)
-def test_quadrature_kernel_has_the_bits_of_harvest_power(tag, p_in, l):
-    """harvest_kernel(model, c)(l), the per-node integrand of
-    avg_energy_quadrature, is harvest_power(model, c / l) bit for bit,
-    and so is the array path (np.exp for the logistic model: bitwise
-    without numpy's SIMD dispatch, see oracles.assert_curve_bits)."""
-    model = DEFAULT_HARVEST[tag]
+@given(p_in=_INCIDENT_W, l=_log_uniform(-3, 4))
+@example(p_in=0.0, l=9.0)
+@example(p_in=1e-6, l=9.0)
+@example(p_in=2.9e-6, l=9.0)
+@example(p_in=3.3e-6, l=9.0)  # x = 40.0: expit still runs
+@example(p_in=1e-3, l=9.0)
+def test_quadrature_kernel_has_the_bits_of_harvest_power(p_in, l):
+    """harvest_kernel(model, c)(l), the per-node integrand of the logistic
+    avg_energy_quadrature, is logistic_harvest_power(model, c / l) bit for
+    bit, and so is the array path (np.exp: bitwise without numpy's SIMD
+    dispatch, see oracles.assert_curve_bits)."""
     c = p_in * l
-    got = harvest_kernel(model, c)(l)
+    got = harvest_kernel(NLM, c)(l)
     assert type(got) is float
-    assert got.hex() == harvest_power(model, c / l).hex()
+    assert got.hex() == logistic_harvest_power(NLM, c / l).hex()
     p = np.array([c / l])
-    if tag == "lm":
-        assert got.hex() == float(harvest_power(model, p)[0]).hex()
-    else:
-        assert_curve_bits(model, p, harvest_power(model, p), np.array([got]))
+    assert_curve_bits(NLM, p, logistic_harvest_power(NLM, p), np.array([got]))
+
+
+# (harvest model, changes to the base config, the change made right after), by id
+_CHANGED_RIGHT_AFTER = {
+    "lm-eta": ("lm", {}, dict(harvest=LinearHarvest(eta=0.5))),
+    "lm-beta": ("lm", {}, dict(beta=0.4)),
+    "lm-pt": ("lm", {}, dict(transmit_power_w=8e-5)),
+    "lm-dx": ("lm", {}, dict(d_x=16.0)),
+    "lm-to-nlm": ("lm", {}, dict(harvest=NLM)),
+    "nlm-saturation": ("nlm", {}, dict(harvest=dataclasses.replace(NLM, saturation_w=0.01))),
+    "nlm-slope": ("nlm", {}, dict(harvest=dataclasses.replace(NLM, slope_per_w=2e5))),
+    "nlm-turn-on": ("nlm", {}, dict(harvest=dataclasses.replace(NLM, turn_on_w=3.3e-6))),
+    "nlm-beta": ("nlm", {}, dict(beta=0.4)),
+    "nlm-pt": ("nlm", {}, dict(transmit_power_w=8e-5)),
+    "nlm-beta-sign": ("nlm", dict(beta=0.0), dict(beta=-0.0)),  # one memo key, signed zeros
+}
+
+
+@pytest.mark.parametrize("tag,base,change", _CHANGED_RIGHT_AFTER.values(),
+                         ids=_CHANGED_RIGHT_AFTER)
+def test_quadrature_after_a_change_is_a_fresh_value(tag, base, change):
+    """A quadrature right after another whose config differs in one field
+    has the bits a fresh process gives (an empty memo).  At 4e-5 W the
+    default room's logistic series straddles the turn-on, so every change
+    moves the value."""
+    cfg = default_config(4e-5, model=tag).with_params(**base)
+
+    def energy(cfg):
+        return avg_energy_quadrature(Scheme.DDS, cfg.system, cfg.protocol, cfg.geometry,
+                                     cfg.harvest)
+
+    before = energy(cfg)
+    cfg = cfg.with_params(**change)
+    after = energy(cfg)
+    _mean_harvest.cache_clear()
+    assert after.hex() == energy(cfg).hex() != before.hex()

@@ -8,14 +8,16 @@ import pytest
 
 import paswipt.sweep
 from paswipt.config import (DEFAULT_HARVEST, ConfigError, LinearHarvest, LogisticHarvest,
-                            default_config)
-from paswipt.distributions import QuadratureError
+                            default_config, model_tag)
+from paswipt.distributions import QuadratureError, SquaredDistanceDistribution
+from paswipt.energy import _mean_harvest, avg_energy_quadrature
 from paswipt.montecarlo import estimate
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.rate import avg_rate_closed
 from paswipt.sweep import (
     METHODS,
     PRESETS,
+    PURE_PROTOCOLS,
     SweepSpec,
     emit_outputs,
     evaluate,
@@ -234,6 +236,54 @@ def test_region_evaluates_each_rate_series_once(monkeypatch):
     assert repr(rows) == repr(union)  # float repr round-trips: equal bits, -0.0 apart
 
 
+def test_each_distinct_energy_integral_runs_once(monkeypatch):
+    """A linear power series reads one E[1/L] per scheme, whatever its powers,
+    and fig4's time-switching edge (beta = 1) one logistic integral per scheme;
+    every other logistic row has an integral of its own."""
+    expect = SquaredDistanceDistribution.expect
+    calls = []
+
+    def counted(dist, g):
+        calls.append(dist.scheme)
+        return expect(dist, g)
+
+    monkeypatch.setattr(SquaredDistanceDistribution, "expect", counted)
+    s1, fig4 = preset("s1"), preset("fig4")
+    run_power_sweep(s1)  # lm, then nlm, each scheme by scheme
+    assert calls == list(Scheme) + [scheme for scheme in Scheme for _ in s1.grid]
+    calls.clear()
+    run_tradeoff(fig4)  # the linear energy is closed form; ts, then ps
+    assert calls == list(Scheme) + [scheme for scheme in Scheme for _ in fig4.grid]
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "fig4"])
+def test_quadrature_rows_are_their_configs_alone(name):
+    """Every quadrature row of a preset has the bits of avg_energy_quadrature
+    called for its config alone, whatever ran before: walked in reverse row
+    order, each row is evaluated once with the memo holding the integral of
+    the row walked before it, and once on an empty memo."""
+    spec = preset(name)
+    models = {model_tag(m): m for m in spec.models}
+    if spec.experiment == "region":
+        rows = [r for r in run_tradeoff(spec) if r["model"] == "nlm"]  # lm rows: closed form
+        cfgs = []
+        for r in rows:
+            alpha, beta = PURE_PROTOCOLS[r["protocol"]](r["control"])
+            cfgs.append(spec.config.with_params(harvest=models["nlm"], alpha=alpha, beta=beta))
+        values = [r["energy_w"] for r in rows]
+    else:
+        rows = [r for r in run_power_sweep(spec) if r["method"] == "quadrature"]
+        cfgs = [spec.config.with_params(harvest=models[r["model"]], transmit_power_w=r["pt_w"])
+                for r in rows]
+        values = [r["value_w"] for r in rows]
+    assert len(rows) == 2 * len(Scheme) * len(spec.grid)  # two models, or two protocols
+    for row, cfg, value in reversed(list(zip(rows, cfgs, values))):
+        args = Scheme(row["scheme"]), cfg.system, cfg.protocol, cfg.geometry, cfg.harvest
+        after_another = avg_energy_quadrature(*args)
+        _mean_harvest.cache_clear()
+        assert after_another.hex() == avg_energy_quadrature(*args).hex() == value.hex()
+
+
 def test_tradeoff_rejects_nan_energy():
     base = preset("fig4").config
     with pytest.raises(ValueError, match="nan"):
@@ -280,12 +330,12 @@ class TestEmitOutputs:
 # numpy's baseline level, and test_digits_without_simd_dispatch runs it on
 # np.log1p there.
 PRESET_CSV_SHA256 = {
-    ("s1", False): "d5f9f5c5e79e77332170be9ec4bf3006ced8f57b28bfe977dbe15428d256ecfd",
-    ("s2", False): "f163061291c8d081d70f5ce98fc8e5ff6466aa1fde1299636d8bb61d80eac7cc",
+    ("s1", False): "3ac60758a495756b9ed455db03dff35f6044ebe1df14a63f92446444895152b9",
+    ("s2", False): "a51da7e5506eb082bc3ffcfb3d8fd6ea4603858c676900e3e33d6c9fd9eb39f7",
     ("c1", False): "81710ec4b424c186d31eac29cbd3fed0a394a82fe92d19aa99c2c17ef198daaf",
     ("c2", False): "394e2148963d0d804954a7ba978e8bf587afae40130e9ab2354b4a133f70d2e2",
     ("fig4", False): "5817508a5a3ec5249ed9e2e26b70b4ef7ae5ed1a6876b5da85ac37581fa82e12",
-    ("s1", True): "ecab1f9740b5c24abfc3dd86c9ac2d708b415fe3b689b25480a7d1724e3c8c84",
+    ("s1", True): "4f84400bb79d9455498591bb09381e63b0525b85e95ead9f4e84cb1e4dbe1d14",
     ("c1", True): "6b1f8fdd95e068492526d71f00c06303ad727e31c7b12492935835ffc23b23fa",
 }
 
