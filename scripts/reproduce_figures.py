@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run every experiment preset and render the figures.
 
-Usage: python3 scripts/reproduce_figures.py [outdir | --out outdir] [paswipt sweep flags...]
+Usage: python3 scripts/reproduce_figures.py [--out DIR] [paswipt sweep flags...]
 
-Each preset runs as `paswipt sweep --preset <name> --out <outdir>/<name> <flags>`,
+Each preset runs as `paswipt sweep --preset <name> --out DIR/<name> <flags>`,
 so its subdirectory holds that command's CSV and plot script, and the
-rendered PNG if matplotlib is installed.  The outdir defaults to figures.
+rendered PNG if matplotlib is installed.  DIR defaults to figures.
 """
 
 import argparse
@@ -18,17 +18,13 @@ from paswipt.sweep import PRESETS
 
 
 def main(argv: list[str]) -> int:
-    outdir = argv.pop(0) if argv and not argv[0].startswith("-") else None
-    # --out is the outdir too: passed on, it would replace each preset's subdirectory
+    # --out is the outdir: passed on, it would replace each preset's subdirectory
     parser = argparse.ArgumentParser(prog="reproduce_figures.py", add_help=False,
-                                     usage="%(prog)s [outdir | --out outdir] [paswipt sweep flags]")
-    parser.add_argument("--out")
+                                     usage="%(prog)s [--out DIR] [paswipt sweep flags]")
+    parser.add_argument("--out", default="figures")
     args, argv = parser.parse_known_args(argv)
-    if outdir and args.out:
-        parser.error(f"the output directory is given twice: {outdir} and --out {args.out}")
-    outdir = outdir or args.out or "figures"
     for name, (experiment, _) in PRESETS.items():
-        out = Path(outdir) / name
+        out = Path(args.out) / name
         paswipt(["sweep", "--preset", name, "--out", str(out), *argv])
         script = f"plot_{experiment}.py"  # the sweep writes it next to the CSV
         proc = subprocess.run([sys.executable, script], cwd=out, capture_output=True, text=True)

@@ -1,9 +1,10 @@
 """Test-only oracles.
 
-The link budget, point-geometry, brute-force, inverse-transform, array,
-mpmath and trade-off bisection references that check the package but that the
-package itself never calls, kept here so that `src/` holds only what it
-runs and imports numpy only where it builds arrays of its own.
+The link budget and its logistic regimes, the point-geometry, brute-force,
+inverse-transform, array, mpmath and trade-off bisection references, and
+the tests' log-uniform strategy: what checks the package but the package
+itself never calls, kept here so that `src/` holds only what it runs and
+imports numpy only where it builds arrays of its own.
 """
 
 import math
@@ -50,6 +51,43 @@ def incident_power(cfg: Config, l):
     energy (ROADMAP.md item 1).  This and snr are plain arithmetic on l: a
     float, a numpy array or an mpmath.mpf."""
     return cfg.protocol.beta * cfg.system.transmit_power_w / l
+
+
+REGIMES = ("below", "knee", "past", "saturated")  # in the order of rising power
+
+
+def regime(cfg: Config, scheme: Scheme) -> str:
+    """Where the logistic turn-on b sits against the UEs' incident powers p,
+    l over the support [h^2, h^2 + S^2]: 'below' (every p <= b, the convex
+    side), 'knee' (b strictly inside), 'past' (every p >= b, the concave
+    side) or 'saturated' (every a (p - b) > 40, the curve's exact shortcut)."""
+    a, b = cfg.harvest.slope_per_w, cfg.harvest.turn_on_w
+    lo, hi = SquaredDistanceDistribution(scheme, cfg.geometry).support
+    p_far, p_near = incident_power(cfg, hi), incident_power(cfg, lo)
+    if a * (p_far - b) > 40.0:
+        return "saturated"
+    return "past" if p_far >= b else "knee" if p_near > b else "below"
+
+
+def regime_power(cfg: Config, scheme: Scheme, name: str) -> float:
+    """A transmit power that puts cfg's room in the regime `name`, through
+    incident_power, so it moves with the link: the nearest UE at a (p - b)
+    = -5 (below), b at the middle of the support (knee), the farthest UE
+    just past b (past) or just past a (p - b) = 40 (saturated)."""
+    a, b = cfg.harvest.slope_per_w, cfg.harvest.turn_on_w
+    lo, hi = SquaredDistanceDistribution(scheme, cfg.geometry).support
+    p_in, l, margin = {"below": (b - 5.0 / a, lo, 1.0), "knee": (b, 0.5 * (lo + hi), 1.0),
+                       "past": (b, hi, 1.0 + 1e-9),
+                       "saturated": (b + 40.0 / a, hi, 1.0 + 1e-9)}[name]
+    pt_w = p_in / incident_power(cfg.with_params(transmit_power_w=1.0), l) * margin
+    assert regime(cfg.with_params(transmit_power_w=pt_w), scheme) == name, (name, pt_w)
+    return pt_w
+
+
+def log_uniform(lo_exp: float, hi_exp: float):
+    """The hypothesis strategy of 10^e, e drawn from the floats in [lo_exp, hi_exp]."""
+    from hypothesis import strategies as st  # here: the SIMD-free rerun loads oracles before pytest
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
 
 
 def snr(system: SystemParams, l):

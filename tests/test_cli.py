@@ -15,7 +15,12 @@ from paswipt.energy import avg_energy_lm_closed
 from paswipt.geometry import Scheme
 from paswipt.sweep import PRESETS
 
-from oracles import package_env
+from oracles import package_env, regime_power
+
+
+def _regime_pt(scheme, name):  # --pt-w at the scheme's regime power in the default room
+    return repr(regime_power(default_config(1.0, "nlm"), scheme, name))
+
 
 FIGURE_SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
 
@@ -183,15 +188,15 @@ def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
     and plot script are `paswipt sweep`'s with the same flags, and a bad
     flag fails with the CLI's own line."""
     flags = ["--mc", "--samples", "2000"]
-    run = subprocess.run([sys.executable, str(FIGURE_SCRIPT), str(tmp_path / "script"), *flags],
-                         capture_output=True, text=True, env=package_env())
+    run = subprocess.run([sys.executable, str(FIGURE_SCRIPT), "--out", str(tmp_path / "script"),
+                          *flags], capture_output=True, text=True, env=package_env())
     assert run.returncode == 0, run.stderr
     for name, (experiment, _) in PRESETS.items():
         _output(["sweep", "--preset", name, "--out", str(tmp_path / "cli" / name), *flags], capsys)
         for file in (f"{experiment}.csv", f"plot_{experiment}.py"):
             assert ((tmp_path / "script" / name / file).read_bytes()
                     == (tmp_path / "cli" / name / file).read_bytes()), (name, file)
-    bad = subprocess.run([sys.executable, str(FIGURE_SCRIPT), str(tmp_path / "bad"),
+    bad = subprocess.run([sys.executable, str(FIGURE_SCRIPT), "--out", str(tmp_path / "bad"),
                           "--samples", "1"], capture_output=True, text=True, env=package_env())
     code, err = _exit_code(["sweep", "--preset", "s1", "--out", str(tmp_path / "bad"),
                             "--samples", "1"], capsys)
@@ -200,23 +205,21 @@ def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
 
 
 def test_figure_script_takes_out_as_its_outdir(tmp_path, capsys):
-    """`--out DIR` names the outdir, as the first argument does: passed on to
-    `paswipt sweep`, it wrote s1's CSV into DIR and the plot step then
-    failed on the missing DIR/s1.  Given twice, it exits 2 before any preset."""
+    """`--out DIR` names the outdir, which then holds the presets'
+    subdirectories alone: passed on to `paswipt sweep`, it wrote s1's CSV
+    into DIR and the plot step then failed on the missing DIR/s1 (what each
+    subdirectory holds: test_figure_script_runs_paswipt_sweep).  A stray
+    positional is passed on, and fails with the CLI's own error before any
+    preset runs."""
     run = subprocess.run([sys.executable, str(FIGURE_SCRIPT), "--out", str(tmp_path / "script")],
                          capture_output=True, text=True, env=package_env())
     assert run.returncode == 0, run.stderr
     assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(PRESETS)
-    for name, (experiment, _) in PRESETS.items():
-        _output(["sweep", "--preset", name, "--out", str(tmp_path / "cli" / name)], capsys)
-        assert ((tmp_path / "script" / name / f"{experiment}.csv").read_bytes()
-                == (tmp_path / "cli" / name / f"{experiment}.csv").read_bytes()), name
-    twice = subprocess.run([sys.executable, str(FIGURE_SCRIPT), str(tmp_path / "a"),
-                            f"--out={tmp_path / 'b'}"], capture_output=True, text=True,
-                           env=package_env())
-    assert twice.returncode == 2 and twice.stdout == ""
-    assert twice.stderr.splitlines()[-1].startswith("reproduce_figures.py: error: ")
-    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+    stray = subprocess.run([sys.executable, str(FIGURE_SCRIPT), "a"], cwd=tmp_path,
+                           capture_output=True, text=True, env=package_env())
+    code, err = _exit_code(["sweep", "--preset", "s1", "--out", "figures/s1", "a"], capsys)
+    assert (stray.returncode, stray.stdout, stray.stderr) == (code, "", err)
+    assert code == 2 and not (tmp_path / "a").exists() and not (tmp_path / "figures").exists()
 
 
 @pytest.mark.parametrize("name", ["s1", "c1"])
@@ -553,9 +556,9 @@ def _loaded_after(tmp_path, *argvs):
 @pytest.mark.parametrize("argv", [
     None,
     ["energy", "--scheme", "eds", "--model", "lm", "--pt-w", "0.3"],
-    ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3"],
-    ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4"],
-    ["energy", "--scheme", "eds", "--model", "nlm", "--pt-w", "1e-5"],
+    ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", _regime_pt(Scheme.DDS, "saturated")],
+    ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", _regime_pt(Scheme.DDS, "knee")],
+    ["energy", "--scheme", "eds", "--model", "nlm", "--pt-w", _regime_pt(Scheme.EDS, "below")],
     ["rate", "--scheme", "cds", "--pt-w", "0.3", "--method", "closed", "--method", "quad"],
     ["dist", "--scheme", "dds", "--emit-cdf", "points.csv"],
     ["sweep", "--preset", "s1", "--out", "s1"],
@@ -593,13 +596,13 @@ def test_thread_pool_loads_only_when_a_pool_runs(tmp_path, workers, pool):
     assert ("concurrent.futures" in loaded) is pool
 
 
-@pytest.mark.parametrize("pt_w", ["1e-4", "0.3"], ids=["knee", "saturated"])
-def test_logistic_mc_call_loads_numpy_alone(tmp_path, pt_w):
-    # at 1e-4 W the MC chunk straddles the knee, so the array kernel runs np.exp;
-    # at 0.3 W every chunk passes the saturation shortcut
+@pytest.mark.parametrize("name", ["knee", "saturated"])
+def test_logistic_mc_call_loads_numpy_alone(tmp_path, name):
+    # at the knee power the MC chunk straddles the turn-on, so the array kernel
+    # runs np.exp; at the saturated power every chunk passes the saturation shortcut
     loaded = _loaded_after(
         tmp_path,
-        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", pt_w,
+        ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", _regime_pt(Scheme.DDS, name),
          "--mc", "--samples", "20000"],
     )
     assert {m.split(".")[0] for m in loaded} == {"numpy"}  # no scipy, yaml or thread pool

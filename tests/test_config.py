@@ -22,8 +22,9 @@ from paswipt.config import (
     default_config,
     validate,
 )
+from paswipt.geometry import Scheme
 
-from oracles import wavelength_m
+from oracles import regime_power, wavelength_m
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -243,8 +244,9 @@ def test_readme_config_example_loads(readme_config):
 
 
 def test_readme_config_and_flags_print_the_same_knee_row(readme_config, capsys):
-    # at 1e-4 W the logistic curve's knee shows any ulp of the turn-on in every digit
-    argv = ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "1e-4", "--mc",
+    # at the knee power the logistic curve shows any ulp of the turn-on in every digit
+    knee = regime_power(default_config(1.0, "nlm"), Scheme.DDS, "knee")
+    argv = ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", repr(knee), "--mc",
             "--samples", "100000"]
     assert main(argv) == 0
     by_flags = capsys.readouterr().out

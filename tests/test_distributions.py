@@ -13,7 +13,8 @@ from paswipt.distributions import (
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 from oracles import (VARPI, cdf_table_numpy, ground_projection_cdf, harvest_power,
-                     incident_power, offset_mean_mpmath, sample_squared_distance, snr)
+                     incident_power, log_uniform, offset_mean_mpmath, sample_squared_distance,
+                     snr)
 
 GEOM = RegionGeometry(d_x=15.0, d_y=10.0, height=3.0)
 
@@ -169,13 +170,9 @@ def test_emit_cdf_table_shape():
 
 
 
-def _log_uniform(lo_exp, hi_exp):
-    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
-
-
 @settings(max_examples=200, deadline=None)
-@given(scheme=st.sampled_from(list(Scheme)), d_x=_log_uniform(-5, 3), d_y=_log_uniform(-5, 3),
-       height=_log_uniform(-3, 3), n_points=st.integers(min_value=1, max_value=4096))
+@given(scheme=st.sampled_from(list(Scheme)), d_x=log_uniform(-5, 3), d_y=log_uniform(-5, 3),
+       height=log_uniform(-3, 3), n_points=st.integers(min_value=1, max_value=4096))
 @example(scheme=Scheme.EDS, d_x=15.0, d_y=1e-5, height=1e3, n_points=1000)  # collapsed
 @example(scheme=Scheme.DDS, d_x=15.0, d_y=1e-4, height=1e3, n_points=5)  # a few ulps wide
 @example(scheme=Scheme.EDS, d_x=1.0, d_y=1e-161, height=1e-170, n_points=4096)  # step 0

@@ -13,7 +13,6 @@ from paswipt.config import (
     RegionGeometry,
     default_config,
 )
-from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import (
     _mean_harvest,
     avg_energy_lm_closed,
@@ -25,8 +24,8 @@ from paswipt.energy import (
 )
 from paswipt.geometry import Scheme
 
-from oracles import (assert_curve_bits, harvest_power, incident_power, logistic_mpmath,
-                     mean_inverse_squared_distance_varpi, offset_mean_mpmath)
+from oracles import (assert_curve_bits, harvest_power, incident_power, log_uniform, logistic_mpmath,
+                     mean_inverse_squared_distance_varpi, offset_mean_mpmath, regime_power)
 
 NLM = DEFAULT_HARVEST["nlm"]
 
@@ -184,11 +183,14 @@ def test_below_turn_on_pins_match_mpmath(scheme):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_quadrature_finds_the_strip_past_turn_on(scheme):
-    """1e-9 W in a 15 x 400 x 0.001 m room: the harvester passes its
-    turn-on only within 17 mm of the waveguide.  A rule that stopped on
-    an absolute 1e-14 W missed that strip after 2 subintervals (EDS 3e-131
-    W against 6.6e-7 W)."""
-    cfg = default_config(1e-9, model="nlm").with_params(d_y=400.0, height=1e-3)
+    """A 15 x 400 x 0.001 m room at the power, about 1.05e-9 W, whose
+    incident power reaches the turn-on 17 mm from the waveguide: the
+    harvester passes its turn-on only within that strip.  A rule that
+    stopped on an absolute 1e-14 W missed the strip after 2 subintervals
+    (at 1e-9 W, EDS 3e-131 W against 6.6e-7 W)."""
+    room = default_config(1.0, model="nlm").with_params(d_y=400.0, height=1e-3)
+    strip_l = room.geometry.height ** 2 + 0.017 ** 2
+    cfg = room.with_params(transmit_power_w=NLM.turn_on_w / incident_power(room, strip_l))
     args = (scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
     ref = _nlm_mpmath(scheme, cfg)
     assert abs(avg_energy_quadrature(*args) - ref) <= 1e-8 * ref
@@ -273,38 +275,20 @@ class TestJensenBound:
             assert bound <= p.alpha * nlm_config.harvest.saturation_w + 1e-18
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_bound_dominates_quadrature_random_draws(self, scheme):
-        rng = np.random.default_rng(606)
-        from paswipt.config import SystemParams
-
-        for _ in range(100):
-            g = RegionGeometry(
-                d_x=rng.uniform(4, 20), d_y=rng.uniform(4, 20), height=rng.uniform(1, 5)
-            )
-            s = SystemParams(28e9, 1e-12, rng.uniform(1e-4, 1.0))
-            p = ProtocolParams(rng.uniform(0, 1), rng.uniform(0, 1))
-            bound = avg_energy_nlm_bound(scheme, s, p, g, NLM)
-            quad = avg_energy_quadrature(scheme, s, p, g, NLM)
-            assert bound - quad >= -1e-12
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
     def test_bound_side_follows_the_curvature(self, scheme, nlm_config):
         """The logistic curve is concave from its turn-on b on and convex
         below it.  With every UE's beta P_t / L at or past b the Jensen
-        value is at least the average; with every one below b, at most."""
-        model, per_w = nlm_config.harvest, nlm_config.with_params(transmit_power_w=1.0)
-        lo, hi = SquaredDistanceDistribution(scheme, nlm_config.geometry).support
-        past_b = model.turn_on_w / incident_power(per_w, hi) * (1.0 + 1e-9)  # the farthest UE at b
-        below_b = (model.turn_on_w - 5.0 / model.slope_per_w) / incident_power(per_w, lo)
+        value is at least the average; with every one below b, at most
+        (oracles.regime_power's past and below powers)."""
 
         def bound_and_quadrature(pt_w):
             cfg = nlm_config.with_params(transmit_power_w=pt_w)
             args = (scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
             return avg_energy_nlm_bound(*args), avg_energy_quadrature(*args)
 
-        bound, quad = bound_and_quadrature(past_b)
+        bound, quad = bound_and_quadrature(regime_power(nlm_config, scheme, "past"))
         assert bound >= quad
-        bound, quad = bound_and_quadrature(below_b)
+        bound, quad = bound_and_quadrature(regime_power(nlm_config, scheme, "below"))
         assert bound <= quad and quad > 0.0
 
 
@@ -317,23 +301,6 @@ def test_small_lm_energy_quadrature_matches_closed_form(pt_w, side, scheme):
     args = (scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
     closed = avg_energy_lm_closed(*args)
     assert avg_energy_quadrature(*args) == pytest.approx(closed, rel=1e-7, abs=0.0)
-
-
-class TestSaturationBehavior:
-    def test_nondecreasing_in_power_and_saturates(self, nlm_config):
-        s0, p, g = nlm_config.system, nlm_config.protocol, nlm_config.geometry
-        from paswipt.config import SystemParams
-
-        prev = -1.0
-        for pt in np.logspace(-3, 1, 30):
-            s = SystemParams(s0.carrier_frequency_hz, s0.noise_power_w, pt)
-            val = avg_energy_quadrature(Scheme.EDS, s, p, g, nlm_config.harvest)
-            assert val >= prev - 1e-15
-            assert val <= p.alpha * nlm_config.harvest.saturation_w + 1e-15
-            prev = val
-        s10 = SystemParams(s0.carrier_frequency_hz, s0.noise_power_w, 10.0)
-        top = avg_energy_quadrature(Scheme.EDS, s10, p, g, nlm_config.harvest)
-        assert top > 0.99 * p.alpha * nlm_config.harvest.saturation_w
 
 
 def test_mean_inverse_distance_kernels():
@@ -362,19 +329,15 @@ def test_mean_inverse_distance_over_the_span_has_the_varpi_bits(scheme, d_x, d_y
         mean_inverse_squared_distance_varpi(scheme, g).hex()
 
 
-def _log_uniform(lo_exp, hi_exp):
-    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
-
-
 # incident powers: zero, below the 2.9 uW turn-on, across the knee
 # (|a (p - b)| <= 40 within 0.4 uW of it), and saturated
-_INCIDENT_W = st.one_of(st.just(0.0), _log_uniform(-12, -5.6), st.floats(2.4e-6, 3.4e-6),
-                        _log_uniform(-5.4, 1))
+_INCIDENT_W = st.one_of(st.just(0.0), log_uniform(-12, -5.6), st.floats(2.4e-6, 3.4e-6),
+                        log_uniform(-5.4, 1))
 
 
 @pytest.mark.digits
 @settings(max_examples=400, deadline=None)
-@given(p_in=_INCIDENT_W, l=_log_uniform(-3, 4))
+@given(p_in=_INCIDENT_W, l=log_uniform(-3, 4))
 @example(p_in=0.0, l=9.0)
 @example(p_in=1e-6, l=9.0)
 @example(p_in=2.9e-6, l=9.0)
@@ -393,18 +356,20 @@ def test_quadrature_kernel_has_the_bits_of_harvest_power(p_in, l):
     assert_curve_bits(NLM, p, logistic_harvest_power(NLM, p), np.array([got]))
 
 
+# the default room's DDS knee power, where its logistic series straddles the turn-on
+KNEE_W = regime_power(default_config(1.0, model="nlm"), Scheme.DDS, "knee")
 # (harvest model, changes to the base config, the change made right after), by id
 _CHANGED_RIGHT_AFTER = {
     "lm-eta": ("lm", {}, dict(harvest=LinearHarvest(eta=0.5))),
     "lm-beta": ("lm", {}, dict(beta=0.4)),
-    "lm-pt": ("lm", {}, dict(transmit_power_w=8e-5)),
+    "lm-pt": ("lm", {}, dict(transmit_power_w=2.0 * KNEE_W)),
     "lm-dx": ("lm", {}, dict(d_x=16.0)),
     "lm-to-nlm": ("lm", {}, dict(harvest=NLM)),
     "nlm-saturation": ("nlm", {}, dict(harvest=dataclasses.replace(NLM, saturation_w=0.01))),
     "nlm-slope": ("nlm", {}, dict(harvest=dataclasses.replace(NLM, slope_per_w=2e5))),
     "nlm-turn-on": ("nlm", {}, dict(harvest=dataclasses.replace(NLM, turn_on_w=3.3e-6))),
     "nlm-beta": ("nlm", {}, dict(beta=0.4)),
-    "nlm-pt": ("nlm", {}, dict(transmit_power_w=8e-5)),
+    "nlm-pt": ("nlm", {}, dict(transmit_power_w=2.0 * KNEE_W)),
     "nlm-beta-sign": ("nlm", dict(beta=0.0), dict(beta=-0.0)),  # one memo key, signed zeros
 }
 
@@ -413,10 +378,9 @@ _CHANGED_RIGHT_AFTER = {
                          ids=_CHANGED_RIGHT_AFTER)
 def test_quadrature_after_a_change_is_a_fresh_value(tag, base, change):
     """A quadrature right after another whose config differs in one field
-    has the bits a fresh process gives (an empty memo).  At 4e-5 W the
-    default room's logistic series straddles the turn-on, so every change
-    moves the value."""
-    cfg = default_config(4e-5, model=tag).with_params(**base)
+    has the bits a fresh process gives (an empty memo).  At KNEE_W the
+    logistic series straddles the turn-on, so every change moves the value."""
+    cfg = default_config(KNEE_W, model=tag).with_params(**base)
 
     def energy(cfg):
         return avg_energy_quadrature(Scheme.DDS, cfg.system, cfg.protocol, cfg.geometry,

@@ -17,6 +17,8 @@ from paswipt.geometry import Scheme
 from paswipt.montecarlo import estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 
+from oracles import REGIMES, log_uniform, regime_power
+
 ROOMS = [(15.0, 10.0, 3.0), (8.0, 8.0, 3.0), (1e4, 1e4, 3.0), (0.5, 2.0, 10.0)]  # d_x, d_y, h
 ROOM_IDS = ["x".join(f"{v:g}" for v in room) for room in ROOMS]
 ENERGY = {"closed": avg_energy_lm_closed, "quadrature": avg_energy_quadrature}
@@ -119,19 +121,30 @@ SAME_LAW = {
                                                                   "d_y": g["d_x"]})),
 }
 LAW_ROOMS = [(15.0, 10.0, 3.0), (8.0, 8.0, 3.0), (3.0, 40.0, 0.5), (1e3, 2.0, 7.0)]
-# below the 2.9 uW turn-on, across it and saturated, for the logistic energy
+LAW_ROOM_IDS = ["x".join(f"{v:g}" for v in room) for room in LAW_ROOMS]
+# far below the turn-on to saturated; each room adds its own knee and saturated powers
 LAW_POWERS = (1e-20, 1e-16, 1e-12, 1e-8, 1e-5, 1e-4, 0.3, 5.0)
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("room", LAW_ROOMS, ids=LAW_ROOM_IDS)
+def test_each_regime_power_is_in_its_regime(room, scheme):
+    """oracles.regime of each oracles.regime_power is its own name (regime_power
+    asserts it), and the powers rise in the order of REGIMES."""
+    cfg = default_config(1.0, "nlm").with_params(**dict(zip(("d_x", "d_y", "height"), room)))
+    powers = [regime_power(cfg, scheme, name) for name in REGIMES]
+    assert powers == sorted(set(powers))
+
+
 @pytest.mark.parametrize("relation", list(SAME_LAW))
-@pytest.mark.parametrize("room", LAW_ROOMS, ids=["x".join(f"{v:g}" for v in r)
-                                                  for r in LAW_ROOMS])
+@pytest.mark.parametrize("room", LAW_ROOMS, ids=LAW_ROOM_IDS)
 def test_one_offset_law_gives_one_value(room, relation):
     """Every method depends on the scheme and the room only through the
     offset law, so two pairs with one law agree bit for bit."""
     room = dict(zip(("d_x", "d_y", "height"), room))
     (scheme, geom), (twin, twin_geom) = SAME_LAW[relation](room)
-    for pt in LAW_POWERS:
+    nlm = default_config(1.0, "nlm").with_params(**geom)
+    for pt in (*LAW_POWERS, *(regime_power(nlm, scheme, name) for name in ("knee", "saturated"))):
         cfg = default_config(pt)
         assert _every_value(scheme, cfg.with_params(**geom)) == \
             _every_value(twin, cfg.with_params(**twin_geom)), pt
@@ -150,14 +163,16 @@ def _every_value_with_mc(scheme, cfg):
 LINK = {"received_power_w_m2": ("lm", "nlm"), "link_snr_m2": ("rate",)}
 
 
-@pytest.mark.parametrize("pt", [1e-4, 0.3], ids=["knee", "saturated"])
+@pytest.mark.parametrize("power", ["knee", "saturated"])
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_every_formula_reads_the_link_properties(scheme, pt, monkeypatch):
+def test_every_formula_reads_the_link_properties(scheme, power, monkeypatch):
     """A link property whose getter doubles is P_t doubled for every method
     that reads it: each value at P_t then equals its value at 2 P_t, bit for
     bit.  A formula that reads P_t, mu or gamma past the property misses the
-    doubling.  At 0.3 W every logistic sample is saturated, which would hide
-    such a read in the logistic energy; at 1e-4 W the chunk is in the knee."""
+    doubling.  Where every logistic sample is saturated such a read hides in
+    the logistic energy, so the scheme's knee power (oracles.regime_power)
+    runs too."""
+    pt = regime_power(default_config(1.0, "nlm"), scheme, power)
     cfg = default_config(pt)
     doubled = _every_value_with_mc(scheme, cfg.with_params(transmit_power_w=2.0 * pt))
     for name, tags in LINK.items():
@@ -181,10 +196,6 @@ def test_doubling_the_carrier_frequency_quarters_the_energy():
                 (method, scheme)
 
 
-def _exponent(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
-
-
 # 0, or at least 1e-100: the energy, and every product on the way to it,
 # stays a normal float, whose digits a relative tolerance can ask for
 _FACTOR = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
@@ -192,8 +203,8 @@ _FACTOR = st.one_of(st.just(0.0), st.floats(1e-100, 1.0))
 
 # the accepted range, drawn per field into SystemParams, ProtocolParams and
 # RegionGeometry directly
-_ROOMS = dict(pt=_exponent(-30, 1), d_x=_exponent(-3, 4), d_y=_exponent(-3, 4),
-              h=_exponent(-3, 3), noise_dbm=st.floats(-190, -60), alpha=_FACTOR, beta=_FACTOR)
+_ROOMS = dict(pt=log_uniform(-30, 1), d_x=log_uniform(-3, 4), d_y=log_uniform(-3, 4),
+              h=log_uniform(-3, 3), noise_dbm=st.floats(-190, -60), alpha=_FACTOR, beta=_FACTOR)
 
 
 def _setup(pt, d_x, d_y, h, noise_dbm, alpha, beta):

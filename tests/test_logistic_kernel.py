@@ -28,7 +28,7 @@ from paswipt.energy import expit_float, logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import CHUNK_SIZE, _chunk_ue
 
-from oracles import assert_curve_bits, incident_power, libm, logistic_mpmath
+from oracles import assert_curve_bits, incident_power, libm, logistic_mpmath, regime_power
 
 pytestmark = pytest.mark.digits
 
@@ -91,16 +91,17 @@ def test_arrays_match_reference(name):
     assert_same_bits(NLM, ARRAYS[name])
 
 
-@pytest.mark.parametrize("pt_w", [0.3, 1e-4], ids=["saturated", "knee"])
-def test_out_buffer_matches_allocating_call(pt_w):
-    """A chunk's beta P_t / L in the default room, as the MC energy-nlm
-    metric feeds it: out= gives the allocating call's bits, in a separate
-    buffer and over p_in itself, and returns that buffer."""
-    cfg = default_config(pt_w, model="nlm")
+@pytest.mark.parametrize("name", ["saturated", "knee"])
+def test_out_buffer_matches_allocating_call(name):
+    """A chunk's beta P_t / L in the default room at the EDS saturated or
+    knee power (oracles.regime_power), as the MC energy-nlm metric feeds
+    it: out= gives the allocating call's bits, in a separate buffer and
+    over p_in itself, and returns that buffer."""
+    cfg = default_config(regime_power(default_config(1.0, model="nlm"), Scheme.EDS, name), "nlm")
     l = optimal_squared_distance(Scheme.EDS, cfg.geometry, *_chunk_ue(cfg, 0, 0, CHUNK_SIZE))
     p_in = incident_power(cfg, l)
     x_min = NLM.slope_per_w * (p_in.min() - NLM.turn_on_w)
-    assert x_min > 40.0 if pt_w == 0.3 else p_in.min() < NLM.turn_on_w < p_in.max()
+    assert x_min > 40.0 if name == "saturated" else p_in.min() < NLM.turn_on_w < p_in.max()
     want = logistic_harvest_power(NLM, p_in)
     separate, over_p_in = np.empty_like(p_in), p_in.copy()
     assert logistic_harvest_power(NLM, p_in, out=separate) is separate

@@ -17,7 +17,7 @@ from paswipt.montecarlo import (
 )
 from paswipt.rate import avg_rate_closed
 
-from oracles import SIMD_DISPATCH, sample_ue_stream, without_simd_dispatch
+from oracles import SIMD_DISPATCH, regime_power, sample_ue_stream, without_simd_dispatch
 
 
 def test_rejects_too_few_samples(lm_config):
@@ -351,9 +351,9 @@ def test_rate_at_a_subnormal_link_factor_keeps_its_error():
 def test_std_error_covers_the_quadrature_at_the_knee(scheme):
     """The interval mean +- 1.96 std_error holds the quadrature value in
     95% of seeded runs, within binomial 3-sigma limits: 400 seeds of 4096
-    samples on the default logistic config at 1e-4 W, where its chunks
-    straddle the knee."""
-    cfg = default_config(1e-4, model="nlm")
+    samples on the default logistic config at the scheme's knee power
+    (oracles.regime_power), where its chunks straddle the turn-on."""
+    cfg = default_config(regime_power(default_config(1.0, model="nlm"), scheme, "knee"), "nlm")
     exact = avg_energy_quadrature(scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
     runs = 400
     covered = sum(abs(est.mean - exact) <= 1.96 * est.std_error

@@ -9,7 +9,7 @@ from paswipt.config import (ProtocolParams, RegionGeometry, SystemParams, dbm_to
 from paswipt.geometry import Scheme
 from paswipt.rate import _log_integral, _log_moment, avg_rate_closed, avg_rate_quadrature
 
-from oracles import offset_mean_mpmath, snr
+from oracles import log_uniform, offset_mean_mpmath, snr
 
 
 def _random_setup(rng):
@@ -197,13 +197,10 @@ def test_closed_form_holds_precision_at_low_snr(scheme):
     assert abs(closed - ref) <= 1e-12 * ref
 
 
-def _exponent(lo, hi):
-    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
-
-
 @settings(max_examples=40, deadline=None)
-@given(pt=_exponent(-30, 1), d_x=_exponent(-3, 4), d_y=_exponent(-3, 4), h=_exponent(-3, 3),
-       noise_dbm=st.floats(-190, -60), alpha=st.floats(0, 1), beta=st.floats(0, 1))
+@given(pt=log_uniform(-30, 1), d_x=log_uniform(-3, 4), d_y=log_uniform(-3, 4),
+       h=log_uniform(-3, 3), noise_dbm=st.floats(-190, -60), alpha=st.floats(0, 1),
+       beta=st.floats(0, 1))
 def test_closed_form_holds_precision_over_the_accepted_range(pt, d_x, d_y, h, noise_dbm,
                                                              alpha, beta):
     s = SystemParams(28e9, dbm_to_watts(noise_dbm), pt)
