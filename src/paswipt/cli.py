@@ -14,7 +14,7 @@ from paswipt.config import (FIELDS, HARVEST_FIELDS, Config, default_config, load
                             validate)
 from paswipt.distributions import QuadratureError, SquaredDistanceDistribution, emit_cdf_table
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import DEFAULT_SAMPLES, check_mc_inputs
+from paswipt.montecarlo import DEFAULT_SAMPLES, MAX_WORKERS, check_mc_inputs
 from paswipt.sweep import (CSV_COLUMNS, METHODS, PRESETS, csv_text, emit_outputs, evaluate,
                            preset, run_power_sweep, run_tradeoff)
 
@@ -38,7 +38,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
 def _add_mc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"Monte-Carlo threads, 1 to {MAX_WORKERS} (default 1)")
 
 
 def _config(args, need_power: bool = True) -> Config:
@@ -150,7 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, stray = parser.parse_known_args(argv)
+    if stray:  # reported as the subcommand's, like every error below
+        parser.exit(2, f"paswipt {args.command}: error: unrecognized arguments: "
+                       f"{' '.join(stray)}\n")
     try:
         return args.func(args)
     except (ValueError, OSError, QuadratureError) as exc:  # ConfigError is a ValueError

@@ -38,6 +38,7 @@ from paswipt.geometry import Scheme, optimal_squared_distance
 
 CHUNK_SIZE = 1 << 15  # fixed; changing it changes every stream
 DEFAULT_SAMPLES = 1_000_000  # n where no sample count is given
+MAX_WORKERS = 64  # threads per estimate; a larger count is refused before any thread starts
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,11 +53,11 @@ def _chunk_sizes(n: int) -> list[int]:
 
 
 def check_mc_inputs(n: int, seed: int, workers: int) -> None:
-    """Raise ValueError unless n >= 2, workers >= 1 and seed is in [0, 2**64)."""
+    """Raise ValueError unless n >= 2, 1 <= workers <= MAX_WORKERS and seed is in [0, 2**64)."""
     if n < 2:
         raise ValueError(f"n must be >= 2 samples for a variance estimate, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     if not 0 <= seed <= _MASK64:  # the Philox key's low 64 bits; a wider seed would alias
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 

@@ -71,15 +71,16 @@ def test_criterion_1_closed_form_vs_monte_carlo():
 
 
 def test_criterion_2_closed_form_vs_quadrature():
-    """All four closed forms match quadrature within 1e-8 relative on 100 draws."""
+    """Every scheme's energy and rate closed forms match quadrature within
+    1e-8 relative on 100 draws of room, power, alpha, beta and eta."""
     rng = np.random.default_rng(202)
     for _ in range(100):
         g = RegionGeometry(
             d_x=rng.uniform(4, 20), d_y=rng.uniform(4, 20), height=rng.uniform(1, 5)
         )
         s = SystemParams(28e9, 1e-12, rng.uniform(0.01, 1.0))
-        p = ProtocolParams(0.8, 0.8)
-        lm = LinearHarvest(eta=1.0)
+        p = ProtocolParams(rng.uniform(0, 1), rng.uniform(0, 1))
+        lm = LinearHarvest(eta=rng.uniform(0.1, 1.0))
         for scheme in Scheme:
             e_closed = avg_energy_lm_closed(scheme, s, p, g, lm)
             e_quad = avg_energy_quadrature(scheme, s, p, g, lm)
@@ -87,7 +88,8 @@ def test_criterion_2_closed_form_vs_quadrature():
             r_closed = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
             r_quad = avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz
             assert r_quad == pytest.approx(r_closed, rel=1e-8)
-    _report(2, "energy/rate closed forms match quadrature within 1e-8 rel on 100 random draws")
+    _report(2, "energy/rate closed forms match quadrature within 1e-8 rel on 100 random draws "
+               "of room, P_t, alpha, beta and eta")
 
 
 def test_criterion_3_distribution_correctness():
@@ -216,8 +218,11 @@ def test_criterion_7_energy_rate_region():
         nlm_ts = pick(protocol="ts", scheme=scheme.value, model="nlm")
         c = np.array([r["control"] for r in nlm_ts])
         e = np.array([r["energy_w"] for r in nlm_ts])
+        rate = np.array([r["rate_bits_s_hz"] for r in nlm_ts])
         chord = e[0] + (e[-1] - e[0]) * c
         assert np.max(np.abs(e - chord)) < 1e-12
+        chord_r = rate[0] + (rate[-1] - rate[0]) * c
+        assert np.max(np.abs(rate - chord_r)) < 1e-12 * max(1.0, rate[0])
 
         nlm_ps = pick(protocol="ps", scheme=scheme.value, model="nlm")
         e_ps = np.array([r["energy_w"] for r in nlm_ps])
@@ -230,7 +235,7 @@ def test_criterion_7_energy_rate_region():
                 for r in pick(protocol=protocol, scheme=scheme.value, model=model_tag):
                     dds = tradeoff_rate_at_energy(Scheme.DDS, protocol, model, base, r["energy_w"])
                     assert dds >= r["rate_bits_s_hz"] - 1e-9
-    _report(7, "LM TS/PS curves coincide (1e-12); NLM TS affine, PS bent; "
+    _report(7, "LM TS/PS curves coincide (1e-12); NLM TS energy and rate affine, PS bent; "
                "diagonal region dominates edge/center in the square room")
 
 

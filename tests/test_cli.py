@@ -467,6 +467,11 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
     # a normal half-width whose ratio to the height squares to a subnormal float
     (["energy", "--scheme", "dds", "--pt-w", "0.3", "--dx", "1e-150", "--dy", "1",
       "--height", "1e10"], "diagonal_half_width"),
+    # one chunk: no thread pool could start even if the ceiling were gone
+    (["energy", "--scheme", "eds", "--pt-w", "0.3", "--mc", "--samples", "1000",
+      "--workers", "65"], "workers must be in [1, 64], got 65"),
+    # a stray argument is named with its subcommand, not by the top-level parser
+    (["rate", "--scheme", "eds", "--pt-w", "0.3", "stray"], "unrecognized arguments: stray"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)

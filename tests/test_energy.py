@@ -101,22 +101,6 @@ class TestClosedFormsLM:
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_matches_lm_closed_forms_random_draws(self, scheme):
-        rng = np.random.default_rng(5150)
-        from paswipt.config import SystemParams
-
-        for _ in range(100):
-            g = RegionGeometry(
-                d_x=rng.uniform(4, 20), d_y=rng.uniform(4, 20), height=rng.uniform(1, 5)
-            )
-            s = SystemParams(28e9, 1e-12, rng.uniform(0.01, 1.0))
-            p = ProtocolParams(rng.uniform(0, 1), rng.uniform(0, 1))
-            lm = LinearHarvest(eta=rng.uniform(0.1, 1.0))
-            closed = avg_energy_lm_closed(scheme, s, p, g, lm)
-            quad = avg_energy_quadrature(scheme, s, p, g, lm)
-            assert quad == pytest.approx(closed, rel=1e-8)
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nlm_default_regression(self, scheme, nlm_config):
         s, p, g = nlm_config.system, nlm_config.protocol, nlm_config.geometry
         val = avg_energy_quadrature(scheme, s, p, g, nlm_config.harvest)

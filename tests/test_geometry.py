@@ -69,17 +69,6 @@ def test_bruteforce_rejects_tiny_grid():
         min_squared_distance_bruteforce(Scheme.EDS, GEOM, UePosition(1.0, 1.0), grid_points=1)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_closed_form_beats_grid_for_random_ues(scheme):
-    rng = np.random.default_rng(2024)
-    for _ in range(100):
-        ue = UePosition(rng.uniform(0, GEOM.d_x), rng.uniform(0, GEOM.d_y))
-        pos = optimal_antenna_position(scheme, GEOM, ue)
-        closed = squared_distance(GEOM, pos, ue)
-        grid = min_squared_distance_bruteforce(scheme, GEOM, ue, 10_000)
-        assert closed <= grid + 1e-6
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     scheme=st.sampled_from(list(Scheme)),

@@ -10,63 +10,54 @@ relations hold bit for bit.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paswipt.config import (DEFAULT_HARVEST, ProtocolParams, RegionGeometry, SystemParams,
+from paswipt.config import (DEFAULT_HARVEST, Config, ProtocolParams, RegionGeometry, SystemParams,
                             dbm_to_watts, default_config)
-from paswipt.energy import avg_energy_lm_closed, avg_energy_nlm_bound, avg_energy_quadrature
 from paswipt.geometry import Scheme
-from paswipt.montecarlo import estimate
-from paswipt.rate import avg_rate_closed, avg_rate_quadrature
+from paswipt.sweep import METHODS, evaluate
 
 from oracles import REGIMES, log_uniform, regime_power
 
 ROOMS = [(15.0, 10.0, 3.0), (8.0, 8.0, 3.0), (1e4, 1e4, 3.0), (0.5, 2.0, 10.0)]  # d_x, d_y, h
 ROOM_IDS = ["x".join(f"{v:g}" for v in room) for room in ROOMS]
-ENERGY = {"closed": avg_energy_lm_closed, "quadrature": avg_energy_quadrature}
-RATE = {"closed": avg_rate_closed, "quadrature": avg_rate_quadrature}
+# the deterministic methods of the linear-model energy and of the rate; mc has its own relations
+EXACT = ("closed", "quadrature")
+# the Monte-Carlo relations: one seed, 3 chunks (2 * 2^15 + 4465 samples)
+MC_SEED, MC_SAMPLES = 2026, 70_001
 
 
-def _energy(method, scheme, cfg):
-    return ENERGY[method](scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
+def _value(quantity, method, scheme, cfg, workers=1):
+    """sweep.evaluate's (value, MC standard error or None) at cfg alone, or
+    None where the method does not apply."""
+    results = evaluate(quantity, method, scheme, [cfg], samples=MC_SAMPLES, seed=MC_SEED,
+                       workers=workers)
+    return None if results is None else results[0]
 
 
-def _rate(method, scheme, cfg):
-    return RATE[method](scheme, cfg.system, cfg.protocol, cfg.geometry).value_bits_s_hz
-
-
-@pytest.mark.parametrize("method", list(ENERGY))
+@pytest.mark.parametrize("method", EXACT)
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("room", ROOMS, ids=ROOM_IDS)
 def test_energy_scales_with_the_transmit_power(room, scheme, method):
     """The linear-model energy at 2^k P_t is 2^k times its 1 W value."""
     base = default_config(1.0).with_params(d_x=room[0], d_y=room[1], height=room[2])
-    one_watt = _energy(method, scheme, base)
+    one_watt, _ = _value("energy", method, scheme, base)
     for k in (-60, -40, -20, -8, 8, 20):
-        scaled = _energy(method, scheme, base.with_params(transmit_power_w=2.0**k))
+        scaled, _ = _value("energy", method, scheme, base.with_params(transmit_power_w=2.0**k))
         assert scaled == 2.0**k * one_watt, k
 
 
-@pytest.mark.parametrize("method", list(RATE))
+@pytest.mark.parametrize("method", EXACT)
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("room", ROOMS, ids=ROOM_IDS)
 def test_rate_is_unchanged_by_scaling_the_room_and_the_noise(room, scheme, method):
     """Every length times 2^k and the noise times 4^-k leave mu gamma / L,
     and so the rate, as they are."""
     base = default_config(0.3).with_params(d_x=room[0], d_y=room[1], height=room[2])
-    rate = _rate(method, scheme, base)
+    rate = _value("rate", method, scheme, base)
     for k in (-30, -5, 5, 30):
         scaled = base.with_params(d_x=room[0] * 2.0**k, d_y=room[1] * 2.0**k,
                                   height=room[2] * 2.0**k,
                                   noise_power_w=base.system.noise_power_w * 4.0**-k)
-        assert _rate(method, scheme, scaled) == rate, k
-
-
-# the Monte-Carlo relations: one seed, 3 chunks (2 * 2^15 + 4465 samples)
-MC_SEED, MC_SAMPLES = 2026, 70_001
-
-
-def _mc(metric, scheme, cfg, workers=1):
-    (est,) = estimate(metric, scheme, [cfg], n=MC_SAMPLES, seed=MC_SEED, workers=workers)
-    return est.mean, est.std_error
+        assert _value("rate", method, scheme, scaled) == rate, k
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -76,9 +67,9 @@ def test_mc_energy_scales_with_the_transmit_power(room, scheme):
     standard error: every sample c / l, its square and the sums scale
     exactly, and so does the square root of a variance scaled by 4^k."""
     base = default_config(1.0).with_params(d_x=room[0], d_y=room[1], height=room[2])
-    mean, std_error = _mc("energy-lm", scheme, base)
+    mean, std_error = _value("energy", "mc", scheme, base)
     for k in (-60, -40, -20, -8, 8, 20):
-        scaled = _mc("energy-lm", scheme, base.with_params(transmit_power_w=2.0**k))
+        scaled = _value("energy", "mc", scheme, base.with_params(transmit_power_w=2.0**k))
         assert scaled == (2.0**k * mean, 2.0**k * std_error), k
 
 
@@ -89,26 +80,28 @@ def test_mc_rate_is_unchanged_by_scaling_the_room_and_the_noise(room, scheme):
     by 2^k and each L by 4^k, so every mu gamma / L, and the `mc` rate,
     keeps its bits, with one worker and with two."""
     base = default_config(0.3).with_params(d_x=room[0], d_y=room[1], height=room[2])
-    rate = _mc("rate", scheme, base)
+    rate = _value("rate", "mc", scheme, base)
     for k in (-30, -5, 5, 30):
         scaled = base.with_params(d_x=room[0] * 2.0**k, d_y=room[1] * 2.0**k,
                                   height=room[2] * 2.0**k,
                                   noise_power_w=base.system.noise_power_w * 4.0**-k)
         for workers in (1, 2):
-            assert _mc("rate", scheme, scaled, workers) == rate, (k, workers)
+            assert _value("rate", "mc", scheme, scaled, workers) == rate, (k, workers)
 
 
-def _every_value(scheme, cfg):
-    """float.hex of each method's value at cfg: the linear-model energy
-    (closed, quadrature), the logistic energy (Jensen bound, quadrature)
-    and the rate (closed, quadrature)."""
-    lm, nlm = (cfg.with_params(harvest=DEFAULT_HARVEST[tag]) for tag in ("lm", "nlm"))
-    values = {f"lm {method}": _energy(method, scheme, lm) for method in ENERGY}
-    values["nlm bound"] = avg_energy_nlm_bound(scheme, nlm.system, nlm.protocol, nlm.geometry,
-                                               nlm.harvest)
-    values["nlm quadrature"] = _energy("quadrature", scheme, nlm)
-    values.update({f"rate {method}": _rate(method, scheme, cfg) for method in RATE})
-    return {name: value.hex() for name, value in values.items()}
+def _every_value(scheme, cfg, methods=METHODS[:3]):
+    """float.hex of the value, and of mc's standard error, of each of methods
+    that applies at cfg: the linear-model energy (closed, quadrature), the
+    logistic energy (Jensen bound, quadrature) and the rate (closed,
+    quadrature); mc gives all three."""
+    values = {}
+    for tag, quantity in (("lm", "energy"), ("nlm", "energy"), ("rate", "rate")):
+        own = cfg if tag == "rate" else cfg.with_params(harvest=DEFAULT_HARVEST[tag])
+        for method in methods:
+            result = _value(quantity, method, scheme, own)
+            if result is not None:
+                values[f"{tag} {method}"] = tuple(v.hex() for v in result if v is not None)
+    return values
 
 
 # Pairs of (scheme, room) with one offset law: the same span S and shape
@@ -150,15 +143,6 @@ def test_one_offset_law_gives_one_value(room, relation):
             _every_value(twin, cfg.with_params(**twin_geom)), pt
 
 
-def _every_value_with_mc(scheme, cfg):
-    """_every_value, and the `mc` mean and standard error of each quantity."""
-    values = _every_value(scheme, cfg)
-    for tag, metric in (("lm", "energy-lm"), ("nlm", "energy-nlm"), ("rate", "rate")):
-        own = cfg if tag == "rate" else cfg.with_params(harvest=DEFAULT_HARVEST[tag])
-        values[f"{tag} mc"] = tuple(v.hex() for v in _mc(metric, scheme, own))
-    return values
-
-
 # each link property of SystemParams, and the quantities whose methods read it
 LINK = {"received_power_w_m2": ("lm", "nlm"), "link_snr_m2": ("rate",)}
 
@@ -174,12 +158,12 @@ def test_every_formula_reads_the_link_properties(scheme, power, monkeypatch):
     runs too."""
     pt = regime_power(default_config(1.0, "nlm"), scheme, power)
     cfg = default_config(pt)
-    doubled = _every_value_with_mc(scheme, cfg.with_params(transmit_power_w=2.0 * pt))
+    doubled = _every_value(scheme, cfg.with_params(transmit_power_w=2.0 * pt), METHODS)
     for name, tags in LINK.items():
         getter = getattr(SystemParams, name).fget
         with monkeypatch.context() as patch:
             patch.setattr(SystemParams, name, property(lambda s, get=getter: 2.0 * get(s)))
-            values = _every_value_with_mc(scheme, cfg)
+            values = _every_value(scheme, cfg, METHODS)
         for method, value in values.items():
             if method.split()[0] in tags:
                 assert value == doubled[method], (name, method)
@@ -190,10 +174,10 @@ def test_every_formula_reads_the_link_properties(scheme, power, monkeypatch):
 def test_doubling_the_carrier_frequency_quarters_the_energy():
     base = default_config(0.3)
     doubled = base.with_params(carrier_frequency_hz=2.0 * base.system.carrier_frequency_hz)
-    for method in ENERGY:
+    for method in EXACT:
         for scheme in Scheme:
-            assert _energy(method, scheme, doubled) == _energy(method, scheme, base) / 4.0, \
-                (method, scheme)
+            assert _value("energy", method, scheme, doubled)[0] == \
+                _value("energy", method, scheme, base)[0] / 4.0, (method, scheme)
 
 
 # 0, or at least 1e-100: the energy, and every product on the way to it,
@@ -209,18 +193,17 @@ _ROOMS = dict(pt=log_uniform(-30, 1), d_x=log_uniform(-3, 4), d_y=log_uniform(-3
 
 def _setup(pt, d_x, d_y, h, noise_dbm, alpha, beta):
     cfg = default_config(pt)
-    return (SystemParams(cfg.system.carrier_frequency_hz, dbm_to_watts(noise_dbm), pt),
-            ProtocolParams(alpha, beta), RegionGeometry(d_x, d_y, h), cfg.harvest)
+    return Config(SystemParams(cfg.system.carrier_frequency_hz, dbm_to_watts(noise_dbm), pt),
+                  ProtocolParams(alpha, beta), RegionGeometry(d_x, d_y, h), cfg.harvest)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_ROOMS)
 @example(pt=1e-12, d_x=1e4, d_y=1e4, h=3.0, noise_dbm=-90.0, alpha=0.8, beta=0.8)  # 3e-17 W and up
 def test_energy_quadrature_matches_its_closed_form_over_the_accepted_range(**room):
-    s, p, g, lm = _setup(**room)
+    cfg = _setup(**room)
     for scheme in Scheme:
-        closed = avg_energy_lm_closed(scheme, s, p, g, lm)
-        quad = avg_energy_quadrature(scheme, s, p, g, lm)
+        (closed, _), (quad, _) = (_value("energy", method, scheme, cfg) for method in EXACT)
         assert abs(quad - closed) <= 1e-9 * closed, scheme
 
 
@@ -228,14 +211,14 @@ def test_energy_quadrature_matches_its_closed_form_over_the_accepted_range(**roo
 @settings(max_examples=40, deadline=None)
 @given(**_ROOMS)
 def test_energy_scales_with_the_transmit_power_over_the_accepted_range(**room):
-    s, p, g, lm = _setup(**room)
+    cfg = _setup(**room)
     for scheme in Scheme:
-        for method, energy in ENERGY.items():
-            value = energy(scheme, s, p, g, lm)
+        for method in EXACT:
+            value, _ = _value("energy", method, scheme, cfg)
             for k in (-60, -40, -20, -8, 8, 20):
-                scaled = SystemParams(s.carrier_frequency_hz, s.noise_power_w,
-                                      s.transmit_power_w * 2.0**k)
-                assert energy(scheme, scaled, p, g, lm) == 2.0**k * value, (scheme, method, k)
+                scaled = cfg.with_params(transmit_power_w=cfg.system.transmit_power_w * 2.0**k)
+                assert _value("energy", method, scheme, scaled)[0] == 2.0**k * value, \
+                    (scheme, method, k)
 
 
 # libm's pow, under x**2, misrounds about 0.08% of squares (glibc 2.36: 1 ulp
@@ -244,18 +227,17 @@ def test_energy_scales_with_the_transmit_power_over_the_accepted_range(**room):
 _H = 7.149689054770527
 
 
-@pytest.mark.parametrize("method", ["closed", "quadrature"])
+@pytest.mark.parametrize("method", EXACT)
 @settings(max_examples=40, deadline=None)
 @given(**_ROOMS)
 @example(pt=1.0, d_x=1.0, d_y=1.0, h=_H, noise_dbm=-60.0, alpha=0.0, beta=0.0)
 def test_rate_is_unchanged_by_scaling_the_room_and_the_noise_over_the_accepted_range(
         method, **room):
-    s, p, g, _ = _setup(**room)
-    rate = RATE[method]
+    cfg = _setup(**room)
+    s, g = cfg.system, cfg.geometry
     for scheme in Scheme:
-        value = rate(scheme, s, p, g).value_bits_s_hz
+        value = _value("rate", method, scheme, cfg)
         for k in (-30, -5, 5, 30):
-            scaled_s = SystemParams(s.carrier_frequency_hz, s.noise_power_w * 4.0**-k,
-                                    s.transmit_power_w)
-            scaled_g = RegionGeometry(g.d_x * 2.0**k, g.d_y * 2.0**k, g.height * 2.0**k)
-            assert rate(scheme, scaled_s, p, scaled_g).value_bits_s_hz == value, (scheme, k)
+            scaled = cfg.with_params(noise_power_w=s.noise_power_w * 4.0**-k, d_x=g.d_x * 2.0**k,
+                                     d_y=g.d_y * 2.0**k, height=g.height * 2.0**k)
+            assert _value("rate", method, scheme, scaled) == value, (scheme, k)

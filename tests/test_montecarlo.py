@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from paswipt.config import LinearHarvest, ProtocolParams, default_config
-from paswipt.energy import avg_energy_lm_closed, avg_energy_quadrature
+from paswipt.energy import avg_energy_quadrature
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import (
     CHUNK_SIZE,
     _chunk_ue,
     estimate,
 )
-from paswipt.rate import avg_rate_closed
 
 from oracles import SIMD_DISPATCH, regime_power, sample_ue_stream, without_simd_dispatch
 
@@ -104,15 +103,6 @@ def test_stream_covers_rectangle_uniformly(lm_config):
     assert ks.statistic < 0.0019  # 99% one-sample critical value at n=1e6
 
 
-def test_worker_count_invariance(lm_config):
-    kwargs = dict(n=100_000, seed=123)
-    (ref,) = estimate("energy-lm", Scheme.DDS, [lm_config], workers=1, **kwargs)
-    for workers in (4, 8):
-        (est,) = estimate("energy-lm", Scheme.DDS, [lm_config], workers=workers, **kwargs)
-        assert est.mean == ref.mean  # bitwise
-        assert est.std_error == ref.std_error
-
-
 def test_threads_sharing_a_stream_match_serial(lm_config):
     # More threads than cores, switching as often as the interpreter allows,
     # each evaluating a whole power series on its chunks: any lost or
@@ -176,22 +166,6 @@ def test_mixed_geometry_batch_is_rejected(lm_config):
         estimate("rate", Scheme.EDS, [lm_config, other_room], n=1000)
     with pytest.raises(ValueError, match="geometry"):
         estimate("rate", Scheme.EDS, [], n=1000)
-
-
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_agrees_with_lm_energy_closed_form(scheme, lm_config):
-    s, p, g = lm_config.system, lm_config.protocol, lm_config.geometry
-    closed = avg_energy_lm_closed(scheme, s, p, g, lm_config.harvest)
-    (est,) = estimate("energy-lm", scheme, [lm_config], n=1_000_000, seed=8)
-    assert abs(est.mean - closed) <= 4 * est.std_error
-
-
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_agrees_with_rate_closed_form(scheme, lm_config):
-    s, p, g = lm_config.system, lm_config.protocol, lm_config.geometry
-    closed = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
-    (est,) = estimate("rate", scheme, [lm_config], n=1_000_000, seed=8)
-    assert abs(est.mean - closed) <= 4 * est.std_error
 
 
 # float.hex of (mean, std_error) for a fixed set of (metric, scheme, seed,

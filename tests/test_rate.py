@@ -101,15 +101,6 @@ class TestDiagonalClosedForm:
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_matches_closed_form_random_draws(self, scheme):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            s, p, g = _random_setup(rng)
-            closed = avg_rate_closed(scheme, s, p, g).value_bits_s_hz
-            quad = avg_rate_quadrature(scheme, s, p, g).value_bits_s_hz
-            assert quad == pytest.approx(closed, rel=1e-8)
-
-    @pytest.mark.parametrize("scheme", list(Scheme))
     def test_monotone_nonincreasing_in_height(self, scheme):
         s = SystemParams(28e9, 1e-12, 0.3)
         p = ProtocolParams(0.8, 0.8)

@@ -123,14 +123,6 @@ class TestPowerSweep:
         assert keys == sorted(keys)
         assert set(energy_rows[0]) == {"pt_w", "scheme", "model", "method", "value_w"}
 
-    def test_lm_energy_affine_through_origin(self, energy_rows):
-        for scheme in Scheme:
-            rows = _rows_for(energy_rows, scheme=scheme.value, model="lm", method="closed")
-            pt = np.array([r["pt_w"] for r in rows])
-            val = np.array([r["value_w"] for r in rows])
-            slope = val[0] / pt[0]
-            assert np.max(np.abs(val - slope * pt) / np.abs(val)) < 1e-12
-
     def test_nlm_saturates_at_top_of_grid(self, energy_rows):
         for scheme in Scheme:
             rows = _rows_for(energy_rows, scheme=scheme.value, model="nlm", method="quadrature")
@@ -180,25 +172,6 @@ class TestTradeoff:
                     r_ = np.array([r["rate_bits_s_hz"] for r in rows])
                     assert np.all(np.diff(e) >= -1e-15)
                     assert np.all(np.diff(r_) <= 1e-15)
-
-    def test_nlm_ts_affine_ps_not(self, region_rows):
-        for scheme in Scheme:
-            ts = sorted(_rows_for(region_rows, protocol="ts", scheme=scheme.value, model="nlm"),
-                        key=lambda r: r["control"])
-            c = np.array([r["control"] for r in ts])
-            e = np.array([r["energy_w"] for r in ts])
-            r_ = np.array([r["rate_bits_s_hz"] for r in ts])
-            # affine in the control: exact chord match
-            chord_e = e[0] + (e[-1] - e[0]) * c
-            chord_r = r_[0] + (r_[-1] - r_[0]) * c
-            assert np.max(np.abs(e - chord_e)) < 1e-12 * max(1.0, e[-1])
-            assert np.max(np.abs(r_ - chord_r)) < 1e-12 * max(1.0, r_[0])
-
-            ps = sorted(_rows_for(region_rows, protocol="ps", scheme=scheme.value, model="nlm"),
-                        key=lambda r: r["control"])
-            e_ps = np.array([r["energy_w"] for r in ps])
-            chord = e_ps[0] + (e_ps[-1] - e_ps[0]) * c
-            assert np.max(np.abs(e_ps - chord)) > 0.0
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
