@@ -151,10 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, stray = parser.parse_known_args(argv)
-    if stray:  # reported as the subcommand's, like every error below
-        parser.exit(2, f"paswipt {args.command}: error: unrecognized arguments: "
-                       f"{' '.join(stray)}\n")
+    if stray:
+        # the top-level parser takes only -h, so every argument before the subcommand is its
+        # stray; any other is reported as the subcommand's, like every error below
+        top = argv[:argv.index(args.command)]
+        prog = "paswipt" if top else f"paswipt {args.command}"
+        parser.exit(2, f"{prog}: error: unrecognized arguments: {' '.join(top or stray)}\n")
     try:
         return args.func(args)
     except (ValueError, OSError, QuadratureError) as exc:  # ConfigError is a ValueError

@@ -228,7 +228,7 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
 
 
 def emit_cdf_table(dist: SquaredDistanceDistribution,
-                   n_points: int = 1000) -> list[tuple[float, float, float]]:
+                   n_points: int) -> list[tuple[float, float, float]]:
     """(l, cdf, pdf) rows on a uniform grid over the support interior.
 
     The grid is _linspace(lo, hi, n_points + 1) without its first point.

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to get one PASS line per
 criterion.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from paswipt.energy import (
     avg_energy_quadrature,
 )
 from paswipt.geometry import Scheme, optimal_squared_distance
-from paswipt.montecarlo import estimate
+from paswipt.montecarlo import CHUNK_SIZE, estimate
 from paswipt.rate import avg_rate_closed, avg_rate_quadrature
 
 from oracles import (
@@ -240,16 +242,33 @@ def test_criterion_7_energy_rate_region():
 
 
 def test_criterion_8_determinism(tmp_path):
-    """Bitwise-identical estimates across worker counts; byte-identical CSVs."""
-    cfg = default_config(0.3)
-    (ref,) = estimate("energy-lm", Scheme.DDS, [cfg], 200_000, seed=808, workers=1)
-    for workers in (4, 8):
-        (est,) = estimate("energy-lm", Scheme.DDS, [cfg], 200_000, seed=808, workers=workers)
-        assert est.mean == ref.mean
-        assert est.std_error == ref.std_error
+    """Every MC metric on every scheme, each on a 3-power series of 11 chunks
+    (the last 17 samples long), at 2, 4 and 8 workers while threads switch
+    as often as the interpreter allows: each estimate is its config's
+    one-worker, single-config estimate bit for bit.  CSV bytes reproducible."""
+    n, nlm = 10 * CHUNK_SIZE + 17, default_config(1.0, model="nlm")
+    lm = [default_config(pt) for pt in (0.01, 0.3, 1.0)]
 
-    spec = SweepSpec("energy", cfg, (0.1, 0.2, 0.3), methods=("closed",))
+    def bits(ests):  # float.hex of each mean and standard error
+        return [tuple(v.hex() for v in est) for est in ests]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for scheme in Scheme:
+            nlm_series = [nlm.with_params(transmit_power_w=regime_power(nlm, scheme, name))
+                          for name in ("knee", "past", "saturated")]
+            for metric, cfgs in (("energy-lm", lm), ("energy-nlm", nlm_series), ("rate", lm)):
+                want = bits(estimate(metric, scheme, [cfg], n, seed=808)[0] for cfg in cfgs)
+                for workers in (2, 4, 8):
+                    got = bits(estimate(metric, scheme, cfgs, n, seed=808, workers=workers))
+                    assert got == want, (metric, scheme, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+    spec = SweepSpec("energy", default_config(0.3), (0.1, 0.2, 0.3), methods=("closed",))
     a = emit_outputs(run_power_sweep(spec), tmp_path / "a", "energy")[0]
     b = emit_outputs(run_power_sweep(spec), tmp_path / "b", "energy")[0]
     assert a.read_bytes() == b.read_bytes()
-    _report(8, "estimates bitwise identical across 1/4/8 workers; CSV bytes reproducible")
+    _report(8, "lm, knee/past/saturated nlm and rate MC series bitwise their 1-worker estimates "
+               "at 2/4/8 workers under thread stress (all schemes); CSV bytes reproducible")

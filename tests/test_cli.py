@@ -177,12 +177,6 @@ def test_rate_requires_power():
         main(["rate", "--scheme", "eds"])
 
 
-def test_sweep_writes_outputs(tmp_path, capsys):
-    assert main(["sweep", "--preset", "fig4", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "region.csv").exists()
-    assert (tmp_path / "plot_region.py").exists()
-
-
 def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
     """scripts/reproduce_figures.py in a fresh interpreter: each preset's CSV
     and plot script are `paswipt sweep`'s with the same flags, and a bad
@@ -220,20 +214,6 @@ def test_figure_script_takes_out_as_its_outdir(tmp_path, capsys):
     code, err = _exit_code(["sweep", "--preset", "s1", "--out", "figures/s1", "a"], capsys)
     assert (stray.returncode, stray.stdout, stray.stderr) == (code, "", err)
     assert code == 2 and not (tmp_path / "a").exists() and not (tmp_path / "figures").exists()
-
-
-@pytest.mark.parametrize("name", ["s1", "c1"])
-def test_sweep_csv_is_worker_count_invariant(tmp_path, capsys, name):
-    """A preset's MC sweep writes the same bytes with 1 and 2 workers: 70000
-    samples make 3 chunks, so two threads really split the work.  s1 covers
-    both energy models and c1 the rate."""
-    written = {}
-    for workers in ("1", "2"):
-        out = tmp_path / workers
-        _output(["sweep", "--preset", name, "--out", str(out), "--mc", "--samples", "70000",
-                 "--workers", workers], capsys)
-        written[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert written["1"] == written["2"]
 
 
 # A stand-in for matplotlib.pyplot: every call on the figure and the axes,
@@ -472,11 +452,14 @@ def test_energy_model_contradicting_config_file_fails(tmp_path, capsys):
       "--workers", "65"], "workers must be in [1, 64], got 65"),
     # a stray argument is named with its subcommand, not by the top-level parser
     (["rate", "--scheme", "eds", "--pt-w", "0.3", "stray"], "unrecognized arguments: stray"),
+    # ... unless it comes before the subcommand, where the top-level parser took it
+    (["--bogus", "rate", "--scheme", "eds", "--pt-w", "1"], "unrecognized arguments: --bogus\n"),
 ])
 def test_bad_flag_fails_with_one_line(argv, field, capsys):
     code, err = _exit_code(argv, capsys)
+    prog = "paswipt" if argv[0].startswith("-") else f"paswipt {argv[0]}"
     assert code == 2
-    assert err.count("\n") == 1 and err.startswith(f"paswipt {argv[0]}: error:")
+    assert err.count("\n") == 1 and err.startswith(f"{prog}: error:")
     assert field in err
     assert "Traceback" not in err
 

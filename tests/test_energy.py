@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import expit
 
 from paswipt.cli import main
 from paswipt.config import (
@@ -31,20 +30,6 @@ NLM = DEFAULT_HARVEST["nlm"]
 
 
 class TestLogisticTransfer:
-    def test_zero_input_gives_exactly_zero(self):
-        assert logistic_harvest_power(NLM, 0.0) == 0.0
-
-    def test_midpoint(self):
-        # at the turn-on power the logistic sits at 1/2
-        val = logistic_harvest_power(NLM, NLM.turn_on_w)
-        a, b = NLM.slope_per_w, NLM.turn_on_w
-        expected = NLM.saturation_w * expit(0.0) * -np.expm1(-a * b)
-        assert val == pytest.approx(expected, rel=1e-12)
-        assert val == pytest.approx(10e-3, rel=1e-9)
-
-    def test_saturation(self):
-        assert logistic_harvest_power(NLM, 1.0) == pytest.approx(20e-3, rel=1e-12)
-
     def test_monotone_nondecreasing(self):
         p = np.logspace(-8, 0, 200)
         vals = logistic_harvest_power(NLM, p)
@@ -97,17 +82,6 @@ class TestClosedFormsLM:
         assert value(0.4, 1.0, 0.6, 0.2) == pytest.approx(2 * base, rel=1e-14)
         assert value(0.4, 0.5, 0.3, 0.2) == pytest.approx(base / 2, rel=1e-14)
         assert value(0.4, 0.5, 0.6, 0.4) == pytest.approx(2 * base, rel=1e-14)
-
-
-class TestQuadratureOracle:
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_nlm_default_regression(self, scheme, nlm_config):
-        s, p, g = nlm_config.system, nlm_config.protocol, nlm_config.geometry
-        val = avg_energy_quadrature(scheme, s, p, g, nlm_config.harvest)
-        # frozen from the quadrature itself: at 0.3 W the harvester is
-        # fully saturated over the whole room, so the average equals
-        # alpha * saturation
-        assert val == pytest.approx(0.016, rel=1e-9)
 
 
 # float.hex of (quadrature, Jensen bound) for the logistic model in the

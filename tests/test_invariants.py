@@ -25,11 +25,10 @@ EXACT = ("closed", "quadrature")
 MC_SEED, MC_SAMPLES = 2026, 70_001
 
 
-def _value(quantity, method, scheme, cfg, workers=1):
+def _value(quantity, method, scheme, cfg):
     """sweep.evaluate's (value, MC standard error or None) at cfg alone, or
     None where the method does not apply."""
-    results = evaluate(quantity, method, scheme, [cfg], samples=MC_SAMPLES, seed=MC_SEED,
-                       workers=workers)
+    results = evaluate(quantity, method, scheme, [cfg], samples=MC_SAMPLES, seed=MC_SEED)
     return None if results is None else results[0]
 
 
@@ -78,15 +77,14 @@ def test_mc_energy_scales_with_the_transmit_power(room, scheme):
 def test_mc_rate_is_unchanged_by_scaling_the_room_and_the_noise(room, scheme):
     """Every length times 2^k and the noise times 4^-k: each UE draw scales
     by 2^k and each L by 4^k, so every mu gamma / L, and the `mc` rate,
-    keeps its bits, with one worker and with two."""
+    keeps its bits."""
     base = default_config(0.3).with_params(d_x=room[0], d_y=room[1], height=room[2])
     rate = _value("rate", "mc", scheme, base)
     for k in (-30, -5, 5, 30):
         scaled = base.with_params(d_x=room[0] * 2.0**k, d_y=room[1] * 2.0**k,
                                   height=room[2] * 2.0**k,
                                   noise_power_w=base.system.noise_power_w * 4.0**-k)
-        for workers in (1, 2):
-            assert _value("rate", "mc", scheme, scaled, workers) == rate, (k, workers)
+        assert _value("rate", "mc", scheme, scaled) == rate, k
 
 
 def _every_value(scheme, cfg, methods=METHODS[:3]):

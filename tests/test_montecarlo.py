@@ -103,22 +103,6 @@ def test_stream_covers_rectangle_uniformly(lm_config):
     assert ks.statistic < 0.0019  # 99% one-sample critical value at n=1e6
 
 
-def test_threads_sharing_a_stream_match_serial(lm_config):
-    # More threads than cores, switching as often as the interpreter allows,
-    # each evaluating a whole power series on its chunks: any lost or
-    # reordered chunk or config changes the digits.
-    n = 10 * CHUNK_SIZE + 17
-    configs = [lm_config.with_params(transmit_power_w=p) for p in (0.01, 0.3, 1.0)]
-    refs = [estimate("energy-lm", Scheme.DDS, [cfg], n=n, seed=6, workers=1)[0] for cfg in configs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            assert estimate("energy-lm", Scheme.DDS, configs, n=n, seed=6, workers=8) == refs
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_batch_matches_single_config_estimates(lm_config):
     # powers, protocols and harvesters of one room share the draws; every
     # estimate of the batch is bitwise the estimate of its config alone
@@ -247,12 +231,10 @@ def _golden_config(metric):
 
 
 @pytest.mark.digits
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=repr), ids=lambda c: "-".join(map(str, c)))
-def test_stream_golden_digits(case, workers):
+def test_stream_golden_digits(case):
     metric, scheme, seed, n = case
-    (est,) = estimate(metric, Scheme(scheme), [_golden_config(metric)], n=n, seed=seed,
-                      workers=workers)
+    (est,) = estimate(metric, Scheme(scheme), [_golden_config(metric)], n=n, seed=seed)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]
 
 
@@ -267,13 +249,11 @@ GOLDEN_SATURATED = {
 
 
 @pytest.mark.digits
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", sorted(GOLDEN_SATURATED, key=repr),
                          ids=lambda c: "-".join(map(str, c)))
-def test_saturated_logistic_golden_digits(case, workers):
+def test_saturated_logistic_golden_digits(case):
     metric, scheme, seed, n = case
-    (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n,
-                      seed=seed, workers=workers)
+    (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n, seed=seed)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
 
 
