@@ -35,10 +35,8 @@ def expit_float(x: float) -> float:
 def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
     """Saturating transfer curve phi * sigmoid(a(p - b)) * (1 - e^{-a p}),
     for incident power p >= 0.  Vectorized; exact 0.0 at p_in = 0.  A p
-    below 0 raises ValueError on both paths.  An array is tested on its
-    minimum, which the saturation shortcut below takes anyway, so -0.0
-    passes; only where that minimum is NaN is the test taken again on the
-    NaN-ignoring np.fmin, and a NaN element itself stays NaN.  A
+    below 0 raises ValueError on both paths; an array is tested on its
+    NaN-ignoring np.fmin, so -0.0 passes and a NaN element stays NaN.  A
     float or an int gives a Python float and imports nothing; an array (or
     a 0-d array, which gives a float) goes through numpy, one ufunc per
     step: in out= where given (p_in itself allowed), with the same bits.
@@ -54,14 +52,11 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
     without numpy's SIMD dispatch and within one ulp of it under AVX-512,
     so only without dispatch do the two paths share every digit.
 
-    Saturation shortcut, bit for bit: where x > 40, the sigmoid is exactly
-    1.0, because exp(-40) < 2**-54 rounds away against 1 (the first such
-    x is near 36.74), and so is -expm1(-a p), as a p >= x.  x is monotone
-    in p_in under IEEE rounding (a > 0), so an array whose smallest x
-    passes 40 is filled with phi after one min; any other array runs the
-    whole chain.  A float skips both factors the same way.  The test is on
-    the minimum, not per element: a masked evaluation was 2.5x slower on a
-    partly saturated chunk.
+    Where x > 40 both factors are exactly 1.0, because exp(-40) < 2**-54
+    rounds away against 1 (the first such x is near 36.74) and a p >= x,
+    so a float skips them and returns phi.  An array runs the whole chain,
+    which gives phi there too; montecarlo.estimate sums a config saturated
+    over its whole support from one float instead.
     """
     if not isinstance(p_in, (float, int)):
         import numpy as np
@@ -69,14 +64,10 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
         phi, a, b = model.saturation_w, model.slope_per_w, model.turn_on_w
         p_in = np.asarray(p_in, dtype=float)
         if p_in.ndim:
-            low = float(p_in.min()) if p_in.size else 0.0
-            sign = low if low == low else float(np.fmin.reduce(p_in, axis=None))
-            if sign < 0.0:
-                raise ValueError(f"incident power must be >= 0 W, got {sign!r}")
+            low = float(np.fmin.reduce(p_in, axis=None, initial=0.0))
+            if low < 0.0:
+                raise ValueError(f"incident power must be >= 0 W, got {low!r}")
             out = np.empty_like(p_in) if out is None else out
-            if a > 0.0 and a * (low - b) > 40.0:
-                out.fill(phi)
-                return out
             with np.errstate(over="ignore"):
                 m = np.multiply(-a, p_in)  # the one temporary, before out (maybe p_in) is written
                 np.expm1(m, out=m)

@@ -9,7 +9,9 @@ makes the result bitwise identical for any worker count.
 estimate() takes a series of configs on one room (a power sweep, say):
 each chunk is drawn once and every config is evaluated on it, so the
 series shares its random numbers and each config gets the same digits
-as an estimate of its own.
+as an estimate of its own.  A config whose every sample is provably one
+constant (the logistic energy saturated at the support's far edge) is
+summed without a draw, so a series of such configs draws no chunk.
 
 Each worker thread allocates its chunk buffers once per estimate() call:
 x, y and a metric row of min(n, CHUNK_SIZE) float64s.  The draw, the
@@ -83,10 +85,12 @@ def _scaled(const: float, top: float) -> tuple[int, float]:
     return k, math.ldexp(const, -k)
 
 
-def _chunk_kernel(metric: str, config: Config):
-    """(k, (l, out) -> 2**-k times one config's metric on a chunk's squared distances, written
-    into out, in the formula's IEEE order): the formula at l = h^2 on its unscaled constant
-    picks k, and the exact 2**-k is folded into that constant by _scaled."""
+def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
+    """(k, flat, (l, out) -> 2**-k times one config's metric on a chunk's squared distances,
+    written into out, in the formula's IEEE order): the formula at l = h^2 on its unscaled
+    constant picks k, and the exact 2**-k is folded into that constant by _scaled.  flat, the
+    kernel's value on every sample, is set where a(c_in / l - b) > 40 at the far edge h^2 + S^2:
+    each x is then past 36.74, where the curve is phi (a DDS l may round past the edge)."""
     import numpy as np
 
     p, s, model, h = config.protocol, config.system, config.harvest, config.geometry.height
@@ -100,7 +104,9 @@ def _chunk_kernel(metric: str, config: Config):
     elif metric == "energy-nlm":
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
-        c_in, const = p.beta * s.received_power_w_m2, p.alpha
+        c_in, const, a = p.beta * s.received_power_w_m2, p.alpha, model.slope_per_w
+        span = scheme.span(config.geometry)
+        far = h * h + span * span  # the support's far edge, where c_in / l is least
 
         def formula(alpha, l, out):  # alpha * logistic(c_in / l)
             p_in = np.divide(c_in, l, out=out)
@@ -114,7 +120,9 @@ def _chunk_kernel(metric: str, config: Config):
     else:
         raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
     k, const = _scaled(const, formula(const, h * h, out=None))
-    return k, lambda l, out: formula(const, l, out)
+    saturated = metric == "energy-nlm" and a > 0.0 and a * (c_in / far - model.turn_on_w) > 40.0
+    flat = float(formula(const, far, out=None)) if saturated else None
+    return k, flat, lambda l, out: formula(const, l, out)
 
 
 def estimate(
@@ -127,46 +135,59 @@ def estimate(
 ) -> list[EstimateWithCI]:
     """Sample mean and standard error of the per-UE metric, one per config.
 
-    Pipeline per sample: uniform UE draw -> optimal antenna placement ->
-    squared distance -> metric formula.  The configs must share one room:
-    each chunk's squared distances are computed once and every config's
-    metric is summed over them, so memory stays at one chunk and each
-    result is bitwise the estimate of that config alone.  workers > 1 runs
-    the chunks on a thread pool: the Philox fills and numpy ufuncs release
-    the GIL.
+    Pipeline per sample: uniform UE draw -> optimal antenna placement -> squared
+    distance -> metric formula.  The configs must share one room: each chunk's squared
+    distances are computed once and every config's metric is summed over them, so memory
+    stays at one chunk and each result is bitwise the estimate of that config alone.  A
+    logistic config saturated at the support's far edge is summed from its constant; the
+    chunks are drawn only if some config is not, and workers > 1 then runs them on a thread
+    pool (the Philox fills and numpy ufuncs release the GIL).  A series of constants draws none.
     """
     import numpy as np
 
     check_mc_inputs(n, seed, workers)
     if len({cfg.geometry for cfg in configs}) != 1:
         raise ValueError("estimate needs a non-empty series of configs sharing one geometry")
-    kernels = [_chunk_kernel(metric, cfg) for cfg in configs]
+    kernels = [_chunk_kernel(metric, scheme, cfg) for cfg in configs]
     geom = configs[0].geometry
     sizes = _chunk_sizes(n)
     local = threading.local()
 
-    def chunk_stats(j: int):
-        if not hasattr(local, "buffers"):  # this thread's x, y and metric rows, for every chunk
+    def rows(size: int):  # this thread's x, y and metric rows, cut to one chunk
+        if not hasattr(local, "buffers"):
             local.buffers = np.empty((3, sizes[0]))
-        x, y, v = (row[:sizes[j]] for row in local.buffers)
+        return [row[:size] for row in local.buffers]
+
+    def sums(v):  # (sum, sum of squares) of a metric row: np.sum's pairwise sums
+        return np.add.reduce(v), np.add.reduce(np.multiply(v, v, out=v))
+
+    def chunk_stats(j: int):
+        x, y, v = rows(sizes[j])
         l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j],
                                                               out=(x, y)), out=x)
-        stats = []
-        for _, kernel in kernels:
-            total = np.add.reduce(kernel(l, v))  # np.sum's pairwise sum
-            stats.append((total, np.add.reduce(np.multiply(v, v, out=v))))
-        return stats
+        return [sums(kernel(l, v)) for _, flat, kernel in kernels if flat is None]
 
-    if workers > 1 and len(sizes) > 1:
+    flat_sums = {}  # a constant's sums per chunk size, keyed on its bits: 0.0 is not -0.0
+
+    def flat_stats(value: float, size: int):
+        if (value.hex(), size) not in flat_sums:
+            v = rows(size)[2]
+            v.fill(value)
+            flat_sums[value.hex(), size] = sums(v)
+        return flat_sums[value.hex(), size]
+
+    todo = range(len(sizes) if None in [flat for _, flat, _ in kernels] else 0)  # all or none
+    if workers > 1 and len(todo) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
-            chunks = list(pool.map(chunk_stats, range(len(sizes))))
+        with ThreadPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            chunks = list(pool.map(chunk_stats, todo))
     else:
-        chunks = [chunk_stats(j) for j in range(len(sizes))]
+        chunks = [chunk_stats(j) for j in todo]
 
-    results = []
-    for (k, _), per_chunk in zip(kernels, zip(*chunks)):  # (sum, sum of squares) in chunk order
+    results, drawn_stats = [], zip(*chunks)
+    for k, flat, _ in kernels:  # (sum, sum of squares) in chunk order
+        per_chunk = next(drawn_stats) if flat is None else [flat_stats(flat, m) for m in sizes]
         total = np.sum(np.array([s for s, _ in per_chunk]))
         total_sq = np.sum(np.array([q for _, q in per_chunk]))
         mean = total / n

@@ -584,13 +584,17 @@ def test_thread_pool_loads_only_when_a_pool_runs(tmp_path, workers, pool):
     assert ("concurrent.futures" in loaded) is pool
 
 
-@pytest.mark.parametrize("name", ["knee", "saturated"])
-def test_logistic_mc_call_loads_numpy_alone(tmp_path, name):
-    # at the knee power the MC chunk straddles the turn-on, so the array kernel
-    # runs np.exp; at the saturated power every chunk passes the saturation shortcut
+@pytest.mark.parametrize("name, mc_args", [
+    ("knee", ["--samples", "20000"]),
+    ("saturated", ["--samples", "70000", "--workers", "2"]),
+], ids=["knee", "saturated"])
+def test_logistic_mc_call_loads_numpy_alone(tmp_path, name, mc_args):
+    # at the knee power the one MC chunk straddles the turn-on, so the array kernel
+    # runs np.exp; at the saturated power the series draws no chunk, so its 3 chunks
+    # start no thread pool even with 2 workers
     loaded = _loaded_after(
         tmp_path,
         ["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", _regime_pt(Scheme.DDS, name),
-         "--mc", "--samples", "20000"],
+         "--mc", *mc_args],
     )
-    assert {m.split(".")[0] for m in loaded} == {"numpy"}  # no scipy, yaml or thread pool
+    assert {m.split(".")[0] for m in loaded} == {"numpy"}  # no scipy, yaml or concurrent.futures

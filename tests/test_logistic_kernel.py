@@ -1,15 +1,16 @@
 """The logistic harvester's kernel against the plain ufunc formula, bit for bit.
 
-`logistic_harvest_power` skips its two factors where both are exactly 1.0
-and runs them on np.exp and np.expm1 for an array.  `_reference` is the
-curve phi * expit(a (p - b)) * -expm1(-a p) written out once more, on
-scipy.special.expit and libm's expm1, the float path's functions; every
-case compares float.hex digits (or raw bytes for arrays), so a changed
-last bit fails.  np.exp and np.expm1 equal libm's only without numpy's
-SIMD dispatch: under it an array element may instead sit within one ulp
-of each (`oracles.assert_curve_bits`).  Every test here is marked
-`digits`, so `test_digits_without_simd_dispatch` runs it again with
-dispatch off, where each array must match to the last byte.
+`logistic_harvest_power` skips its two factors on a float where both are
+exactly 1.0, and runs them on np.exp and np.expm1 for an array.
+`_reference` is the curve phi * expit(a (p - b)) * -expm1(-a p) written
+out once more, on scipy.special.expit and libm's expm1, the float path's
+functions; every case compares float.hex digits (or raw bytes for
+arrays), so a changed last bit fails.  np.exp and np.expm1 equal libm's
+only without numpy's SIMD dispatch: under it an array element may
+instead sit within one ulp of each (`oracles.assert_curve_bits`). Every
+test here is marked `digits`, so `test_digits_without_simd_dispatch`
+runs it again with dispatch off, where each array must match to the last
+byte.
 """
 
 import math

@@ -51,19 +51,25 @@ def test_metric_model_mismatch(lm_config, nlm_config):
         estimate("energy-lm", Scheme.EDS, [nlm_config], n=100)
 
 
-@pytest.mark.parametrize("metric, match", [("energy-nlm", "LogisticHarvest"),
-                                           ("outage", "unknown metric")])
-def test_bad_metric_raises_before_any_draw(lm_config, metric, match, monkeypatch):
+@pytest.fixture
+def drawn_chunks(monkeypatch):
+    """The index of every chunk that estimate draws, in call order."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[2])
         return _chunk_ue(*args, **kwargs)
 
     monkeypatch.setattr("paswipt.montecarlo._chunk_ue", counted)
+    return calls
+
+
+@pytest.mark.parametrize("metric, match", [("energy-nlm", "LogisticHarvest"),
+                                           ("outage", "unknown metric")])
+def test_bad_metric_raises_before_any_draw(lm_config, metric, match, drawn_chunks):
     with pytest.raises(ValueError, match=match):
         estimate(metric, Scheme.EDS, [lm_config], n=3 * CHUNK_SIZE, workers=2)
-    assert calls == []
+    assert drawn_chunks == []
 
 
 def test_zero_prefactor_rate(lm_config):
@@ -114,17 +120,35 @@ def test_batch_matches_single_config_estimates(lm_config):
         assert batch == [estimate(metric, Scheme.CDS, [cfg], n=n, seed=12)[0] for cfg in configs]
 
 
-def test_batch_draws_each_chunk_once(lm_config, monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])  # the chunk index
-        return _chunk_ue(*args, **kwargs)
-
-    monkeypatch.setattr("paswipt.montecarlo._chunk_ue", counted)
+def test_batch_draws_each_chunk_once(lm_config, drawn_chunks):
     configs = [lm_config.with_params(transmit_power_w=p) for p in (0.1, 0.2, 0.3, 0.4)]
     estimate("rate", Scheme.EDS, configs, n=3 * CHUNK_SIZE, seed=1, workers=2)
-    assert sorted(calls) == [0, 1, 2]
+    assert sorted(drawn_chunks) == [0, 1, 2]
+
+
+def _regime_config(scheme, name):
+    return default_config(regime_power(default_config(1.0, "nlm"), scheme, name), "nlm")
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_logistic_past_the_turn_on_draws_every_chunk(scheme, drawn_chunks):
+    """Just past the turn-on at the support's far edge the samples still vary,
+    so the series is not summed from a constant: each chunk is drawn once."""
+    (est,) = estimate("energy-nlm", scheme, [_regime_config(scheme, "past")],
+                      n=2 * CHUNK_SIZE + 5, seed=4)
+    assert sorted(drawn_chunks) == [0, 1, 2]
+    assert est.std_error > 0.0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_series_mixing_a_saturated_config_draws_once(scheme, drawn_chunks):
+    """A series of a past and a saturated config draws each chunk once, for
+    the past one, and each row keeps the digits of its config alone."""
+    cfgs = [_regime_config(scheme, name) for name in ("past", "saturated")]
+    batch = estimate("energy-nlm", scheme, cfgs, n=2 * CHUNK_SIZE + 5, seed=4)
+    assert sorted(drawn_chunks) == [0, 1, 2]
+    assert batch == [estimate("energy-nlm", scheme, [cfg], n=2 * CHUNK_SIZE + 5, seed=4)[0]
+                     for cfg in cfgs]
 
 
 @pytest.mark.parametrize("metric, pt_w, model", [("rate", 0.3, "lm"), ("energy-lm", 0.3, "lm"),
@@ -239,9 +263,10 @@ def test_stream_golden_digits(case):
 
 
 # The logistic metric at 0.3 W, where every sample sits on the curve's flat
-# top: the per-sample value is the constant alpha * saturation, and these
-# digits pin the saturated chunks' bits (recorded before the logistic
-# curve gained its saturation shortcut).
+# top: the per-sample value is the constant alpha * saturation, summed
+# without a draw.  These digits were recorded on drawn chunks, before the
+# logistic curve gained its saturation shortcut, so they pin the constant's
+# bits, the 1,699-sample last chunk of n = 100003 included.
 GOLDEN_SATURATED = {
     ("energy-nlm", scheme, seed, n): ("0x1.0624dd2f1a9fep-6", "0x0.0p+0")
     for scheme in ("eds", "dds") for seed in (0, GOLDEN_SEED_BIG) for n in (16384, 100003)
@@ -251,10 +276,11 @@ GOLDEN_SATURATED = {
 @pytest.mark.digits
 @pytest.mark.parametrize("case", sorted(GOLDEN_SATURATED, key=repr),
                          ids=lambda c: "-".join(map(str, c)))
-def test_saturated_logistic_golden_digits(case):
+def test_saturated_logistic_golden_digits(case, drawn_chunks):
     metric, scheme, seed, n = case
     (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n, seed=seed)
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
+    assert drawn_chunks == []
 
 
 @pytest.mark.skipif(not SIMD_DISPATCH, reason="numpy already runs at its baseline SIMD level")

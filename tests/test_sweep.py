@@ -26,7 +26,7 @@ from paswipt.sweep import (
     run_tradeoff,
 )
 
-from oracles import SIMD_DISPATCH, tradeoff_rate_at_energy
+from oracles import SIMD_DISPATCH, regime, tradeoff_rate_at_energy
 
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
@@ -366,7 +366,10 @@ def test_shared_stream_rows_match_fresh_estimates(name, n, grid_stride):
 
 
 def test_mc_sweep_draws_each_chunk_once_per_series(monkeypatch):
-    """s1 with MC rows at n = 2^14 (one chunk): one draw per (scheme, model)."""
+    """s1 with MC rows at n = 2^14 (one chunk): one draw per (scheme, model)
+    series that holds a config off the saturated regime (oracles.regime),
+    where the samples vary. A linear series always draws; a logistic
+    series saturated at every power draws nothing."""
     calls = []
 
     def counted(scheme, *args, **kwargs):
@@ -377,7 +380,11 @@ def test_mc_sweep_draws_each_chunk_once_per_series(monkeypatch):
     spec = preset("s1", include_mc=True, samples=1 << 14, seed=2)
     rows = run_power_sweep(spec)
     assert sum(r["method"] == "mc" for r in rows) == 3 * 2 * len(spec.grid)
-    assert sorted(calls) == sorted(2 * list(Scheme))
+    want = [scheme for model in spec.models for scheme in Scheme
+            if isinstance(model, LinearHarvest) or any(
+                regime(spec.config.with_params(harvest=model, transmit_power_w=pt_w), scheme)
+                != "saturated" for pt_w in spec.grid)]
+    assert sorted(calls) == sorted(want)
 
 
 def test_preset_include_mc_appends_mc_method():
