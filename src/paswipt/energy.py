@@ -95,6 +95,13 @@ def harvest_kernel(model: LogisticHarvest, c: float):
     return kernel
 
 
+def saturates(model: LogisticHarvest, c: float, scheme: Scheme, geom: RegionGeometry) -> bool:
+    """Whether a(c / l - b) > 40 at the support's far edge l = h^2 + S^2: every x of the support
+    is then past 36.74, where the curve is phi bit for bit, even where l rounds past the edge."""
+    a, h, span = model.slope_per_w, geom.height, scheme.span(geom)
+    return a > 0.0 and a * (c / (h * h + span * span) - model.turn_on_w) > 40.0
+
+
 def mean_inverse_squared_distance(scheme: Scheme, geom: RegionGeometry) -> float:
     """E[1 / L] for the optimal squared distance L, in closed form, over
     the scheme's offset law (c0 + c1 t / S) / S on [0, S]:
@@ -143,9 +150,11 @@ def avg_energy_quadrature(
     scheme: Scheme, system: SystemParams, protocol: ProtocolParams,
     geom: RegionGeometry, model: HarvestModel,
 ) -> float:
-    """alpha * E[harvest(beta P_t / L)] by adaptive quadrature against the scheme's
-    distance law; for the linear model, the closed form with E[1/L] integrated."""
+    """alpha * E[harvest(beta P_t / L)] by adaptive quadrature against the scheme's distance
+    law; for the linear model, the closed form with E[1/L] integrated; a logistic config that
+    `saturates` integrates phi as c = inf, so a run of saturated powers shares one integral."""
     if isinstance(model, LinearHarvest):
         return _linear_energy(system, protocol, model, _mean_harvest(scheme, geom, None, 1.0, 1.0))
     c = protocol.beta * system.received_power_w_m2
+    c = math.inf if saturates(model, c, scheme, geom) else c  # either kernel: phi at every node
     return protocol.alpha * _mean_harvest(scheme, geom, model, c, math.copysign(1.0, c))

@@ -35,7 +35,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from paswipt.config import Config, LinearHarvest, LogisticHarvest
-from paswipt.energy import logistic_harvest_power
+from paswipt.energy import logistic_harvest_power, saturates
 from paswipt.geometry import Scheme, optimal_squared_distance
 
 CHUNK_SIZE = 1 << 15  # fixed; changing it changes every stream
@@ -89,8 +89,7 @@ def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
     """(k, flat, (l, out) -> 2**-k times one config's metric on a chunk's squared distances,
     written into out, in the formula's IEEE order): the formula at l = h^2 on its unscaled
     constant picks k, and the exact 2**-k is folded into that constant by _scaled.  flat, the
-    kernel's value on every sample, is set where a(c_in / l - b) > 40 at the far edge h^2 + S^2:
-    each x is then past 36.74, where the curve is phi (a DDS l may round past the edge)."""
+    kernel's value on every sample (read at h^2), is set where the curve saturates."""
     import numpy as np
 
     p, s, model, h = config.protocol, config.system, config.harvest, config.geometry.height
@@ -104,9 +103,7 @@ def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
     elif metric == "energy-nlm":
         if not isinstance(model, LogisticHarvest):
             raise ValueError("energy-nlm requires a LogisticHarvest config")
-        c_in, const, a = p.beta * s.received_power_w_m2, p.alpha, model.slope_per_w
-        span = scheme.span(config.geometry)
-        far = h * h + span * span  # the support's far edge, where c_in / l is least
+        c_in, const = p.beta * s.received_power_w_m2, p.alpha
 
         def formula(alpha, l, out):  # alpha * logistic(c_in / l)
             p_in = np.divide(c_in, l, out=out)
@@ -120,8 +117,8 @@ def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
     else:
         raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
     k, const = _scaled(const, formula(const, h * h, out=None))
-    saturated = metric == "energy-nlm" and a > 0.0 and a * (c_in / far - model.turn_on_w) > 40.0
-    flat = float(formula(const, far, out=None)) if saturated else None
+    saturated = metric == "energy-nlm" and saturates(model, c_in, scheme, config.geometry)
+    flat = float(formula(const, h * h, out=None)) if saturated else None
     return k, flat, lambda l, out: formula(const, l, out)
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from paswipt.config import default_config
 from paswipt.energy import _mean_harvest
+from paswipt.rate import _mean_log
 
 
 @pytest.fixture(scope="session")
@@ -17,8 +18,9 @@ def nlm_config():
 
 
 @pytest.fixture(autouse=True)
-def _empty_quadrature_memo():
-    """Each test starts with the energy quadrature's one-entry memo empty, as
-    a fresh process does, so the order tests run in cannot change what a
-    test integrates."""
+def _empty_quadrature_memos():
+    """Each test starts with both quadrature memos empty, as a fresh process
+    does: the energy's one entry and the rate's last 256 mean logs.  So the
+    order tests run in cannot change what a test integrates."""
     _mean_harvest.cache_clear()
+    _mean_log.cache_clear()

@@ -12,6 +12,7 @@ from paswipt.config import (
     RegionGeometry,
     default_config,
 )
+from paswipt.distributions import SquaredDistanceDistribution
 from paswipt.energy import (
     _mean_harvest,
     avg_energy_lm_closed,
@@ -349,3 +350,25 @@ def test_quadrature_after_a_change_is_a_fresh_value(tag, base, change):
     after = energy(cfg)
     _mean_harvest.cache_clear()
     assert after.hex() == energy(cfg).hex() != before.hex()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_saturated_quadrature_has_the_bits_of_its_own_kernel(scheme, monkeypatch):
+    """At the past and the saturated power (oracles.regime_power), the logistic
+    quadrature is alpha E[harvest_kernel(model, beta P_rx)(L)] integrated with
+    no memo, bit for bit: a config saturated over its support integrates phi,
+    its own kernel's value at every node.  Two saturated powers in a row cost
+    one integral."""
+    expect, calls = SquaredDistanceDistribution.expect, []
+    monkeypatch.setattr(SquaredDistanceDistribution, "expect",
+                        lambda dist, g: calls.append(dist) or expect(dist, g))
+    base = default_config(1.0, model="nlm")
+    saturated = regime_power(base, scheme, "saturated")
+    for pt_w in (regime_power(base, scheme, "past"), saturated, 4.0 * saturated):
+        cfg = base.with_params(transmit_power_w=pt_w)
+        c = cfg.protocol.beta * cfg.system.received_power_w_m2
+        want = cfg.protocol.alpha * expect(SquaredDistanceDistribution(scheme, cfg.geometry),
+                                           harvest_kernel(cfg.harvest, c))
+        got = avg_energy_quadrature(scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
+        assert got.hex() == want.hex(), pt_w
+    assert len(calls) == 2

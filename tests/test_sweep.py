@@ -13,7 +13,7 @@ from paswipt.distributions import QuadratureError, SquaredDistanceDistribution
 from paswipt.energy import _mean_harvest, avg_energy_quadrature
 from paswipt.montecarlo import estimate
 from paswipt.geometry import Scheme, optimal_squared_distance
-from paswipt.rate import avg_rate_closed
+from paswipt.rate import _mean_log, avg_rate_closed, avg_rate_quadrature
 from paswipt.sweep import (
     METHODS,
     PRESETS,
@@ -26,7 +26,7 @@ from paswipt.sweep import (
     run_tradeoff,
 )
 
-from oracles import SIMD_DISPATCH, regime, tradeoff_rate_at_energy
+from oracles import SIMD_DISPATCH, incident_power, regime, tradeoff_rate_at_energy
 
 DEFAULT_NLM = DEFAULT_HARVEST["nlm"]
 
@@ -209,10 +209,26 @@ def test_region_evaluates_each_rate_series_once(monkeypatch):
     assert repr(rows) == repr(union)  # float repr round-trips: equal bits, -0.0 apart
 
 
+def _integrals(quadratures):
+    """The scheme of each expect call that a run of (scheme, config) energy
+    quadratures makes: one per maximal run of consecutive calls on one
+    integral.  A linear config's integral is E[1/L]; a logistic one's is
+    phi where oracles.regime reads it saturated, else its own beta P_t."""
+    def integral(scheme, cfg):
+        if isinstance(cfg.harvest, LinearHarvest):
+            return scheme, None
+        return scheme, cfg.harvest, ("saturated" if regime(cfg, scheme) == "saturated"
+                                     else incident_power(cfg, 1.0))
+
+    keys = [integral(*q) for q in quadratures]
+    return [key[0] for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+
+
 def test_each_distinct_energy_integral_runs_once(monkeypatch):
     """A linear power series reads one E[1/L] per scheme, whatever its powers,
-    and fig4's time-switching edge (beta = 1) one logistic integral per scheme;
-    every other logistic row has an integral of its own."""
+    and a run of saturated logistic configs one integral of phi; every other
+    logistic config whose beta P_t differs from the config before it has an
+    integral of its own (fig4's time-switching edge, beta = 1, shares one)."""
     expect = SquaredDistanceDistribution.expect
     calls = []
 
@@ -223,18 +239,35 @@ def test_each_distinct_energy_integral_runs_once(monkeypatch):
     monkeypatch.setattr(SquaredDistanceDistribution, "expect", counted)
     s1, fig4 = preset("s1"), preset("fig4")
     run_power_sweep(s1)  # lm, then nlm, each scheme by scheme
-    assert calls == list(Scheme) + [scheme for scheme in Scheme for _ in s1.grid]
+    assert calls == _integrals((scheme, s1.config.with_params(harvest=model, transmit_power_w=pt_w))
+                               for model in s1.models for scheme in Scheme for pt_w in s1.grid)
     calls.clear()
-    run_tradeoff(fig4)  # the linear energy is closed form; ts, then ps
-    assert calls == list(Scheme) + [scheme for scheme in Scheme for _ in fig4.grid]
+    run_tradeoff(fig4)  # the linear energy is closed form; ts, then ps, scheme by scheme
+    nlm = fig4.config.with_params(harvest=DEFAULT_NLM)
+    assert calls == _integrals((scheme, nlm.with_params(alpha=alpha, beta=beta))
+                               for edge in PURE_PROTOCOLS.values() for scheme in Scheme
+                               for alpha, beta in map(edge, fig4.grid))
 
 
-@pytest.mark.parametrize("name", ["s1", "s2", "fig4"])
+def test_rate_preset_after_another_integrates_nothing(monkeypatch):
+    """c2 differs from c1 only in alpha and beta, which the mean log does not
+    read, so c2 run right after c1 makes no expect call."""
+    run_power_sweep(preset("c1"))
+    expect, calls = SquaredDistanceDistribution.expect, []
+    monkeypatch.setattr(SquaredDistanceDistribution, "expect",
+                        lambda dist, g: calls.append(dist) or expect(dist, g))
+    c2 = preset("c2")
+    rows = run_power_sweep(c2)
+    assert calls == []
+    assert sum(r["method"] == "quadrature" for r in rows) == len(Scheme) * len(c2.grid)
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "c1", "c2", "fig4"])
 def test_quadrature_rows_are_their_configs_alone(name):
     """Every quadrature row of a preset has the bits of avg_energy_quadrature
-    called for its config alone, whatever ran before: walked in reverse row
-    order, each row is evaluated once with the memo holding the integral of
-    the row walked before it, and once on an empty memo."""
+    or avg_rate_quadrature called for its config alone, whatever ran before:
+    c2 runs after c1, and walked in reverse row order, each row is evaluated
+    once with the memos holding what ran before it, and once on empty memos."""
     spec = preset(name)
     models = {model_tag(m): m for m in spec.models}
     if spec.experiment == "region":
@@ -245,16 +278,25 @@ def test_quadrature_rows_are_their_configs_alone(name):
             cfgs.append(spec.config.with_params(harvest=models["nlm"], alpha=alpha, beta=beta))
         values = [r["energy_w"] for r in rows]
     else:
+        if name == "c2":
+            run_power_sweep(preset("c1"))  # c2's rate integrals are then c1's
         rows = [r for r in run_power_sweep(spec) if r["method"] == "quadrature"]
-        cfgs = [spec.config.with_params(harvest=models[r["model"]], transmit_power_w=r["pt_w"])
-                for r in rows]
-        values = [r["value_w"] for r in rows]
-    assert len(rows) == 2 * len(Scheme) * len(spec.grid)  # two models, or two protocols
+        cfgs = [spec.config.with_params(transmit_power_w=r["pt_w"], **(
+            {"harvest": models[r["model"]]} if "model" in r else {})) for r in rows]
+        values = [r["value_w" if "model" in r else "value_bits_s_hz"] for r in rows]
+    assert len(rows) == (1 if spec.experiment == "rate" else 2) * len(Scheme) * len(spec.grid)
+
+    def quadrature(scheme, cfg):
+        args = scheme, cfg.system, cfg.protocol, cfg.geometry
+        if spec.experiment == "rate":
+            return avg_rate_quadrature(*args).value_bits_s_hz
+        return avg_energy_quadrature(*args, cfg.harvest)
+
     for row, cfg, value in reversed(list(zip(rows, cfgs, values))):
-        args = Scheme(row["scheme"]), cfg.system, cfg.protocol, cfg.geometry, cfg.harvest
-        after_another = avg_energy_quadrature(*args)
+        after_another = quadrature(Scheme(row["scheme"]), cfg)
         _mean_harvest.cache_clear()
-        assert after_another.hex() == avg_energy_quadrature(*args).hex() == value.hex()
+        _mean_log.cache_clear()
+        assert after_another.hex() == quadrature(Scheme(row["scheme"]), cfg).hex() == value.hex()
 
 
 def test_tradeoff_rejects_nan_energy():
