@@ -54,9 +54,7 @@ def logistic_harvest_power(model: LogisticHarvest, p_in, out=None):
 
     Where x > 40 both factors are exactly 1.0, because exp(-40) < 2**-54
     rounds away against 1 (the first such x is near 36.74) and a p >= x,
-    so a float skips them and returns phi.  An array runs the whole chain,
-    which gives phi there too; montecarlo.estimate sums a config saturated
-    over its whole support from one float instead.
+    so both paths give phi there; `saturates` tests a whole support for it.
     """
     if not isinstance(p_in, (float, int)):
         import numpy as np
@@ -89,8 +87,7 @@ def harvest_kernel(model: LogisticHarvest, c: float):
 
     def kernel(l: float) -> float:
         p = c / l
-        x = a * (p - b)
-        return phi if x > 40.0 else phi * expit_float(x) * -math.expm1(-a * p)
+        return phi * expit_float(a * (p - b)) * -math.expm1(-a * p)
 
     return kernel
 
@@ -152,9 +149,10 @@ def avg_energy_quadrature(
 ) -> float:
     """alpha * E[harvest(beta P_t / L)] by adaptive quadrature against the scheme's distance
     law; for the linear model, the closed form with E[1/L] integrated; a logistic config that
-    `saturates` integrates phi as c = inf, so a run of saturated powers shares one integral."""
+    `saturates` harvests alpha * phi at every UE, which is its value, with no integral."""
     if isinstance(model, LinearHarvest):
         return _linear_energy(system, protocol, model, _mean_harvest(scheme, geom, None, 1.0, 1.0))
     c = protocol.beta * system.received_power_w_m2
-    c = math.inf if saturates(model, c, scheme, geom) else c  # either kernel: phi at every node
+    if saturates(model, c, scheme, geom):
+        return protocol.alpha * model.saturation_w
     return protocol.alpha * _mean_harvest(scheme, geom, model, c, math.copysign(1.0, c))

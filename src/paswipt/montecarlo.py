@@ -10,8 +10,9 @@ estimate() takes a series of configs on one room (a power sweep, say):
 each chunk is drawn once and every config is evaluated on it, so the
 series shares its random numbers and each config gets the same digits
 as an estimate of its own.  A config whose every sample is provably one
-constant (the logistic energy saturated at the support's far edge) is
-summed without a draw, so a series of such configs draws no chunk.
+constant (the logistic energy saturated at the support's far edge,
+alpha * phi) is that constant with a standard error of 0, and a series
+of such configs draws no chunk.
 
 Each worker thread allocates its chunk buffers once per estimate() call:
 x, y and a metric row of min(n, CHUNK_SIZE) float64s.  The draw, the
@@ -88,8 +89,8 @@ def _scaled(const: float, top: float) -> tuple[int, float]:
 def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
     """(k, flat, (l, out) -> 2**-k times one config's metric on a chunk's squared distances,
     written into out, in the formula's IEEE order): the formula at l = h^2 on its unscaled
-    constant picks k, and the exact 2**-k is folded into that constant by _scaled.  flat, the
-    kernel's value on every sample (read at h^2), is set where the curve saturates."""
+    constant picks k, and the exact 2**-k is folded into that constant by _scaled.  flat is
+    alpha * phi, every sample's value, where the logistic curve `saturates`, else None."""
     import numpy as np
 
     p, s, model, h = config.protocol, config.system, config.harvest, config.geometry.height
@@ -118,7 +119,7 @@ def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
         raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
     k, const = _scaled(const, formula(const, h * h, out=None))
     saturated = metric == "energy-nlm" and saturates(model, c_in, scheme, config.geometry)
-    flat = float(formula(const, h * h, out=None)) if saturated else None
+    flat = p.alpha * model.saturation_w if saturated else None
     return k, flat, lambda l, out: formula(const, l, out)
 
 
@@ -136,9 +137,9 @@ def estimate(
     distance -> metric formula.  The configs must share one room: each chunk's squared
     distances are computed once and every config's metric is summed over them, so memory
     stays at one chunk and each result is bitwise the estimate of that config alone.  A
-    logistic config saturated at the support's far edge is summed from its constant; the
-    chunks are drawn only if some config is not, and workers > 1 then runs them on a thread
-    pool (the Philox fills and numpy ufuncs release the GIL).  A series of constants draws none.
+    logistic config saturated at the support's far edge is its constant alpha * phi, with a
+    standard error of 0; the chunks are drawn only if some config is not, and workers > 1 then
+    runs them on a thread pool (the Philox fills and numpy ufuncs release the GIL).
     """
     import numpy as np
 
@@ -150,28 +151,16 @@ def estimate(
     sizes = _chunk_sizes(n)
     local = threading.local()
 
-    def rows(size: int):  # this thread's x, y and metric rows, cut to one chunk
-        if not hasattr(local, "buffers"):
-            local.buffers = np.empty((3, sizes[0]))
-        return [row[:size] for row in local.buffers]
-
     def sums(v):  # (sum, sum of squares) of a metric row: np.sum's pairwise sums
         return np.add.reduce(v), np.add.reduce(np.multiply(v, v, out=v))
 
     def chunk_stats(j: int):
-        x, y, v = rows(sizes[j])
+        if not hasattr(local, "buffers"):  # this thread's x, y and metric rows
+            local.buffers = np.empty((3, sizes[0]))
+        x, y, v = (row[:sizes[j]] for row in local.buffers)  # cut to chunk j
         l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j],
                                                               out=(x, y)), out=x)
         return [sums(kernel(l, v)) for _, flat, kernel in kernels if flat is None]
-
-    flat_sums = {}  # a constant's sums per chunk size, keyed on its bits: 0.0 is not -0.0
-
-    def flat_stats(value: float, size: int):
-        if (value.hex(), size) not in flat_sums:
-            v = rows(size)[2]
-            v.fill(value)
-            flat_sums[value.hex(), size] = sums(v)
-        return flat_sums[value.hex(), size]
 
     todo = range(len(sizes) if None in [flat for _, flat, _ in kernels] else 0)  # all or none
     if workers > 1 and len(todo) > 1:
@@ -183,10 +172,12 @@ def estimate(
         chunks = [chunk_stats(j) for j in todo]
 
     results, drawn_stats = [], zip(*chunks)
-    for k, flat, _ in kernels:  # (sum, sum of squares) in chunk order
-        per_chunk = next(drawn_stats) if flat is None else [flat_stats(flat, m) for m in sizes]
-        total = np.sum(np.array([s for s, _ in per_chunk]))
-        total_sq = np.sum(np.array([q for _, q in per_chunk]))
+    for k, flat, _ in kernels:
+        if flat is not None:
+            results.append(EstimateWithCI(flat, 0.0))
+            continue
+        per_chunk = zip(*next(drawn_stats))  # (sums, sums of squares) in chunk order
+        total, total_sq = (np.sum(np.array(column)) for column in per_chunk)
         mean = total / n
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
         results.append(EstimateWithCI(math.ldexp(mean, k), math.ldexp(math.sqrt(var / n), k)))

@@ -136,11 +136,13 @@ def test_criterion_4_placement_optimality():
                "diagonal first-order condition < 1e-9")
 
 
-def test_criterion_5_jensen_ordering():
+def test_criterion_5_jensen_ordering(monkeypatch):
     """The Jensen value bounds the average from above where every UE is past
     the turn-on, from below where every one is under it (oracles.regime):
     against quadrature and MC at each scheme's past, saturated and below
-    powers, against quadrature on 100 seeded configs per scheme."""
+    powers, against quadrature on 100 seeded configs per scheme.  Where
+    every UE is saturated, the bound, the quadrature and the MC mean are one
+    float, alpha * phi, with a standard error of 0, no integral and no draw."""
     nlm, sides = default_config(1.0, model="nlm"), []
     for scheme in Scheme:
         cfgs = [nlm.with_params(transmit_power_w=regime_power(nlm, scheme, name))
@@ -154,10 +156,21 @@ def test_criterion_5_jensen_ordering():
             cfgs.append(Config(s, p, g, DEFAULT_NLM))
         for cfg, est in zip(cfgs, ests + [None] * 100):
             args = (scheme, cfg.system, cfg.protocol, cfg.geometry, cfg.harvest)
-            bound, quad = avg_energy_nlm_bound(*args), avg_energy_quadrature(*args)
+            sides.append(regime(cfg, scheme))
+            with monkeypatch.context() as m:
+                if sides[-1] == "saturated":  # any integral or draw raises TypeError
+                    m.setattr(SquaredDistanceDistribution, "expect", None)
+                    m.setattr("paswipt.montecarlo._chunk_ue", None)
+                    (alone,) = estimate("energy-nlm", scheme, [cfg], N_MC, seed=505)
+                    assert est in (None, alone), (scheme, cfg)
+                    est = alone
+                bound, quad = avg_energy_nlm_bound(*args), avg_energy_quadrature(*args)
+            if sides[-1] == "saturated":
+                exact = (cfg.protocol.alpha * cfg.harvest.saturation_w).hex()
+                assert {bound.hex(), quad.hex(), est.mean.hex()} == {exact}, (scheme, cfg)
+                assert est.std_error.hex() == "0x0.0p+0", (scheme, cfg)
             lo, hi = (quad, quad) if est is None else (est.mean - 4 * est.std_error,
                                                        est.mean + 4 * est.std_error)
-            sides.append(regime(cfg, scheme))
             if sides[-1] in ("past", "saturated"):  # concave: an upper bound
                 assert bound >= max(quad, lo) - 1e-12, (scheme, cfg)
             elif sides[-1] == "below":  # convex: a lower bound

@@ -263,23 +263,20 @@ def test_stream_golden_digits(case):
 
 
 # The logistic metric at 0.3 W, where every sample sits on the curve's flat
-# top: the per-sample value is the constant alpha * saturation, summed
-# without a draw.  These digits were recorded on drawn chunks, before the
-# logistic curve gained its saturation shortcut, so they pin the constant's
-# bits, the 1,699-sample last chunk of n = 100003 included.
-GOLDEN_SATURATED = {
-    ("energy-nlm", scheme, seed, n): ("0x1.0624dd2f1a9fep-6", "0x0.0p+0")
-    for scheme in ("eds", "dds") for seed in (0, GOLDEN_SEED_BIG) for n in (16384, 100003)
-}
+# top: the estimate is that constant, alpha * saturation, bit for bit, with a
+# standard error of exactly 0 and no chunk drawn, whatever the seed and n.
+SATURATED_CASES = [("energy-nlm", scheme, seed, n) for scheme in ("eds", "dds")
+                   for seed in (0, GOLDEN_SEED_BIG) for n in (16384, 100003)]
 
 
-@pytest.mark.digits
-@pytest.mark.parametrize("case", sorted(GOLDEN_SATURATED, key=repr),
+@pytest.mark.parametrize("case", sorted(SATURATED_CASES, key=repr),
                          ids=lambda c: "-".join(map(str, c)))
 def test_saturated_logistic_golden_digits(case, drawn_chunks):
     metric, scheme, seed, n = case
-    (est,) = estimate(metric, Scheme(scheme), [default_config(0.3, model="nlm")], n=n, seed=seed)
-    assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_SATURATED[case]
+    cfg = default_config(0.3, model="nlm")
+    (est,) = estimate(metric, Scheme(scheme), [cfg], n=n, seed=seed)
+    assert est.mean.hex() == (cfg.protocol.alpha * cfg.harvest.saturation_w).hex()
+    assert est.std_error.hex() == "0x0.0p+0"
     assert drawn_chunks == []
 
 

@@ -211,24 +211,28 @@ def test_region_evaluates_each_rate_series_once(monkeypatch):
 
 def _integrals(quadratures):
     """The scheme of each expect call that a run of (scheme, config) energy
-    quadratures makes: one per maximal run of consecutive calls on one
-    integral.  A linear config's integral is E[1/L]; a logistic one's is
-    phi where oracles.regime reads it saturated, else its own beta P_t."""
-    def integral(scheme, cfg):
+    quadratures should make: one per distinct integral, at its first call.
+    A linear config's integral is E[1/L], a logistic one's its own beta P_t
+    (signed zeros apart), and a logistic config that oracles.regime reads
+    saturated has none."""
+    keys = []
+    for scheme, cfg in quadratures:
         if isinstance(cfg.harvest, LinearHarvest):
-            return scheme, None
-        return scheme, cfg.harvest, ("saturated" if regime(cfg, scheme) == "saturated"
-                                     else incident_power(cfg, 1.0))
-
-    keys = [integral(*q) for q in quadratures]
-    return [key[0] for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+            key = scheme, None
+        elif regime(cfg, scheme) == "saturated":
+            continue
+        else:
+            key = scheme, cfg.harvest, incident_power(cfg, 1.0).hex()
+        if key not in keys:
+            keys.append(key)
+    return [key[0] for key in keys]
 
 
 def test_each_distinct_energy_integral_runs_once(monkeypatch):
     """A linear power series reads one E[1/L] per scheme, whatever its powers,
-    and a run of saturated logistic configs one integral of phi; every other
-    logistic config whose beta P_t differs from the config before it has an
-    integral of its own (fig4's time-switching edge, beta = 1, shares one)."""
+    and a saturated logistic config none; every other logistic config has
+    the integral of its beta P_t, run at its first call (fig4's
+    time-switching edge, beta = 1, shares one per scheme)."""
     expect = SquaredDistanceDistribution.expect
     calls = []
 
@@ -345,12 +349,12 @@ class TestEmitOutputs:
 # numpy's baseline level, and test_digits_without_simd_dispatch runs it on
 # np.log1p there.
 PRESET_CSV_SHA256 = {
-    ("s1", False): "3ac60758a495756b9ed455db03dff35f6044ebe1df14a63f92446444895152b9",
-    ("s2", False): "a51da7e5506eb082bc3ffcfb3d8fd6ea4603858c676900e3e33d6c9fd9eb39f7",
+    ("s1", False): "9270a31f68a8320a7eda93e19dd86005895bb42b16a4085b2c30ddb5504e78ef",
+    ("s2", False): "ef99b805479939bd42dfa6a0be76e221daa1197089ab4bd9d12a071c2b252262",
     ("c1", False): "81710ec4b424c186d31eac29cbd3fed0a394a82fe92d19aa99c2c17ef198daaf",
     ("c2", False): "394e2148963d0d804954a7ba978e8bf587afae40130e9ab2354b4a133f70d2e2",
-    ("fig4", False): "5817508a5a3ec5249ed9e2e26b70b4ef7ae5ed1a6876b5da85ac37581fa82e12",
-    ("s1", True): "4f84400bb79d9455498591bb09381e63b0525b85e95ead9f4e84cb1e4dbe1d14",
+    ("fig4", False): "6279da9c6bebfd19480dbd370bd6460280eeed45ee53c9b154e992d2b07fc2d6",
+    ("s1", True): "85e83523084f7f0624a539e4219c7c58beb4f446422ea1a87097aa091275a714",
     ("c1", True): "6b1f8fdd95e068492526d71f00c06303ad727e31c7b12492935835ffc23b23fa",
 }
 
