@@ -9,6 +9,7 @@ rendered PNG if matplotlib is installed.  DIR defaults to figures.
 """
 
 import argparse
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +24,13 @@ def main(argv: list[str]) -> int:
                                      usage="%(prog)s [--out DIR] [paswipt sweep flags]")
     parser.add_argument("--out", default="figures")
     args, argv = parser.parse_known_args(argv)
+    plots = importlib.util.find_spec("matplotlib") is not None
     for name, (experiment, _) in PRESETS.items():
         out = Path(args.out) / name
         paswipt(["sweep", "--preset", name, "--out", str(out), *argv])
+        if not plots:  # a plot process would only fail on the import
+            print("  plot skipped: matplotlib is not installed")
+            continue
         script = f"plot_{experiment}.py"  # the sweep writes it next to the CSV
         proc = subprocess.run([sys.executable, script], cwd=out, capture_output=True, text=True)
         if proc.returncode:

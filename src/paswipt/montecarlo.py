@@ -7,20 +7,17 @@ sums are reduced in chunk order with numpy's pairwise summation, which
 makes the result bitwise identical for any worker count.
 
 estimate() takes a series of configs on one room (a power sweep, say):
-each chunk is drawn once and every config is evaluated on it, so the
-series shares its random numbers and each config gets the same digits
-as an estimate of its own.  A config whose every sample is provably one
-constant (the logistic energy saturated at the support's far edge,
-alpha * phi) is that constant with a standard error of 0, and a series
-of such configs draws no chunk.
+each chunk is drawn once and summed under each distinct kernel of the
+series, the quadrature's integrand.  A config's mean and standard error
+are its factor times its kernel's, in the quadrature's expression, so it
+gets the same digits as an estimate of its own.  A kernel that is phi at
+every sample (`saturates`) sums nothing, and such a series draws nothing.
 
 Each worker thread allocates its chunk buffers once per estimate() call:
-x, y and a metric row of min(n, CHUNK_SIZE) float64s.  The draw, the
-squared distance (into x), each metric formula and the sum of squares
-(v * v) write into them, so a chunk allocates no array and the heap
-never hands its pages back to the kernel between chunks.  This moves no
-bit: every element goes through the same ufuncs, on the same operands,
-in the same order as with fresh arrays, and np.add.reduce over a
+x, y and a kernel row of min(n, CHUNK_SIZE) float64s.  The draw, the
+squared distance (into x), each kernel and the sum of squares (v * v)
+write into them, so a chunk allocates no array and the heap never hands
+its pages back to the kernel between chunks; np.add.reduce over such a
 contiguous row is np.sum's pairwise sum.
 
 numpy is imported inside the functions that build arrays, not with the
@@ -35,9 +32,10 @@ import threading
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from paswipt.config import Config, LinearHarvest, LogisticHarvest
-from paswipt.energy import logistic_harvest_power, saturates
+from paswipt.config import Config, LinearHarvest, LogisticHarvest, RegionGeometry
+from paswipt.energy import _linear_energy, logistic_harvest_power, saturates
 from paswipt.geometry import Scheme, optimal_squared_distance
+from paswipt.rate import _rate
 
 CHUNK_SIZE = 1 << 15  # fixed; changing it changes every stream
 DEFAULT_SAMPLES = 1_000_000  # n where no sample count is given
@@ -79,48 +77,42 @@ def _chunk_ue(config: Config, seed: int, chunk_index: int, size: int, out=(None,
     return x_u, y_u
 
 
-def _scaled(const: float, top: float) -> tuple[int, float]:
-    """(k, const * 2**-k), k = 0 where top, a kernel's value at l = h^2, is in [2**-480, 2**480],
-    else 2**-k top is in [0.5, 1): no square over- or underflows (k >= -960 keeps const finite)."""
-    k = 0 if 2.0**-480 <= top <= 2.0**480 else max(math.frexp(top)[1], -960)
-    return k, math.ldexp(const, -k)
+def _scaled(top: float) -> int:
+    """k = 0 where top, a kernel's value at l = h^2, is in [2**-480, 2**480], else 2**-k top is
+    in [0.5, 1): no square over- or underflows (k >= -960 keeps 2**-k finite)."""
+    return 0 if 2.0**-480 <= top <= 2.0**480 else max(math.frexp(top)[1], -960)
 
 
-def _chunk_kernel(metric: str, scheme: Scheme, config: Config):
-    """(k, flat, (l, out) -> 2**-k times one config's metric on a chunk's squared distances,
-    written into out, in the formula's IEEE order): the formula at l = h^2 on its unscaled
-    constant picks k, and the exact 2**-k is folded into that constant by _scaled.  flat is
-    alpha * phi, every sample's value, where the logistic curve `saturates`, else None."""
+def _config_terms(metric: str, config: Config):
+    """(key, factor): the config's kernel as its quadrature memo's arguments, and its value at m."""
+    p, s, model = config.protocol, config.system, config.harvest
+    if metric == "rate":
+        return (s.link_snr_m2, math.copysign(1.0, s.link_snr_m2)), lambda m: _rate(p, m)
+    if metric == "energy-lm":
+        return (None, 1.0, 1.0), lambda m: _linear_energy(s, p, model, m)
+    c = p.beta * s.received_power_w_m2
+    return (model, c, math.copysign(1.0, c)), lambda m: p.alpha * m
+
+
+def _chunk_kernel(metric: str, key: tuple, scheme: Scheme, geom: RegionGeometry):
+    """(k, kernel, flat): kernel(l, out) writes 2**-k times log1p(mu_gamma / l), 1 / l or the
+    logistic power from c / l into out, k picked by _scaled at l = h^2; flat is phi where the
+    curve `saturates` (its kernel is built, for the curve call at h^2, but never run), else None."""
     import numpy as np
 
-    p, s, model, h = config.protocol, config.system, config.harvest, config.geometry.height
-    if metric == "energy-lm":
-        if not isinstance(model, LinearHarvest):
-            raise ValueError("energy-lm requires a LinearHarvest config")
-        const = p.alpha * p.beta * model.eta * s.received_power_w_m2
+    model, c = (None, key[0]) if metric == "rate" else key[:2]
 
-        def formula(c, l, out):  # c / l
-            return np.divide(c, l, out=out)
-    elif metric == "energy-nlm":
-        if not isinstance(model, LogisticHarvest):
-            raise ValueError("energy-nlm requires a LogisticHarvest config")
-        c_in, const = p.beta * s.received_power_w_m2, p.alpha
+    def formula(l, out):
+        v = np.divide(c, l, out=out)
+        if metric == "rate":
+            return np.log1p(v, out=out)
+        return v if model is None else logistic_harvest_power(model, v, out=out)
 
-        def formula(alpha, l, out):  # alpha * logistic(c_in / l)
-            p_in = np.divide(c_in, l, out=out)
-            return np.multiply(alpha, logistic_harvest_power(model, p_in, out=out), out=out)
-    elif metric == "rate":
-        mu_gamma, const = s.link_snr_m2, 1.0 - p.alpha * p.beta
-
-        def formula(scale, l, out):  # scale * log1p(mu_gamma / l) / ln 2
-            nats = np.log1p(np.divide(mu_gamma, l, out=out), out=out)
-            return np.divide(np.multiply(scale, nats, out=out), math.log(2.0), out=out)
-    else:
-        raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
-    k, const = _scaled(const, formula(const, h * h, out=None))
-    saturated = metric == "energy-nlm" and saturates(model, c_in, scheme, config.geometry)
-    flat = p.alpha * model.saturation_w if saturated else None
-    return k, flat, lambda l, out: formula(const, l, out)
+    k = _scaled(formula(geom.height * geom.height, None))
+    flat = model.saturation_w if model is not None and saturates(model, c, scheme, geom) else None
+    if k:
+        return k, lambda l, out: np.multiply(formula(l, out), math.ldexp(1.0, -k), out=out), flat
+    return k, formula, flat
 
 
 def estimate(
@@ -133,36 +125,41 @@ def estimate(
 ) -> list[EstimateWithCI]:
     """Sample mean and standard error of the per-UE metric, one per config.
 
-    Pipeline per sample: uniform UE draw -> optimal antenna placement -> squared
-    distance -> metric formula.  The configs must share one room: each chunk's squared
-    distances are computed once and every config's metric is summed over them, so memory
-    stays at one chunk and each result is bitwise the estimate of that config alone.  A
-    logistic config saturated at the support's far edge is its constant alpha * phi, with a
-    standard error of 0; the chunks are drawn only if some config is not, and workers > 1 then
-    runs them on a thread pool (the Philox fills and numpy ufuncs release the GIL).
+    Pipeline per sample: uniform UE draw -> optimal antenna placement -> squared distance
+    -> kernel.  The configs must share one room; a row is its config's factor times its
+    kernel's mean and standard error, bitwise the estimate of that config alone.  Chunks are
+    drawn only if some kernel is not saturated, and workers > 1 runs them on a thread pool
+    (the Philox fills and numpy ufuncs release the GIL).
     """
     import numpy as np
 
     check_mc_inputs(n, seed, workers)
     if len({cfg.geometry for cfg in configs}) != 1:
         raise ValueError("estimate needs a non-empty series of configs sharing one geometry")
-    kernels = [_chunk_kernel(metric, scheme, cfg) for cfg in configs]
+    models = {"energy-lm": LinearHarvest, "energy-nlm": LogisticHarvest, "rate": object}
+    if metric not in models:
+        raise ValueError(f"unknown metric {metric!r}; expected energy-lm, energy-nlm or rate")
+    if not all(isinstance(cfg.harvest, models[metric]) for cfg in configs):
+        raise ValueError(f"{metric} requires a {models[metric].__name__} config")
+    terms = [_config_terms(metric, cfg) for cfg in configs]
     geom = configs[0].geometry
+    kernels = {key: _chunk_kernel(metric, key, scheme, geom) for key, _ in terms}
+    drawn = [key for key, (_, _, flat) in kernels.items() if flat is None]
     sizes = _chunk_sizes(n)
     local = threading.local()
 
-    def sums(v):  # (sum, sum of squares) of a metric row: np.sum's pairwise sums
+    def sums(v):  # (sum, sum of squares) of a kernel row: np.sum's pairwise sums
         return np.add.reduce(v), np.add.reduce(np.multiply(v, v, out=v))
 
     def chunk_stats(j: int):
-        if not hasattr(local, "buffers"):  # this thread's x, y and metric rows
+        if not hasattr(local, "buffers"):  # this thread's x, y and kernel rows
             local.buffers = np.empty((3, sizes[0]))
         x, y, v = (row[:sizes[j]] for row in local.buffers)  # cut to chunk j
         l = optimal_squared_distance(scheme, geom, *_chunk_ue(configs[0], seed, j, sizes[j],
                                                               out=(x, y)), out=x)
-        return [sums(kernel(l, v)) for _, flat, kernel in kernels if flat is None]
+        return [sums(kernels[key][1](l, v)) for key in drawn]
 
-    todo = range(len(sizes) if None in [flat for _, flat, _ in kernels] else 0)  # all or none
+    todo = range(len(sizes) if drawn else 0)  # all or none
     if workers > 1 and len(todo) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -171,14 +168,12 @@ def estimate(
     else:
         chunks = [chunk_stats(j) for j in todo]
 
-    results, drawn_stats = [], zip(*chunks)
-    for k, flat, _ in kernels:
-        if flat is not None:
-            results.append(EstimateWithCI(flat, 0.0))
-            continue
-        per_chunk = zip(*next(drawn_stats))  # (sums, sums of squares) in chunk order
-        total, total_sq = (np.sum(np.array(column)) for column in per_chunk)
+    means = {key: (flat, 0.0) for key, (_, _, flat) in kernels.items() if flat is not None}
+    for key, per_chunk in zip(drawn, zip(*chunks)):  # (sums, sums of squares) in chunk order
+        total, total_sq = (np.sum(np.array(column)) for column in zip(*per_chunk))
         mean = total / n
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-        results.append(EstimateWithCI(math.ldexp(mean, k), math.ldexp(math.sqrt(var / n), k)))
-    return results
+        means[key] = tuple(math.ldexp(x, kernels[key][0]) for x in (mean, math.sqrt(var / n)))
+    # abs: a factor of -0.0 (alpha = -0.0) signs the mean, never the standard error
+    return [EstimateWithCI(factor(means[key][0]), abs(factor(means[key][1])))
+            for key, factor in terms]

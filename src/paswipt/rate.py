@@ -88,6 +88,11 @@ def avg_rate_closed(
     return RateResult((1.0 - protocol.alpha * protocol.beta) / LN2 * total)
 
 
+def _rate(protocol: ProtocolParams, mean_log: float) -> float:
+    """(1 - alpha beta) * mean_log / ln 2 for E[ln(1 + mu gamma / L)] by quadrature or MC."""
+    return (1.0 - protocol.alpha * protocol.beta) * mean_log / LN2
+
+
 @functools.lru_cache(maxsize=256)  # one preset's 3 x 50 integrals: c2 reads c1's
 def _mean_log(scheme: Scheme, geom: RegionGeometry, mu_gamma: float, sign: float) -> float:
     """E[ln(1 + mu_gamma / L)] by quadrature; sign = copysign(1, mu_gamma) splits 0.0, -0.0."""
@@ -101,4 +106,4 @@ def avg_rate_quadrature(
     log reads no alpha or beta, and the last 256 (scheme, room, mu gamma) are kept."""
     mu_gamma = system.link_snr_m2
     mean_log = _mean_log(scheme, geom, mu_gamma, math.copysign(1.0, mu_gamma))
-    return RateResult((1.0 - protocol.alpha * protocol.beta) * mean_log / LN2)
+    return RateResult(_rate(protocol, mean_log))

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -152,6 +153,16 @@ def test_energy_row(capsys):
     assert float(fields["quadrature_w"]) == pytest.approx(float(fields["closed_w"]), rel=1e-8)
 
 
+def test_energy_mc_keeps_the_sign_of_a_zero_alpha(capsys):
+    """At alpha = -0.0 every method's energy is -0.0: the MC factor multiplies the mean,
+    so it prints the closed form's bits, and its standard error stays +0."""
+    out = _output(["energy", "--scheme", "eds", "--alpha", "-0.0", "--pt-w", "0.3", "--mc"],
+                  capsys)
+    (row,) = csv.DictReader(out.splitlines())
+    values = [float(row[c]) for c in ("closed_w", "quadrature_w", "mc_w", "mc_stderr_w")]
+    assert [v.hex() for v in values] == ["-0x0.0p+0"] * 3 + ["0x0.0p+0"], row
+
+
 def test_energy_nlm_includes_bound(capsys):
     assert main(["energy", "--scheme", "dds", "--model", "nlm", "--pt-w", "0.3"]) == 0
     header, row = capsys.readouterr().out.strip().splitlines()
@@ -196,6 +207,21 @@ def test_figure_script_runs_paswipt_sweep(tmp_path, capsys):
                             "--samples", "1"], capsys)
     assert (bad.returncode, bad.stderr) == (code, err)
     assert code == 2 and err.startswith("paswipt sweep: error: ") and err.count("\n") == 1
+
+
+def test_figure_script_skips_plots_without_matplotlib(tmp_path, capsys, monkeypatch):
+    """Where matplotlib cannot be found, the figure script prints one skip line per preset
+    and starts no plot process."""
+    spec = importlib.util.spec_from_file_location("reproduce_figures", FIGURE_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    find = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "matplotlib" else find(name, *args))
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: pytest.fail(f"ran {args}"))
+    assert script.main(["--out", str(tmp_path)]) == 0
+    skips = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("wrote")]
+    assert skips == ["  plot skipped: matplotlib is not installed"] * len(PRESETS)
 
 
 def test_figure_script_takes_out_as_its_outdir(tmp_path, capsys):

@@ -7,14 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paswipt import montecarlo
 from paswipt.config import LinearHarvest, ProtocolParams, default_config
-from paswipt.energy import avg_energy_quadrature
+from paswipt.energy import _linear_energy, avg_energy_quadrature, logistic_harvest_power
 from paswipt.geometry import Scheme, optimal_squared_distance
 from paswipt.montecarlo import (
     CHUNK_SIZE,
+    _chunk_sizes,
     _chunk_ue,
     estimate,
 )
+from paswipt.rate import _rate
 
 from oracles import SIMD_DISPATCH, regime_power, sample_ue_stream, without_simd_dispatch
 
@@ -130,6 +133,77 @@ def _regime_config(scheme, name):
     return default_config(regime_power(default_config(1.0, "nlm"), scheme, name), "nlm")
 
 
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """One entry per pass a kernel of estimate makes over a chunk."""
+    calls = []
+    build = montecarlo._chunk_kernel
+
+    def counted(*args):
+        k, kernel, flat = build(*args)
+        return k, lambda l, out: calls.append(k) or kernel(l, out), flat
+
+    monkeypatch.setattr(montecarlo, "_chunk_kernel", counted)
+    return calls
+
+
+def _chunk_order_stats(scheme, cfg, kernel, n, seed):
+    """(mean, std error) of kernel(l) over the stream's first n samples, reduced as estimate
+    reduces with k = 0: each chunk's pairwise sums, then theirs in chunk order."""
+    chunks = []
+    for j, size in enumerate(_chunk_sizes(n)):
+        v = kernel(optimal_squared_distance(scheme, cfg.geometry, *_chunk_ue(cfg, seed, j, size)))
+        chunks.append((np.add.reduce(v), np.add.reduce(v * v)))
+    total, total_sq = (np.sum(np.array(column)) for column in zip(*chunks))
+    mean = float(total / n)
+    return mean, math.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n)
+
+
+KERNELS = {  # metric: config -> its per-sample kernel on the squared distances
+    "energy-lm": lambda cfg: lambda l: 1.0 / l,
+    "energy-nlm": lambda cfg: lambda l: logistic_harvest_power(
+        cfg.harvest, cfg.protocol.beta * cfg.system.received_power_w_m2 / l),
+    "rate": lambda cfg: lambda l: np.log1p(cfg.system.link_snr_m2 / l),
+}
+
+
+FACTORS = {  # metric: (config, kernel mean m) -> the quadrature path's value at mean m
+    "energy-lm": lambda cfg, m: _linear_energy(cfg.system, cfg.protocol, cfg.harvest, m),
+    "energy-nlm": lambda cfg, m: cfg.protocol.alpha * m,
+    "rate": lambda cfg, m: _rate(cfg.protocol, m),
+}
+
+
+POWERS = [10.0 ** (-2.0 + 2.0 * i / 49) for i in range(50)]
+C1, C2 = (default_config(0.3).with_params(alpha=ab, beta=ab) for ab in (0.8, 0.6))
+KNEE = _regime_config(Scheme.CDS, "knee")
+SHARING = {  # name: (metric, series, kernel passes per chunk)
+    "lm-series": ("energy-lm", [default_config(p).with_params(alpha=p / 2) for p in POWERS], 1),
+    "c1-series": ("rate", [C1.with_params(transmit_power_w=p) for p in POWERS], 50),
+    "c1-and-c2": ("rate", [C1, C2], 1),
+    "signed-zero-link": ("rate", [C1.with_params(transmit_power_w=z) for z in (0.0, -0.0)], 2),
+    "nlm-knee-alphas": ("energy-nlm", [KNEE, KNEE.with_params(alpha=0.25)], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARING))
+def test_equal_kernels_share_one_sum(case, kernel_passes, drawn_chunks):
+    """Each distinct kernel of a series is summed once per chunk, and each row is its
+    config's factor on that kernel's chunk-order mean and standard error, bit for bit:
+    the estimate of the config alone."""
+    metric, series, per_chunk = SHARING[case]
+    n, seed = 2 * CHUNK_SIZE + 5, 8
+    rows = estimate(metric, Scheme.CDS, series, n=n, seed=seed)
+    assert sorted(drawn_chunks) == [0, 1, 2]
+    assert len(kernel_passes) == 3 * per_chunk and set(kernel_passes) == {0}
+    for cfg, row in zip(series, rows):
+        mean, se = _chunk_order_stats(Scheme.CDS, cfg, KERNELS[metric](cfg), n, seed)
+        factor = FACTORS[metric]
+        assert (row.mean.hex(), row.std_error.hex()) == (factor(cfg, mean).hex(),
+                                                         factor(cfg, se).hex())
+        assert [row] == estimate(metric, Scheme.CDS, [cfg], n=n, seed=seed)
+
+
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_logistic_past_the_turn_on_draws_every_chunk(scheme, drawn_chunks):
     """Just past the turn-on at the support's far edge the samples still vary,
@@ -184,29 +258,29 @@ def test_mixed_geometry_batch_is_rejected(lm_config):
 GOLDEN_SEED_BIG = 2**40 + 3
 GOLDEN = {
     ("energy-lm", "eds", 0, 16384): ("0x1.0b1ebf782837ap-7", "0x1.98ae658b795c9p-15"),
-    ("energy-lm", "eds", 0, 100003): ("0x1.0d1059f2a31dbp-7", "0x1.4c65d56f44ceap-16"),
-    ("energy-lm", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.0cc2fda9746b7p-7", "0x1.9a3928ada8dcbp-15"),
+    ("energy-lm", "eds", 0, 100003): ("0x1.0d1059f2a31dbp-7", "0x1.4c65d56f44cebp-16"),
+    ("energy-lm", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.0cc2fda9746b7p-7", "0x1.9a3928ada8dcap-15"),
     ("energy-lm", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.0bdf9eca334eep-7", "0x1.4bf4e212d8599p-16"),
     ("energy-lm", "dds", 0, 16384): ("0x1.a281f642c0beep-7", "0x1.88ec4894f0e1cp-15"),
-    ("energy-lm", "dds", 0, 100003): ("0x1.a483125ebcc3dp-7", "0x1.3dd69731511afp-16"),
-    ("energy-lm", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.a5f345157db7cp-7", "0x1.882e5003a3e0fp-15"),
-    ("energy-lm", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.a4e2bed0012f4p-7", "0x1.3e65eaea9255cp-16"),
-    ("energy-nlm", "eds", 0, 16384): ("0x1.c2bc3c79a64c0p-8", "0x1.0312082dc84aap-14"),
-    ("energy-nlm", "eds", 0, 100003): ("0x1.c54dccafb8417p-8", "0x1.a3a67f50fc0cfp-16"),
-    ("energy-nlm", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.c46bf6eaa739ep-8", "0x1.030a81a69a6aep-14"),
-    ("energy-nlm", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.c1bb577ff5cd5p-8", "0x1.a32508bf034f0p-16"),
-    ("energy-nlm", "dds", 0, 16384): ("0x1.9162db29e77c4p-7", "0x1.ba76758e0dd93p-15"),
-    ("energy-nlm", "dds", 0, 100003): ("0x1.929846964ab5ap-7", "0x1.651b5f4626140p-16"),
-    ("energy-nlm", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.94982348dab9bp-7", "0x1.b6657786ec4ebp-15"),
-    ("energy-nlm", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.92f2b5cddc316p-7", "0x1.64bbadc640efdp-16"),
-    ("rate", "eds", 0, 16384): ("0x1.257799f9d1da8p+2", "0x1.a4edc02b5a9e6p-9"),
-    ("rate", "eds", 0, 100003): ("0x1.25ab836324e10p+2", "0x1.560990cd6f696p-10"),
-    ("rate", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.25a30bcd4dcd5p+2", "0x1.a68f1565e0771p-9"),
-    ("rate", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.258244166616bp+2", "0x1.55d85a1fad5ffp-10"),
-    ("rate", "dds", 0, 16384): ("0x1.39cc28f937d56p+2", "0x1.2e7eeba558bdap-9"),
-    ("rate", "dds", 0, 100003): ("0x1.39f9471de1dadp+2", "0x1.e9e9d7200f957p-11"),
-    ("rate", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.3a1c3fb034348p+2", "0x1.2e2f288858f8cp-9"),
-    ("rate", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.3a0021c363175p+2", "0x1.e9e8af94483e6p-11"),
+    ("energy-lm", "dds", 0, 100003): ("0x1.a483125ebcc3bp-7", "0x1.3dd69731511b8p-16"),
+    ("energy-lm", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.a5f345157db7cp-7", "0x1.882e5003a3e0bp-15"),
+    ("energy-lm", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.a4e2bed0012f5p-7", "0x1.3e65eaea92558p-16"),
+    ("energy-nlm", "eds", 0, 16384): ("0x1.c2bc3c79a64bfp-8", "0x1.0312082dc84abp-14"),
+    ("energy-nlm", "eds", 0, 100003): ("0x1.c54dccafb8417p-8", "0x1.a3a67f50fc0d2p-16"),
+    ("energy-nlm", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.c46bf6eaa739dp-8", "0x1.030a81a69a6afp-14"),
+    ("energy-nlm", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.c1bb577ff5cd5p-8", "0x1.a32508bf034f2p-16"),
+    ("energy-nlm", "dds", 0, 16384): ("0x1.9162db29e77c2p-7", "0x1.ba76758e0dd9fp-15"),
+    ("energy-nlm", "dds", 0, 100003): ("0x1.929846964ab58p-7", "0x1.651b5f4626148p-16"),
+    ("energy-nlm", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.94982348dab98p-7", "0x1.b6657786ec4fdp-15"),
+    ("energy-nlm", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.92f2b5cddc314p-7", "0x1.64bbadc640f08p-16"),
+    ("rate", "eds", 0, 16384): ("0x1.257799f9d1da9p+2", "0x1.a4edc02b5a923p-9"),
+    ("rate", "eds", 0, 100003): ("0x1.25ab836324e11p+2", "0x1.560990cd6f641p-10"),
+    ("rate", "eds", GOLDEN_SEED_BIG, 16384): ("0x1.25a30bcd4dcd5p+2", "0x1.a68f1565e080cp-9"),
+    ("rate", "eds", GOLDEN_SEED_BIG, 100003): ("0x1.258244166616bp+2", "0x1.55d85a1fad632p-10"),
+    ("rate", "dds", 0, 16384): ("0x1.39cc28f937d56p+2", "0x1.2e7eeba558b71p-9"),
+    ("rate", "dds", 0, 100003): ("0x1.39f9471de1dadp+2", "0x1.e9e9d7200fab6p-11"),
+    ("rate", "dds", GOLDEN_SEED_BIG, 16384): ("0x1.3a1c3fb034348p+2", "0x1.2e2f288859017p-9"),
+    ("rate", "dds", GOLDEN_SEED_BIG, 100003): ("0x1.3a0021c363176p+2", "0x1.e9e8af94482c6p-11"),
 }
 
 

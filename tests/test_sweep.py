@@ -354,8 +354,8 @@ PRESET_CSV_SHA256 = {
     ("c1", False): "81710ec4b424c186d31eac29cbd3fed0a394a82fe92d19aa99c2c17ef198daaf",
     ("c2", False): "394e2148963d0d804954a7ba978e8bf587afae40130e9ab2354b4a133f70d2e2",
     ("fig4", False): "6279da9c6bebfd19480dbd370bd6460280eeed45ee53c9b154e992d2b07fc2d6",
-    ("s1", True): "85e83523084f7f0624a539e4219c7c58beb4f446422ea1a87097aa091275a714",
-    ("c1", True): "6b1f8fdd95e068492526d71f00c06303ad727e31c7b12492935835ffc23b23fa",
+    ("s1", True): "462e38a4f37f0377f492f30d27daf31250e5203252feb60fd383232cb1ef74b5",
+    ("c1", True): "382a1f0744d74545e6363d3d7e2c4af8e00c07e65173e78bf989986c5ddd04f5",
 }
 
 
